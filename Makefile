@@ -7,8 +7,11 @@ GO ?= go
 build:
 	$(GO) build ./...
 
+# `go test ./...` does not enter the nested benchmark module, so vet
+# and test it against the program separately.
 test: build
 	$(GO) test ./...
+	cd e2ebench && $(GO) vet ./... && $(GO) test ./...
 
 race: build
 	$(GO) test -race ./...

@@ -179,7 +179,7 @@ func runCalibrate(seed int64) error {
 	return nil
 }
 
-// runTracks dials a running controller as a v2 observer session (an
+// runTracks dials a running controller as an observer session (an
 // empty Hello name: never registered as a bearing source) and prints
 // its live mobility traces — the wire face of the fusion engine's
 // per-client alpha-beta tracks. An empty mac queries all. token
@@ -193,9 +193,6 @@ func runTracks(addr, mac, token string) error {
 		return err
 	}
 	defer a.Close()
-	if a.Version() < netproto.ProtoV2 {
-		return fmt.Errorf("controller at %s negotiated protocol v%d; tracks needs v2", addr, a.Version())
-	}
 	q := netproto.Query{All: mac == ""}
 	if mac != "" {
 		addr, err := wifi.ParseAddr(mac)
@@ -221,7 +218,7 @@ func runTracks(addr, mac, token string) error {
 	return nil
 }
 
-// runDefense dials a running controller as a v3 observer session and
+// runDefense dials a running controller as an observer session and
 // prints the defense engine's live threat states — the wire face of the
 // closed defense loop. A non-empty mac filters to one client; release
 // instead asks the controller for an operator release of that MAC.
@@ -234,9 +231,6 @@ func runDefense(addr, mac string, release bool, token string) error {
 		return err
 	}
 	defer a.Close()
-	if a.Version() < netproto.ProtoV3 {
-		return fmt.Errorf("controller at %s negotiated protocol v%d; defense needs v3", addr, a.Version())
-	}
 	if release {
 		if mac == "" {
 			return fmt.Errorf("defense -release needs -mac")
@@ -465,7 +459,7 @@ func runDemo(seed int64) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%s connected (protocol v%d)\n", name, a.Version())
+		fmt.Printf("%s connected (protocol v%d)\n", name, netproto.ProtoVersion)
 		defer a.Close()
 		agents[i] = a
 	}
@@ -499,7 +493,7 @@ func runDemo(seed int64) error {
 	}
 
 	// The controller kept alpha-beta mobility tracks for both clients;
-	// pull them over the wire with the v2 Query/Tracks exchange.
+	// pull them over the wire with the Query/Tracks exchange.
 	states, err := agents[0].QueryTracks(ctx, netproto.Query{All: true})
 	if err != nil {
 		return err

@@ -125,8 +125,8 @@ func renderStatus(addr string) error {
 	if len(st.APs) == 0 {
 		fmt.Println("\nno connected APs")
 	} else {
-		fmt.Printf("\n%-14s %3s %5s %8s %8s %6s %6s %10s %12s\n",
-			"AP", "ver", "queue", "frames", "reports", "acks", "role", "last seen", "ack latency")
+		fmt.Printf("\n%-14s %5s %8s %8s %6s %6s %10s %12s\n",
+			"AP", "queue", "frames", "reports", "acks", "role", "last seen", "ack latency")
 		for _, h := range st.APs {
 			role := "ap"
 			if h.Observer {
@@ -136,8 +136,8 @@ func renderStatus(addr string) error {
 			if h.AckLatency > 0 {
 				lat = h.AckLatency.Truncate(time.Microsecond).String()
 			}
-			fmt.Printf("%-14s %3d %5d %8d %8d %6d %6s %10s %12s\n",
-				h.Name, h.Version, h.QueueDepth, h.Frames, h.Reports, h.Acks, role,
+			fmt.Printf("%-14s %5d %8d %8d %6d %6s %10s %12s\n",
+				h.Name, h.QueueDepth, h.Frames, h.Reports, h.Acks, role,
 				time.Since(h.LastSeen).Truncate(time.Millisecond), lat)
 		}
 	}

@@ -42,8 +42,7 @@ func main() {
 	}
 	controller.Serve(ln)
 	defer controller.Close()
-	// v2 subscription API: any number of consumers can subscribe to the
-	// fused decisions (the legacy Decisions() channel still works too).
+	// Any number of consumers can subscribe to the fused decisions.
 	decisions := controller.Subscribe(16)
 	defer controller.Unsubscribe(decisions)
 	fmt.Printf("fence controller on %s\n\n", ln.Addr())

@@ -35,6 +35,9 @@ func TestFullStackFenceOverTCP(t *testing.T) {
 	}
 	controller.Serve(ln)
 	defer controller.Close()
+	decisions := controller.Subscribe(64)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
 
 	apPositions := []geom.Point{testbed.AP1, testbed.AP2, testbed.AP3}
 	aps := make([]*core.AP, len(apPositions))
@@ -43,7 +46,7 @@ func TestFullStackFenceOverTCP(t *testing.T) {
 		name := fmt.Sprintf("ap%d", i+1)
 		fe := testbed.NewAPFrontEnd(testbed.CircularArray(), pos, rng.New(int64(300+i)))
 		aps[i] = core.NewAP(name, fe, environment, core.DefaultConfig())
-		agents[i], err = netproto.Dial(ln.Addr().String(), netproto.Hello{Name: name, Pos: pos})
+		agents[i], err = netproto.DialContext(ctx, ln.Addr().String(), netproto.Hello{Name: name, Pos: pos})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,7 +78,7 @@ func TestFullStackFenceOverTCP(t *testing.T) {
 	}
 	awaitDecision := func() netproto.FenceDecision {
 		select {
-		case d := <-controller.Decisions():
+		case d := <-decisions.C:
 			return d
 		case <-time.After(10 * time.Second):
 			t.Fatal("no decision within 10s")
@@ -156,9 +159,6 @@ func TestFullStackV2StreamToController(t *testing.T) {
 		a, err := netproto.DialContext(ctx, ln.Addr().String(), netproto.Hello{Name: name, Pos: pos})
 		if err != nil {
 			t.Fatal(err)
-		}
-		if a.Version() != netproto.ProtoVersion {
-			t.Fatalf("%s negotiated v%d", name, a.Version())
 		}
 		defer a.Close()
 		agents[i] = a

@@ -15,10 +15,10 @@ import (
 // TypeAlert carries a spoofing alert: an AP that flagged a MAC address
 // reports it to the controller, which feeds the scored verdict into its
 // defense engine (package defense). When the engine escalates the
-// client into quarantine, every connected AP learns about it — v2
-// sessions through a typed Directive, v1 sessions through a legacy
-// Alert broadcast — so one AP's detection protects the whole deployment
-// (the defense-in-depth posture of section 1 applied fleet-wide).
+// client into quarantine, every connected AP learns about it — through
+// a typed Directive and an Alert broadcast — so one AP's detection
+// protects the whole deployment (the defense-in-depth posture of
+// section 1 applied fleet-wide).
 const TypeAlert = 3
 
 // Alert is a spoofing-detection notice for one MAC.
@@ -32,66 +32,43 @@ type Alert struct {
 	// a core.PipelineError's Stage field crossing the wire, so the
 	// controller's quarantine records *why* an AP raised the flag
 	// ("spoofcheck" for a signature mismatch, "detect"/"estimate" for
-	// anomalous failures). Protocol v2 onwards: the field is stripped
-	// when the session negotiated v1, and absent from v1 peers' alerts.
+	// anomalous failures).
 	Stage string
 	// Threshold is the match policy's MaxDistance the flag was judged
 	// against — with Distance it carries the verdict's margin, so the
 	// defense engine weighs a barely-flagged packet differently from a
-	// gross mismatch. Protocol v3 only.
+	// gross mismatch.
 	Threshold float64
 	// BearingDeg is the bearing the flagging AP observed the offending
 	// frame at — the null-steer fallback direction when the threat has
 	// no fused position. HasBearing marks it measured (bearing 0 is a
-	// legitimate direction): v1/v2 alerts and bare SendAlert leave it
-	// false, and the defense engine will not null-steer on a bearing
-	// nobody measured. Protocol v3 only.
+	// legitimate direction): the defense engine will not null-steer on
+	// a bearing nobody measured.
 	BearingDeg float64
 	HasBearing bool
 	// Trace is the trace ID of the flagged observation, linking the
-	// alert to the packet's end-to-end decision trace. Protocol v5 only.
+	// alert to the packet's end-to-end decision trace.
 	Trace uint64
 }
 
-// MarshalAlert encodes an Alert message body in the highest wire form
-// this build speaks.
+// MarshalAlert encodes an Alert message body.
 func MarshalAlert(a Alert) []byte {
-	return marshalAlertV(a, ProtoVersion)
-}
-
-// marshalAlertV encodes an Alert for a session at the given negotiated
-// version: the v1 form has no trailing fields, v2 appends the stage
-// string when non-empty (byte-identical to what v2 builds shipped),
-// v3 always appends stage + threshold + bearing, and v5 appends the
-// trailing trace ID.
-func marshalAlertV(a Alert, version uint16) []byte {
 	b := []byte{TypeAlert}
 	b = writeString(b, a.APName)
 	b = append(b, a.MAC[:]...)
 	b = binary.BigEndian.AppendUint64(b, math.Float64bits(a.Distance))
-	switch {
-	case version >= ProtoV3:
-		b = writeString(b, a.Stage)
-		b = binary.BigEndian.AppendUint64(b, math.Float64bits(a.Threshold))
-		b = binary.BigEndian.AppendUint64(b, math.Float64bits(a.BearingDeg))
-		if a.HasBearing {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
-		}
-		if version >= ProtoV5 {
-			b = binary.BigEndian.AppendUint64(b, a.Trace)
-		}
-	case version >= ProtoV2 && a.Stage != "":
-		b = writeString(b, a.Stage)
+	b = writeString(b, a.Stage)
+	b = binary.BigEndian.AppendUint64(b, math.Float64bits(a.Threshold))
+	b = binary.BigEndian.AppendUint64(b, math.Float64bits(a.BearingDeg))
+	if a.HasBearing {
+		b = append(b, 1)
+	} else {
+		b = append(b, 0)
 	}
-	return b
+	return binary.BigEndian.AppendUint64(b, a.Trace)
 }
 
-// unmarshalAlert decodes an Alert body (after the type byte), accepting
-// the v1 form (no trailing fields), the v2 form (stage string only),
-// the v3 form (stage + threshold + bearing), and the v5 form (v3 plus
-// the trailing trace ID).
+// unmarshalAlert decodes an Alert body (after the type byte).
 func unmarshalAlert(rest []byte) (Alert, error) {
 	var a Alert
 	name, rest, err := readString(rest)
@@ -104,42 +81,30 @@ func unmarshalAlert(rest []byte) (Alert, error) {
 	a.APName = name
 	copy(a.MAC[:], rest[:6])
 	a.Distance = math.Float64frombits(binary.BigEndian.Uint64(rest[6:14]))
-	rest = rest[14:]
-	if len(rest) == 0 {
-		return a, nil // v1 form
-	}
-	a.Stage, rest, err = readString(rest)
+	a.Stage, rest, err = readString(rest[14:])
 	if err != nil {
 		return a, err
 	}
-	if len(rest) == 0 {
-		return a, nil // v2 form (stage only)
-	}
-	if len(rest) != 17 && len(rest) != 17+8 {
+	if len(rest) != 17+8 {
 		return a, ErrBadMessage
 	}
 	a.Threshold = math.Float64frombits(binary.BigEndian.Uint64(rest[0:8]))
 	a.BearingDeg = math.Float64frombits(binary.BigEndian.Uint64(rest[8:16]))
 	a.HasBearing = rest[16] != 0
-	if len(rest) == 17+8 { // v5: trailing trace ID
-		a.Trace = binary.BigEndian.Uint64(rest[17:])
-	}
+	a.Trace = binary.BigEndian.Uint64(rest[17:])
 	return a, nil
 }
 
 // --- Controller-side connection registry ---
 
-// apConn is one registered agent connection's outbound queue and the
-// protocol version negotiated for it (broadcasts are re-encoded per
-// connection so v1 agents keep decoding them). stop and conn let a
-// reconnect under the same AP name retire the stale broadcaster and
-// connection atomically with the replacement.
+// apConn is one registered agent connection's outbound queue. stop
+// and conn let a reconnect under the same AP name retire the stale
+// broadcaster and connection atomically with the replacement.
 type apConn struct {
-	ch      chan []byte
-	version uint16
-	stop    chan struct{}
-	conn    net.Conn
-	health  *apHealth
+	ch     chan []byte
+	stop   chan struct{}
+	conn   net.Conn
+	health *apHealth
 }
 
 // peers tracks the agents to notify on broadcasts. (The seed kept the
@@ -211,21 +176,12 @@ func (c *Controller) handleAlert(a Alert) {
 
 // --- Agent-side ---
 
-// SendAlert reports a flagged MAC to the controller (no stage detail —
-// the v1 form; SendAlertDetail carries the full v2 Alert).
-func (a *Agent) SendAlert(apName string, mac wifi.Addr, distance float64) error {
-	return a.SendAlertDetail(Alert{APName: apName, MAC: mac, Distance: distance})
-}
-
-// SendAlertDetail ships a full Alert, encoded at this session's
-// negotiated version: the Stage field needs v2 and the scored
-// Threshold/BearingDeg/HasBearing fields need v3 — older sessions get
-// them stripped, so the encoding always matches what the far end
-// decodes.
+// SendAlertDetail reports a flagged MAC to the controller as a scored
+// Alert.
 func (a *Agent) SendAlertDetail(al Alert) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.writeBody(marshalAlertV(al, a.Version()))
+	return a.writeBody(MarshalAlert(al))
 }
 
 // Alerts delivers controller broadcasts through the agent's shared

@@ -37,8 +37,7 @@ type FenceDecision struct {
 // goes silent for longer is disconnected, so a stalled peer cannot pin
 // a handler goroutine (and its Close drain) forever. Healthy agents
 // with nothing to report stay connected by calling Agent.Ping within
-// this window; deployments with listen-only v1 agents (which predate
-// Ping) should set ReadTimeout negative to disable the deadline.
+// this window.
 const DefaultReadTimeout = 2 * time.Minute
 
 // Controller fuses AP reports into localisation and fence decisions.
@@ -80,10 +79,9 @@ type Controller struct {
 	// like the fusion tuning fields.
 	DefensePolicy defense.Policy
 	// RequireAuth closes the TCP port to everything but enrolled APs:
-	// sessions whose Hello carries no valid enrollment token (any
-	// v1–v3 agent, or a v4 agent that skipped `secureangle enroll`)
-	// are rejected at the handshake. Off by default — the pre-v4 open
-	// behaviour — so existing fleets keep connecting; a presented
+	// sessions whose Hello carries no valid enrollment token (an agent
+	// that skipped `secureangle enroll`) are rejected at the handshake.
+	// Off by default, so unenrolled fleets keep connecting; a presented
 	// token must validate even when auth is optional.
 	RequireAuth bool
 	// SnapshotInterval is the journal's snapshot cadence when WithJournal
@@ -115,13 +113,12 @@ type Controller struct {
 	// OpsHandler/ServeOps.
 	PprofOps bool
 
-	mu       sync.Mutex
-	apPos    map[string]geom.Point
-	decision chan FenceDecision
-	subs     map[int]chan FenceDecision
-	nextSub  int
-	closed   bool
-	quar     *peers
+	mu      sync.Mutex
+	apPos   map[string]geom.Point
+	subs    map[int]chan FenceDecision
+	nextSub int
+	closed  bool
+	quar    *peers
 	// tokens maps enrolled AP names to token digests (see enroll.go);
 	// dirSent remembers when each MAC's latest directive was broadcast
 	// so an ack can be turned into a latency sample (bounded, see
@@ -170,14 +167,13 @@ type Controller struct {
 func NewController(fence *locate.Fence) *Controller {
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Controller{
-		Fence:    fence,
-		MinAPs:   2,
-		apPos:    make(map[string]geom.Point),
-		decision: make(chan FenceDecision, 64),
-		subs:     make(map[int]chan FenceDecision),
-		quar:     newPeers(),
-		ctx:      ctx,
-		cancel:   cancel,
+		Fence:  fence,
+		MinAPs: 2,
+		apPos:  make(map[string]geom.Point),
+		subs:   make(map[int]chan FenceDecision),
+		quar:   newPeers(),
+		ctx:    ctx,
+		cancel: cancel,
 	}
 }
 
@@ -258,7 +254,7 @@ func (c *Controller) defenseConfig() defense.Config {
 
 // Release is the operator path out of quarantine: drop the MAC's
 // threat state back to allow and broadcast the release directive to
-// every v2 AP. Reports whether the MAC had any threat state. (The wire
+// every AP. Reports whether the MAC had any threat state. (The wire
 // face is Agent.SendRelease; the CLI face `secureangle defense
 // -release`.)
 func (c *Controller) Release(mac wifi.Addr) bool {
@@ -306,11 +302,11 @@ func (c *Controller) Threat(mac wifi.Addr) (defense.ClientThreat, bool) {
 	return defense.ClientThreat{}, false
 }
 
-// emitDecision fans one fused decision out to the legacy channel and
-// every subscriber, then feeds the defense engine (the fusion engine
-// calls it outside shard locks). The serial path: the mobility track
-// is queried right after the fence report, which — with one ingest per
-// emit — is the state the completing bearing left behind.
+// emitDecision fans one fused decision out to every subscriber, then
+// feeds the defense engine (the fusion engine calls it outside shard
+// locks). The serial path: the mobility track is queried right after
+// the fence report, which — with one ingest per emit — is the state
+// the completing bearing left behind.
 func (c *Controller) emitDecision(d fusion.Decision) {
 	if !c.fanOutDecision(d) {
 		return // mid-close: the engines may be tearing down too
@@ -340,9 +336,9 @@ func (c *Controller) emitDecisionTracked(d fusion.Decision, ts fusion.TrackState
 	}
 }
 
-// fanOutDecision journals a decision and delivers it to the legacy
-// channel and every subscriber. It returns false when the controller
-// is mid-close (channels torn down) and the caller should stop.
+// fanOutDecision journals a decision and delivers it to every
+// subscriber. It returns false when the controller is mid-close
+// (channels torn down) and the caller should stop.
 func (c *Controller) fanOutDecision(d fusion.Decision) bool {
 	// During journal recovery the decision is a re-derivation of history:
 	// it still feeds the defense engine (that is how threat scores are
@@ -366,11 +362,6 @@ func (c *Controller) fanOutDecision(d fusion.Decision) bool {
 	if c.closed {
 		c.mu.Unlock()
 		return false // the decision channels may be mid-close
-	}
-	select {
-	case c.decision <- out:
-	default:
-		c.logf("controller: decision channel full, dropping %v", out.MAC)
 	}
 	for id, ch := range c.subs {
 		select {
@@ -400,7 +391,8 @@ type ControllerStats struct {
 	// Defense holds the defense engine's counters (verdicts ingested,
 	// quarantines, null-steer escalations, releases by cause).
 	Defense defense.Stats
-	// UnknownAPDrops counts reports from APs that never sent a Hello.
+	// UnknownAPDrops counts reports naming an AP that no session has
+	// registered.
 	UnknownAPDrops uint64
 	// DirectiveAcks counts applied-countermeasure reports from APs.
 	DirectiveAcks uint64
@@ -439,11 +431,6 @@ func (c *Controller) Snapshot() []fusion.TrackState {
 	return nil
 }
 
-// Decisions delivers fused fence decisions as they become available —
-// the v1 single-consumer channel, kept for compatibility. New callers
-// use Subscribe, which fans out to any number of consumers.
-func (c *Controller) Decisions() <-chan FenceDecision { return c.decision }
-
 // Subscription is one registered consumer of fused fence decisions.
 type Subscription struct {
 	// C delivers this subscriber's decisions. It closes on Unsubscribe
@@ -455,11 +442,10 @@ type Subscription struct {
 }
 
 // Subscribe registers a decision consumer. Every fused decision is
-// fanned out to all live subscriptions (and the legacy Decisions
-// channel); a subscriber that falls more than buf decisions behind has
-// further decisions dropped rather than stalling fusion. buf <= 0
-// defaults to 64. Subscribing to a closed controller returns an
-// already-closed channel.
+// fanned out to all live subscriptions; a subscriber that falls more
+// than buf decisions behind has further decisions dropped rather than
+// stalling fusion. buf <= 0 defaults to 64. Subscribing to a closed
+// controller returns an already-closed channel.
 func (c *Controller) Subscribe(buf int) *Subscription {
 	if buf <= 0 {
 		buf = 64
@@ -525,7 +511,7 @@ func (c *Controller) Serve(ln net.Listener) {
 
 // Close stops the listener, drains the in-flight connection handlers
 // (each is unblocked by cancelling its connection), shuts the fusion
-// engine down, and only then closes the decision channels, so no
+// engine down, and only then closes the subscription channels, so no
 // consumer sees a premature close. The final fusion statistics are
 // logged through Logf.
 func (c *Controller) Close() {
@@ -582,7 +568,6 @@ func (c *Controller) Close() {
 		opsSrv.Close()
 	}
 	c.wg.Wait()
-	close(c.decision)
 	c.mu.Lock()
 	for id, ch := range c.subs {
 		delete(c.subs, id)
@@ -650,9 +635,7 @@ func (c *Controller) handle(conn net.Conn) {
 		}
 	}()
 
-	helloed := false
 	tokenOK := false
-	var ver uint16 = ProtoV1
 	var apName string
 	var bcast chan []byte
 	var health *apHealth
@@ -673,27 +656,26 @@ func (c *Controller) handle(conn net.Conn) {
 			c.logf("controller: decode: %v", err)
 			return
 		}
+		if _, ok := msg.(Hello); !ok && health == nil {
+			// The handshake comes first: nothing reaches the engines
+			// from a session whose Hello has not passed authorize.
+			c.logf("controller: %T before Hello, closing session", msg)
+			return
+		}
 		if health != nil {
 			health.lastSeen.Store(time.Now().UnixNano())
 			health.frames.Add(1)
 		}
 		switch m := msg.(type) {
 		case Hello:
-			if helloed {
+			if health != nil {
 				c.logf("controller: duplicate Hello %q ignored", m.Name)
 				continue
 			}
-			helloed = true
-			ver = NegotiateVersion(m.Version)
 			if ok, reason := c.authorize(m); !ok {
-				// Reject before the AP registers as a bearing source. A
-				// v4 peer gets the typed rejection; older peers (which
-				// can only be here with RequireAuth on) just see the
-				// connection drop — their protocol has no room for more.
-				if ver >= ProtoV4 {
-					if err := WriteMessage(conn, MarshalWelcome(Welcome{Version: ver, Status: WelcomeAuthRejected})); err != nil {
-						c.logf("controller: auth reject to %q: %v", m.Name, err)
-					}
+				// Reject before the AP registers as a bearing source.
+				if err := WriteMessage(conn, MarshalWelcome(Welcome{Status: WelcomeAuthRejected})); err != nil {
+					c.logf("controller: auth reject to %q: %v", m.Name, err)
 				}
 				mAuthRejects.Inc()
 				c.logf("controller: session %q rejected: %s", m.Name, reason)
@@ -709,66 +691,44 @@ func (c *Controller) handle(conn net.Conn) {
 				// but is never a bearing source — kept out of apPos so
 				// it cannot skew the all-APs-reported fusion shortcut.
 				apName = fmt.Sprintf("#observer%d", c.observerSeq.Add(1))
-				c.logf("controller: observer %s connected (protocol v%d)", apName, ver)
+				c.logf("controller: observer %s connected", apName)
 			} else {
 				c.mu.Lock()
 				c.apPos[m.Name] = m.Pos
 				c.mu.Unlock()
-				c.logf("controller: AP %q at %v (protocol v%d)", m.Name, m.Pos, ver)
+				c.logf("controller: AP %q at %v", m.Name, m.Pos)
 			}
-			if m.Version >= ProtoV2 {
-				// v2 handshake: answer with the negotiated version.
-				// Written directly — the broadcaster is not running yet,
-				// so this goroutine still owns the write side and the
-				// Welcome is guaranteed to be the first controller frame
-				// the agent reads. (On v4+ sessions MarshalWelcome
-				// appends WelcomeOK.)
-				if err := WriteMessage(conn, MarshalWelcome(Welcome{Version: ver})); err != nil {
-					c.logf("controller: welcome to %q: %v", m.Name, err)
-					return
-				}
+			// Written directly — the broadcaster is not running yet, so
+			// this goroutine still owns the write side and the Welcome
+			// is guaranteed to be the first controller frame the agent
+			// reads.
+			if err := WriteMessage(conn, MarshalWelcome(Welcome{Status: WelcomeOK})); err != nil {
+				c.logf("controller: welcome to %q: %v", m.Name, err)
+				return
 			}
-			health = newAPHealth(apName, m.Name == "", ver)
-			bcast = c.startBroadcaster(apName, conn, done, ver, health)
+			health = newAPHealth(apName, m.Name == "")
+			bcast = c.startBroadcaster(apName, conn, done, health)
 		case Ping:
 			// Keepalive only: reading it already pushed the deadline.
 		case Report:
-			if health != nil {
-				health.reports.Add(1)
-			}
+			health.reports.Add(1)
 			c.ingest(m)
 		case ReportBatch:
-			if health != nil {
-				health.reports.Add(uint64(len(m)))
-			}
+			health.reports.Add(uint64(len(m)))
 			c.ingestBatch(m)
 		case Alert:
 			c.handleAlert(m)
 		case Query:
-			// v2-gated: a Query on a v1 session (or before the Hello) is
-			// ignored rather than answered with frames the peer cannot
-			// decode — and rather than killing the connection.
-			if !helloed || ver < ProtoV2 {
-				c.logf("controller: query ignored on v%d session", ver)
-				continue
-			}
-			c.answerQuery(m, apName, bcast, ver)
+			c.answerQuery(m, apName, bcast)
 		case Directive:
-			// v3-gated: countermeasure acks and operator release
-			// requests only make sense on a session that negotiated the
-			// defense exchanges.
-			if !helloed || ver < ProtoV3 {
-				c.logf("controller: directive ignored on v%d session", ver)
-				continue
-			}
 			c.handleDirective(m, apName)
 		case SegmentAck:
-			// v4-gated and token-gated: journal streaming ships the
-			// fleet's full event history, so only a peer that proved an
-			// enrollment token may subscribe. The first ack is the
-			// subscribe position vector; later ones report applied LSNs.
-			if !helloed || ver < ProtoV4 || !tokenOK {
-				c.logf("controller: segment ack ignored on unauthenticated v%d session", ver)
+			// Token-gated: journal streaming ships the fleet's full
+			// event history, so only a peer that proved an enrollment
+			// token may subscribe. The first ack is the subscribe
+			// position vector; later ones report applied LSNs.
+			if !tokenOK {
+				c.logf("controller: segment ack ignored on unauthenticated session %s", apName)
 				continue
 			}
 			repl = c.handleSegmentAck(repl, m, apName, done)
@@ -786,7 +746,7 @@ func (c *Controller) handle(conn net.Conn) {
 // the stale broadcaster is stopped, its queue abandoned, and its
 // connection closed so the old handler reaps itself — no handoff window
 // in which broadcasts race between the two connections.
-func (c *Controller) startBroadcaster(name string, conn net.Conn, done chan struct{}, version uint16, health *apHealth) chan []byte {
+func (c *Controller) startBroadcaster(name string, conn net.Conn, done chan struct{}, health *apHealth) chan []byte {
 	ch := make(chan []byte, 16)
 	stop := make(chan struct{})
 	if health != nil {
@@ -794,7 +754,7 @@ func (c *Controller) startBroadcaster(name string, conn net.Conn, done chan stru
 	}
 	c.quar.mu.Lock()
 	prev, hadPrev := c.quar.conns[name]
-	c.quar.conns[name] = apConn{ch: ch, version: version, stop: stop, conn: conn, health: health}
+	c.quar.conns[name] = apConn{ch: ch, stop: stop, conn: conn, health: health}
 	c.quar.mu.Unlock()
 	if hadPrev {
 		c.logf("controller: AP %q reconnected, replacing stale connection", name)
@@ -805,7 +765,7 @@ func (c *Controller) startBroadcaster(name string, conn net.Conn, done chan stru
 	// after a controller restart the defense engine's restored leases
 	// would otherwise exist only in controller memory while the fleet,
 	// freshly rebooted or lease-expired, lets the attackers back in.
-	resume := c.resumeFrames(version)
+	resume := c.resumeFrames()
 	c.wg.Add(1)
 	go func() {
 		defer c.wg.Done()
@@ -1048,10 +1008,6 @@ type Agent struct {
 	conn net.Conn
 	mu   sync.Mutex
 
-	// version is the negotiated protocol version (ProtoV1 when the
-	// legacy constructors skipped the handshake).
-	version uint16
-
 	// Timeout, when positive, bounds every Send*/SendAlert* write with
 	// a deadline, so a wedged controller cannot block the AP's hot path
 	// indefinitely. Set it before sharing the Agent across goroutines.
@@ -1080,37 +1036,10 @@ type Agent struct {
 	querySeq       atomic.Uint32
 }
 
-// Version reports the protocol version negotiated for this session.
-func (a *Agent) Version() uint16 {
-	if a.version == 0 {
-		return ProtoV1
-	}
-	return a.version
-}
-
-// Dial connects to the controller and sends the Hello as given — the
-// v1 exchange (no version negotiation) unless the caller sets
-// hello.Version and reads the Welcome itself. New code uses
-// DialContext, which negotiates automatically.
-func Dial(addr string, hello Hello) (*Agent, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	a := &Agent{conn: conn, version: NegotiateVersion(hello.Version)}
-	if err := WriteMessage(conn, MarshalHello(hello)); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	return a, nil
-}
-
 // DialContext connects to the controller under ctx (an already-
 // cancelled context fails immediately; a deadline bounds dial and
-// handshake) and performs the v2 handshake: the Hello advertises
-// hello.Version (defaulted to ProtoVersion when zero) and the
-// controller's Welcome fixes the session version, readable afterwards
-// via Version.
+// handshake) and performs the handshake: it writes the Hello and
+// waits for the controller's Welcome.
 func DialContext(ctx context.Context, addr string, hello Hello) (*Agent, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -1128,33 +1057,20 @@ func DialContext(ctx context.Context, addr string, hello Hello) (*Agent, error) 
 	return a, nil
 }
 
-// NewAgentOn wraps an existing connection (tests use net.Pipe) with the
-// v1 exchange: the Hello is written as given and no reply is awaited.
-func NewAgentOn(conn net.Conn, hello Hello) (*Agent, error) {
-	a := &Agent{conn: conn, version: NegotiateVersion(hello.Version)}
-	if err := WriteMessage(conn, MarshalHello(hello)); err != nil {
-		return nil, err
-	}
-	return a, nil
-}
-
-// NewAgentContext is DialContext's handshake on an existing connection:
-// it writes a versioned Hello and waits for the controller's Welcome.
-// The far end must therefore be a (v2) controller, not a passive pipe.
+// NewAgentContext is DialContext's handshake on an existing connection
+// (tests use net.Pipe): it writes the Hello and waits for the
+// controller's Welcome, so the far end must answer like a controller.
 func NewAgentContext(ctx context.Context, conn net.Conn, hello Hello) (*Agent, error) {
 	return handshake(ctx, conn, hello)
 }
 
-// handshake writes the versioned Hello and consumes the Welcome. Both a
+// handshake writes the Hello and consumes the Welcome. Both a
 // ctx deadline and plain cancellation interrupt it: cancellation closes
 // the connection mid-handshake, so a peer that accepts but never
 // replies cannot block the caller.
 func handshake(ctx context.Context, conn net.Conn, hello Hello) (*Agent, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
-	}
-	if hello.Version == 0 {
-		hello.Version = ProtoVersion
 	}
 	stop := context.AfterFunc(ctx, func() { conn.Close() })
 	defer stop()
@@ -1165,29 +1081,25 @@ func handshake(ctx context.Context, conn net.Conn, hello Hello) (*Agent, error) 
 	if err := WriteMessage(conn, MarshalHello(hello)); err != nil {
 		return nil, err
 	}
-	a := &Agent{conn: conn, version: ProtoV1}
-	if hello.Version >= ProtoV2 {
-		body, err := ReadMessage(conn)
-		if err != nil {
-			if cerr := ctx.Err(); cerr != nil {
-				return nil, cerr
-			}
-			return nil, fmt.Errorf("netproto: welcome: %w", err)
+	body, err := ReadMessage(conn)
+	if err != nil {
+		if cerr := ctx.Err(); cerr != nil {
+			return nil, cerr
 		}
-		msg, err := Unmarshal(body)
-		if err != nil {
-			return nil, fmt.Errorf("netproto: welcome: %w", err)
-		}
-		w, ok := msg.(Welcome)
-		if !ok {
-			return nil, fmt.Errorf("netproto: expected Welcome, got %T", msg)
-		}
-		if w.Status != WelcomeOK {
-			return nil, ErrAuthRejected
-		}
-		a.version = NegotiateVersion(w.Version)
+		return nil, fmt.Errorf("netproto: welcome: %w", err)
 	}
-	return a, nil
+	msg, err := Unmarshal(body)
+	if err != nil {
+		return nil, fmt.Errorf("netproto: welcome: %w", err)
+	}
+	w, ok := msg.(Welcome)
+	if !ok {
+		return nil, fmt.Errorf("netproto: expected Welcome, got %T", msg)
+	}
+	if w.Status != WelcomeOK {
+		return nil, ErrAuthRejected
+	}
+	return &Agent{conn: conn}, nil
 }
 
 // writeBody frames and writes one message with the Agent's write
@@ -1200,13 +1112,12 @@ func (a *Agent) writeBody(body []byte) error {
 	return WriteMessage(a.conn, body)
 }
 
-// Send ships one report, encoded at the session's negotiated version
-// (the trace ID needs v5 — older sessions get it stripped); safe for
-// concurrent use. A configured Timeout bounds the write.
+// Send ships one report; safe for concurrent use. A configured Timeout
+// bounds the write.
 func (a *Agent) Send(r Report) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.writeBody(marshalReportV(r, a.Version()))
+	return a.writeBody(MarshalReport(r))
 }
 
 // SendContext is Send with the context's deadline bounding the write
@@ -1214,7 +1125,7 @@ func (a *Agent) Send(r Report) error {
 // immediately, before taking the send lock.
 func (a *Agent) SendContext(ctx context.Context, r Report) error {
 	return a.sendWithCtx(ctx, func(write func([]byte) error) error {
-		return write(marshalReportV(r, a.Version()))
+		return write(MarshalReport(r))
 	})
 }
 
@@ -1258,17 +1169,14 @@ func (a *Agent) sendWithCtx(ctx context.Context, send func(write func([]byte) er
 }
 
 // sendBatchLocked chunks reports into ReportBatch frames under
-// MaxMessageSize and hands each to write, encoding at the session's
-// negotiated version (v5 sessions append the trailing trace-ID block,
-// budgeted into the chunk size). Caller holds a.mu.
+// MaxMessageSize and hands each to write (the trailing trace-ID block,
+// 8 bytes per report, is budgeted into the chunk size). Caller holds
+// a.mu.
 func (a *Agent) sendBatchLocked(rs []Report, write func([]byte) error) error {
 	if len(rs) == 0 {
 		return nil
 	}
-	tracePer := 0
-	if a.Version() >= ProtoV5 {
-		tracePer = 8
-	}
+	const tracePer = 8
 	for start := 0; start < len(rs); {
 		// Grow the chunk until the next report would overflow the frame.
 		body := []byte{TypeReportBatch, 0, 0, 0, 0}
@@ -1285,10 +1193,8 @@ func (a *Agent) sendBatchLocked(rs []Report, write func([]byte) error) error {
 				break
 			}
 		}
-		if tracePer > 0 {
-			for i := start; i < end; i++ {
-				body = binary.BigEndian.AppendUint64(body, rs[i].Trace)
-			}
+		for i := start; i < end; i++ {
+			body = binary.BigEndian.AppendUint64(body, rs[i].Trace)
 		}
 		binary.BigEndian.PutUint32(body[1:5], uint32(end-start))
 		if err := write(body); err != nil {

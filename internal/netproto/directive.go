@@ -12,20 +12,16 @@ import (
 	"secureangle/internal/wifi"
 )
 
-// The v3 countermeasure exchange, the wire half of the closed defense
+// The countermeasure exchange, the wire half of the closed defense
 // loop: the controller's defense engine emits typed directives
-// (quarantine / null-steer / release) which are broadcast to every v3
-// agent as TypeDirective frames; agents apply them (core.ApplyDirective)
-// and report the applied countermeasure back as an acknowledgement frame
-// of the same type. An agent may also send an unacknowledged
-// ActionAllow directive to request an operator release
+// (quarantine / null-steer / release) which are broadcast to every
+// session as TypeDirective frames; agents apply them
+// (core.ApplyDirective) and report the applied countermeasure back as
+// an acknowledgement frame of the same type. An agent may also send an
+// unacknowledged ActionAllow directive to request an operator release
 // (Agent.SendRelease — the `secureangle defense -release` CLI path).
-//
-// Both directions are v3-gated: the controller never enqueues a
-// TypeDirective frame on a session that negotiated v1 or v2 (those
-// fleets still receive the legacy Alert broadcast, encoded at their
-// version, when a client enters quarantine), and the agent-side
-// senders refuse with ErrRequiresV3.
+// A client entering quarantine is also announced as an Alert broadcast,
+// the notice Agent.Alerts delivers.
 
 // Directive is the wire form of one defense countermeasure order: the
 // engine's typed directive plus the acknowledgement flag distinguishing
@@ -44,16 +40,8 @@ const (
 	directiveFlagHasBearing = 1 << 2
 )
 
-// MarshalDirective encodes a Directive message body in the highest
-// wire form this build speaks.
+// MarshalDirective encodes a Directive message body.
 func MarshalDirective(d Directive) []byte {
-	return marshalDirectiveV(d, ProtoVersion)
-}
-
-// marshalDirectiveV encodes a Directive for a session at the given
-// negotiated version: v5 appends the trailing trace ID, v3/v4 keep
-// their exact bytes.
-func marshalDirectiveV(d Directive, version uint16) []byte {
 	b := []byte{TypeDirective, 0}
 	if d.HasPos {
 		b[1] |= directiveFlagHasPos
@@ -75,10 +63,7 @@ func marshalDirectiveV(d Directive, version uint16) []byte {
 	b = binary.BigEndian.AppendUint64(b, uint64(d.TTL))
 	b = writeString(b, d.Reporter)
 	b = writeString(b, d.Stage)
-	if version >= ProtoV5 {
-		b = binary.BigEndian.AppendUint64(b, d.Trace)
-	}
-	return b
+	return binary.BigEndian.AppendUint64(b, d.Trace)
 }
 
 // directiveFixedWire is the byte length of a Directive body between the
@@ -116,24 +101,18 @@ func unmarshalDirective(rest []byte) (Directive, error) {
 	if d.Stage, rest, err = readString(rest); err != nil {
 		return Directive{}, err
 	}
-	switch len(rest) {
-	case 0: // v3/v4 form
-	case 8: // v5: trailing trace ID
-		d.Trace = binary.BigEndian.Uint64(rest)
-	default:
+	if len(rest) != 8 {
 		return Directive{}, ErrBadMessage
 	}
+	d.Trace = binary.BigEndian.Uint64(rest)
 	return d, nil
 }
 
 // --- Controller side ---
 
 // emitDirective is the defense engine's Emit sink: broadcast the
-// directive to every v3 session, and mirror quarantine entries as
-// Alert broadcasts to every session (per-version encoding) — v1/v2
-// fleets cannot decode TypeDirective but still learn a MAC went bad,
-// and Alerts() consumers keep their pre-directive notification
-// surface.
+// directive to every session, and mirror quarantine entries as Alert
+// broadcasts, the notice Agent.Alerts consumers receive.
 func (c *Controller) emitDirective(d defense.Directive) {
 	// A directive re-derived during journal recovery is history: the
 	// journal already holds it, and no AP is connected yet to receive
@@ -148,40 +127,30 @@ func (c *Controller) emitDirective(d defense.Directive) {
 	// trace unconditionally and mark the fan-out point in the timeline.
 	c.traceSpan(trace.StageDirective, d.Trace, d.MAC, "controller", 0)
 	c.tracer().Retain(d.Trace)
-	// Two directive encodings: v3/v4 sessions must not see the trailing
-	// trace ID their decoders reject.
-	frameV5 := marshalDirectiveV(Directive{Directive: d}, ProtoV5)
-	frameV3 := marshalDirectiveV(Directive{Directive: d}, ProtoV3)
-	entering := d.To == defense.StateQuarantine && d.From != defense.StateQuarantine
-	var legacy Alert
-	if entering {
-		legacy = Alert{
+	frame := MarshalDirective(Directive{Directive: d})
+	var alert []byte
+	if d.To == defense.StateQuarantine && d.From != defense.StateQuarantine {
+		alert = MarshalAlert(Alert{
 			APName: "controller", MAC: d.MAC, Distance: d.Distance,
 			Threshold: d.Threshold, Stage: d.Stage,
 			BearingDeg: d.BearingDeg, HasBearing: d.HasBearing, Trace: d.Trace,
-		}
+		})
 		c.logf("controller: quarantining mac=%s reporter=%s score=%.2f action=%s trace=%016x", d.MAC, d.Reporter, d.Score, d.Action, d.Trace)
 	}
 	c.quar.mu.Lock()
 	defer c.quar.mu.Unlock()
 	for name, ac := range c.quar.conns {
-		if entering {
+		if alert != nil {
 			select {
-			case ac.ch <- marshalAlertV(legacy, ac.version):
+			case ac.ch <- alert:
 			default:
 				c.logf("controller: broadcast queue to %s full", name)
 			}
 		}
-		if ac.version >= ProtoV3 {
-			frame := frameV3
-			if ac.version >= ProtoV5 {
-				frame = frameV5
-			}
-			select {
-			case ac.ch <- frame:
-			default:
-				c.logf("controller: directive queue to %s full", name)
-			}
+		select {
+		case ac.ch <- frame:
+		default:
+			c.logf("controller: directive queue to %s full", name)
 		}
 	}
 }
@@ -248,25 +217,18 @@ func (a *Agent) deliverDirective(d Directive) {
 
 // SendDirectiveAck reports an applied countermeasure back to the
 // controller: the directive as applied, with Reporter naming this AP.
-// Protocol v3 only.
 func (a *Agent) SendDirectiveAck(d defense.Directive) error {
-	if a.Version() < ProtoV3 {
-		return ErrRequiresV3
-	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.writeBody(marshalDirectiveV(Directive{Directive: d, Ack: true}, a.Version()))
+	return a.writeBody(MarshalDirective(Directive{Directive: d, Ack: true}))
 }
 
 // SendRelease asks the controller for an operator release of mac — the
-// wire face of Controller.Release. Protocol v3 only.
+// wire face of Controller.Release.
 func (a *Agent) SendRelease(mac wifi.Addr) error {
-	if a.Version() < ProtoV3 {
-		return ErrRequiresV3
-	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.writeBody(marshalDirectiveV(Directive{
+	return a.writeBody(MarshalDirective(Directive{
 		Directive: defense.Directive{MAC: mac, Action: defense.ActionAllow, Reporter: "operator"},
-	}, a.Version()))
+	}))
 }

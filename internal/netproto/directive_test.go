@@ -171,136 +171,6 @@ func defenseTestController(t *testing.T) (*Controller, net.Listener) {
 	return c, ln
 }
 
-// TestDefenseDirectiveBroadcastV1Gate pins the acceptance criterion:
-// a spoof alert produces a TypeDirective broadcast on v2 sessions and
-// NEVER a TypeDirective frame on a v1 session (which instead gets the
-// legacy Alert form).
-func TestDefenseDirectiveBroadcastV1Gate(t *testing.T) {
-	c, ln := defenseTestController(t)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-
-	// v3 reporter + v3 listener (DialContext negotiates the build version).
-	a1, err := DialContext(ctx, ln.Addr().String(), Hello{Name: "ap1", Pos: geom.Point{X: 2, Y: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a1.Close()
-	a2, err := DialContext(ctx, ln.Addr().String(), Hello{Name: "ap2", Pos: geom.Point{X: 20, Y: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a2.Close()
-	directives := a2.Directives()
-
-	// Raw v1 session: speak the wire by hand so every inbound frame's
-	// type byte can be inspected.
-	raw, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer raw.Close()
-	if err := WriteMessage(raw, MarshalHello(Hello{Name: "legacy", Pos: geom.Point{X: 10, Y: 2}})); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(100 * time.Millisecond) // let all broadcasters register
-
-	bad := wifi.MustParseAddr("66:00:00:00:00:21")
-	if err := a1.SendAlertDetail(Alert{
-		APName: "ap1", MAC: bad, Distance: 0.9, Threshold: 0.12,
-		BearingDeg: 77, HasBearing: true, Stage: "spoofcheck",
-	}); err != nil {
-		t.Fatal(err)
-	}
-
-	// The v2 listener receives the typed directive with the evidence.
-	select {
-	case d, ok := <-directives:
-		if !ok {
-			t.Fatal("directive channel closed")
-		}
-		if d.MAC != bad || d.Action != defense.ActionNullSteer || d.To != defense.StateQuarantine {
-			t.Fatalf("directive = %+v", d)
-		}
-		if d.BearingDeg != 77 || d.Stage != "spoofcheck" || d.Distance != 0.9 {
-			t.Errorf("directive evidence = %+v", d)
-		}
-		if d.Ack {
-			t.Error("broadcast marked as ack")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("no directive within 5s")
-	}
-
-	// The quarantine list reflects the defense engine's state while the
-	// quarantine is live (the fast decay policy below releases it soon).
-	if q := c.Quarantined(); len(q) != 1 || q[0].MAC != bad || q[0].Stage != "spoofcheck" {
-		t.Errorf("Quarantined() = %+v", q)
-	}
-	if th, ok := c.Threat(bad); !ok || th.Action != defense.ActionNullSteer {
-		t.Errorf("Threat() = %+v, %v", th, ok)
-	}
-
-	// The v1 session sees the legacy alert — and no TypeDirective frame,
-	// ever. Read frames until the quiet period.
-	raw.SetReadDeadline(time.Now().Add(600 * time.Millisecond))
-	sawAlert := false
-	for {
-		body, err := ReadMessage(raw)
-		if err != nil {
-			break // deadline: no more frames
-		}
-		if len(body) == 0 {
-			t.Fatal("empty frame")
-		}
-		switch body[0] {
-		case TypeAlert:
-			al, err := Unmarshal(body)
-			if err != nil {
-				t.Fatalf("v1 alert decode: %v", err)
-			}
-			if al.(Alert).MAC != bad {
-				t.Errorf("v1 alert MAC = %v", al.(Alert).MAC)
-			}
-			if al.(Alert).Stage != "" {
-				t.Errorf("v1 alert carries v2 stage %q", al.(Alert).Stage)
-			}
-			sawAlert = true
-		case TypeDirective:
-			t.Fatal("v1 session received a TypeDirective frame")
-		}
-	}
-	if !sawAlert {
-		t.Error("v1 session missed the quarantine alert")
-	}
-
-	// By now the fast-decay policy has released the quarantine on its
-	// own — the seed's permanent map is gone.
-	if s := c.Stats(); s.Defense.Quarantines != 1 {
-		t.Errorf("stats = %+v", s.Defense)
-	}
-}
-
-func TestDefenseV1SendersGated(t *testing.T) {
-	_, ln := defenseTestController(t)
-	a, err := Dial(ln.Addr().String(), Hello{Name: "v1ap", Pos: geom.Point{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	if err := a.SendRelease(wifi.MustParseAddr("66:00:00:00:00:22")); err != ErrRequiresV3 {
-		t.Errorf("v1 SendRelease err = %v", err)
-	}
-	if err := a.SendDirectiveAck(defense.Directive{}); err != ErrRequiresV3 {
-		t.Errorf("v1 SendDirectiveAck err = %v", err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-	defer cancel()
-	if _, err := a.QueryThreats(ctx, Query{All: true}); err != ErrRequiresV3 {
-		t.Errorf("v1 QueryThreats err = %v", err)
-	}
-}
-
 func TestDefenseOperatorReleaseOverWire(t *testing.T) {
 	c, ln := defenseTestController(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -459,82 +329,5 @@ func TestDefenseQuarantineDecaysOverController(t *testing.T) {
 		case <-deadline:
 			t.Fatalf("no decay release; directives seen: %v", seen)
 		}
-	}
-}
-
-// TestDefenseDirectiveV2SessionGate pins the mixed-build contract: a
-// session that negotiated v2 (a pre-defense build) never receives
-// TypeDirective or TypeThreat frames, and its quarantine alerts stay
-// in the exact stage-only v2 form that build shipped with.
-func TestDefenseDirectiveV2SessionGate(t *testing.T) {
-	_, ln := defenseTestController(t)
-
-	// Raw session advertising v2: read the Welcome by hand, then
-	// inspect every broadcast frame's type byte.
-	raw, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer raw.Close()
-	if err := WriteMessage(raw, MarshalHello(Hello{Name: "oldv2", Pos: geom.Point{X: 10, Y: 2}, Version: ProtoV2})); err != nil {
-		t.Fatal(err)
-	}
-	body, err := ReadMessage(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w, err := Unmarshal(body); err != nil || w.(Welcome).Version != ProtoV2 {
-		t.Fatalf("welcome = %v, %v", w, err)
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	reporter, err := DialContext(ctx, ln.Addr().String(), Hello{Name: "ap1", Pos: geom.Point{X: 2, Y: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer reporter.Close()
-	time.Sleep(100 * time.Millisecond)
-
-	bad := wifi.MustParseAddr("66:00:00:00:00:26")
-	if err := reporter.SendAlertDetail(Alert{
-		APName: "ap1", MAC: bad, Distance: 0.9, Threshold: 0.12,
-		BearingDeg: 77, HasBearing: true, Stage: "spoofcheck",
-	}); err != nil {
-		t.Fatal(err)
-	}
-
-	raw.SetReadDeadline(time.Now().Add(600 * time.Millisecond))
-	sawAlert := false
-	for {
-		body, err := ReadMessage(raw)
-		if err != nil {
-			break // deadline: quiet
-		}
-		if len(body) == 0 {
-			t.Fatal("empty frame")
-		}
-		switch body[0] {
-		case TypeAlert:
-			// The v2 form: stage string present, no threshold/bearing
-			// tail — byte-exact what a v2 build's unmarshal accepts.
-			msg, err := Unmarshal(body)
-			if err != nil {
-				t.Fatalf("v2 alert decode: %v", err)
-			}
-			al := msg.(Alert)
-			if al.MAC != bad || al.Stage != "spoofcheck" {
-				t.Errorf("v2 alert = %+v", al)
-			}
-			if al.Threshold != 0 || al.BearingDeg != 0 {
-				t.Errorf("v2 alert carries v3 fields: %+v", al)
-			}
-			sawAlert = true
-		case TypeDirective, TypeThreat:
-			t.Fatalf("v2 session received frame type %d", body[0])
-		}
-	}
-	if !sawAlert {
-		t.Error("v2 session missed the quarantine alert")
 	}
 }

@@ -12,15 +12,14 @@ import (
 	"secureangle/internal/journal"
 )
 
-// Token-based AP enrollment (protocol v4). The controller mints one
-// bearer token per AP name; the agent presents it in the v4 Hello and
-// the controller answers with a Welcome status byte. Only token
-// digests are kept — the plaintext exists once, in EnrollAP's return
-// value — so a controller snapshot or debugger can't leak fleet
-// credentials. Whether a tokenless session (any v1–v3 agent, or a v4
-// agent with an empty token) is accepted is the RequireAuth knob:
-// false preserves the open pre-v4 behaviour, true closes the port to
-// everything but enrolled APs.
+// Token-based AP enrollment. The controller mints one bearer token per
+// AP name; the agent presents it in the Hello and the controller
+// answers with a Welcome status byte. Only token digests are kept —
+// the plaintext exists once, in EnrollAP's return value — so a
+// controller snapshot or debugger can't leak fleet credentials.
+// Whether a session with an empty token is accepted is the RequireAuth
+// knob: false keeps the port open to unenrolled agents, true closes it
+// to everything but enrolled APs.
 
 // ErrAuthRejected is returned by the dialing helpers when the
 // controller's Welcome carries WelcomeAuthRejected: the token was
@@ -91,7 +90,7 @@ func (c *Controller) EnrolledAPs() []string {
 
 // authorize decides whether a Hello may open a session. A presented
 // token must validate even when auth is optional (a wrong token is a
-// misconfigured or probing peer, not a legacy one); an absent token is
+// misconfigured or probing peer); an absent token is
 // acceptable exactly when RequireAuth is off. Observers (empty Name)
 // have no identity to look a token up under, so with auth required
 // they must present some enrolled AP's token.

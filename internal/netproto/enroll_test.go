@@ -9,6 +9,7 @@ import (
 
 	"secureangle/internal/geom"
 	"secureangle/internal/locate"
+	"secureangle/internal/wifi"
 )
 
 func startAuthController(t *testing.T, require bool) (*Controller, string) {
@@ -46,9 +47,6 @@ func TestEnrollTokenAccepted(t *testing.T) {
 		t.Fatalf("enrolled agent rejected: %v", err)
 	}
 	defer a.Close()
-	if a.Version() != ProtoVersion {
-		t.Fatalf("negotiated v%d, want v%d", a.Version(), ProtoVersion)
-	}
 }
 
 // TestEnrollBadTokenRejected: the acceptance criterion — a v4 agent
@@ -106,32 +104,16 @@ func TestEnrollRotation(t *testing.T) {
 	}
 }
 
-// TestEnrollLegacyOptionalAuth: the backward-compat criterion — v1–v3
-// agents still connect when auth is optional, and a v4 agent may omit
-// the token.
+// TestEnrollLegacyOptionalAuth: with auth optional, an unenrolled
+// agent may omit the token.
 func TestEnrollLegacyOptionalAuth(t *testing.T) {
 	c, addr := startAuthController(t, false)
 	defer c.Close()
-	v1, err := Dial(addr, Hello{Name: "ap1", Pos: geom.Point{X: 1, Y: 1}})
+	a, err := dialToken(t, addr, "ap3", "")
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("tokenless agent rejected with auth optional: %v", err)
 	}
-	v1.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	v2, err := DialContext(ctx, addr, Hello{Name: "ap2", Pos: geom.Point{X: 2, Y: 1}, Version: ProtoV2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v2.Close()
-	if v2.Version() != ProtoV2 {
-		t.Fatalf("v2 agent negotiated v%d", v2.Version())
-	}
-	v4, err := dialToken(t, addr, "ap3", "")
-	if err != nil {
-		t.Fatalf("tokenless v4 agent rejected with auth optional: %v", err)
-	}
-	defer v4.Close()
+	defer a.Close()
 	// A presented token must still validate, even when auth is optional.
 	if _, err := dialToken(t, addr, "ap4", "bogus"); !errors.Is(err, ErrAuthRejected) {
 		t.Fatalf("bogus token with auth optional: err = %v, want ErrAuthRejected", err)
@@ -139,15 +121,12 @@ func TestEnrollLegacyOptionalAuth(t *testing.T) {
 }
 
 // TestEnrollRequireAuthClosesLegacy: with RequireAuth on, a tokenless
-// v2 session is refused. The v2 protocol has no room for a typed
-// rejection, so the agent observes the handshake failing.
+// (unenrolled) agent gets the typed rejection.
 func TestEnrollRequireAuthClosesLegacy(t *testing.T) {
 	c, addr := startAuthController(t, true)
 	defer c.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if _, err := DialContext(ctx, addr, Hello{Name: "ap1", Pos: geom.Point{X: 1, Y: 1}, Version: ProtoV2}); err == nil {
-		t.Fatal("tokenless v2 agent connected to a RequireAuth controller")
+	if _, err := dialToken(t, addr, "ap1", ""); !errors.Is(err, ErrAuthRejected) {
+		t.Fatalf("tokenless agent on a RequireAuth controller: err = %v, want ErrAuthRejected", err)
 	}
 }
 
@@ -170,14 +149,14 @@ func TestEnrollObserver(t *testing.T) {
 	obs.Close()
 }
 
-// TestEnrollV4WireForms pins the new encodings: the v4 Hello appends
-// version + token to the v1 body, the v4 Welcome appends a status
+// TestEnrollV4WireForms pins the enrollment fields on the wire: the
+// Hello carries the token after the version, the Welcome a status
 // byte, and both survive Unmarshal.
 func TestEnrollV4WireForms(t *testing.T) {
-	h := Hello{Name: "ap1", Pos: geom.Point{X: 3, Y: 4}, Version: ProtoV4, Token: "tok"}
+	h := Hello{Name: "ap1", Pos: geom.Point{X: 3, Y: 4}, Token: "tok"}
 	b := MarshalHello(h)
 	if want := 1 + 2 + 3 + 16 + 2 + 2 + 3; len(b) != want {
-		t.Fatalf("v4 hello is %d bytes, want %d", len(b), want)
+		t.Fatalf("hello is %d bytes, want %d", len(b), want)
 	}
 	got, err := Unmarshal(b)
 	if err != nil {
@@ -186,10 +165,10 @@ func TestEnrollV4WireForms(t *testing.T) {
 	if got.(Hello) != h {
 		t.Fatalf("hello round trip = %+v, want %+v", got, h)
 	}
-	w := Welcome{Version: ProtoV4, Status: WelcomeAuthRejected}
+	w := Welcome{Status: WelcomeAuthRejected}
 	wb := MarshalWelcome(w)
 	if len(wb) != 4 {
-		t.Fatalf("v4 welcome is %d bytes, want 4", len(wb))
+		t.Fatalf("welcome is %d bytes, want 4", len(wb))
 	}
 	wgot, err := Unmarshal(wb)
 	if err != nil {
@@ -198,19 +177,53 @@ func TestEnrollV4WireForms(t *testing.T) {
 	if wgot.(Welcome) != w {
 		t.Fatalf("welcome round trip = %+v, want %+v", wgot, w)
 	}
-	// The v1–v3 forms must be byte-identical to what they always were.
-	if got := MarshalWelcome(Welcome{Version: ProtoV2}); len(got) != 3 {
-		t.Fatalf("v2 welcome grew to %d bytes", len(got))
+}
+
+// TestFramesBeforeHelloCloseSession: the handshake comes first. A peer
+// that skips the Hello cannot feed the engines under an enrolled AP's
+// name or raise quarantines — its first frame closes the connection.
+func TestFramesBeforeHelloCloseSession(t *testing.T) {
+	c, addr := startAuthController(t, true)
+	defer c.Close()
+	token, err := c.EnrollAP("ap1")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := MarshalHello(Hello{Name: "ap1", Pos: geom.Point{X: 3, Y: 4}, Version: ProtoV3}); len(got) != 1+2+3+16+2 {
-		t.Fatalf("v3 hello grew to %d bytes", len(got))
+	ap1, err := dialToken(t, addr, "ap1", token)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// A status byte on a pre-v4 Welcome is malformed, as is trailing
-	// garbage on a pre-v4 Hello.
-	if _, err := Unmarshal([]byte{TypeWelcome, 0, 2, 1}); err == nil {
-		t.Fatal("4-byte v2 welcome decoded")
+	defer ap1.Close()
+
+	mac := wifi.MustParseAddr("66:00:00:00:00:99")
+	for _, frame := range [][]byte{
+		MarshalAlert(Alert{APName: "ap1", MAC: mac, Distance: 0.9, Threshold: 0.1, BearingDeg: 30, HasBearing: true}),
+		MarshalReportBatch([]Report{{APName: "ap1", MAC: mac, SeqNo: 1, BearingDeg: 30}, {APName: "ap1", MAC: mac, SeqNo: 2, BearingDeg: 31}}),
+	} {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 20; i++ {
+			if WriteMessage(conn, frame) != nil {
+				break // the controller already hung up
+			}
+		}
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		_, err = ReadMessage(conn)
+		var ne net.Error
+		if err == nil || errors.As(err, &ne) && ne.Timeout() {
+			t.Errorf("type %d before Hello: connection stayed open (read err %v)", frame[0], err)
+		}
+		conn.Close()
 	}
-	if _, err := Unmarshal(append(MarshalHello(Hello{Name: "x", Version: ProtoV2}), 0, 0)); err == nil {
-		t.Fatal("v2 hello with trailing bytes decoded")
+	if q := c.Quarantined(); len(q) != 0 {
+		t.Errorf("unauthenticated alerts quarantined %v", q)
+	}
+	if th := c.Threats(); len(th) != 0 {
+		t.Errorf("unauthenticated alerts left threat state %+v", th)
+	}
+	if n := c.Stats().Ingested; n != 0 {
+		t.Errorf("unauthenticated reports ingested: %d", n)
 	}
 }

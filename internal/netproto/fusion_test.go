@@ -2,7 +2,6 @@ package netproto
 
 import (
 	"context"
-	"errors"
 	"net"
 	"testing"
 	"time"
@@ -28,24 +27,15 @@ func TestFusionAPReconnectReplacesConnection(t *testing.T) {
 	goodPos := geom.Point{X: 4, Y: 2}
 	ap2Pos := geom.Point{X: 20, Y: 3}
 
-	stale, err := Dial(addr, Hello{Name: "ap1", Pos: stalePos})
-	if err != nil {
-		t.Fatal(err)
-	}
+	stale := dialAP(t, addr, Hello{Name: "ap1", Pos: stalePos})
 	defer stale.Close()
-	a2, err := Dial(addr, Hello{Name: "ap2", Pos: ap2Pos})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a2 := dialAP(t, addr, Hello{Name: "ap2", Pos: ap2Pos})
 	defer a2.Close()
 	time.Sleep(100 * time.Millisecond) // let both registrations land
 
 	// ap1 reconnects from its real position while the old connection is
 	// still open.
-	fresh, err := Dial(addr, Hello{Name: "ap1", Pos: goodPos})
-	if err != nil {
-		t.Fatal(err)
-	}
+	fresh := dialAP(t, addr, Hello{Name: "ap1", Pos: goodPos})
 	defer fresh.Close()
 
 	// The controller must have closed the stale connection: its read
@@ -77,7 +67,7 @@ func TestFusionAPReconnectReplacesConnection(t *testing.T) {
 	// so this would have raced or been lost on the old queue).
 	alerts := fresh.Alerts()
 	bad := wifi.MustParseAddr("66:00:00:00:00:21")
-	if err := a2.SendAlert("ap2", bad, 0.7); err != nil {
+	if err := a2.SendAlertDetail(Alert{APName: "ap2", MAC: bad, Distance: 0.7}); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -168,45 +158,6 @@ func TestFusionQueryTracksOverWire(t *testing.T) {
 	}
 }
 
-// TestFusionQueryRejectedOnV1 pins the compatibility gate: a v1 agent
-// cannot send a Query (client-side error), and a raw v1 session
-// pushing a Query frame at the controller is ignored without the
-// connection being torn down.
-func TestFusionQueryRejectedOnV1(t *testing.T) {
-	c, addr := startController(t)
-	defer c.Close()
-
-	v1, err := Dial(addr, Hello{Name: "ap1", Pos: geom.Point{X: 1, Y: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v1.Close()
-	if err := v1.Query(Query{All: true}); !errors.Is(err, ErrRequiresV2) {
-		t.Errorf("v1 Query err = %v, want ErrRequiresV2", err)
-	}
-	if _, err := v1.QueryTracks(context.Background(), Query{All: true}); !errors.Is(err, ErrRequiresV2) {
-		t.Errorf("v1 QueryTracks err = %v, want ErrRequiresV2", err)
-	}
-
-	// A misbehaving v1 peer that writes the frame anyway: the
-	// controller ignores it and the session stays usable.
-	time.Sleep(50 * time.Millisecond)
-	if err := WriteMessage(v1.conn, MarshalQuery(Query{All: true})); err != nil {
-		t.Fatal(err)
-	}
-	mac := wifi.MustParseAddr("66:00:00:00:00:23")
-	if err := v1.SendAlert("ap1", mac, 0.9); err != nil {
-		t.Fatalf("alert after rogue query: %v", err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for len(c.Quarantined()) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("session died after v1 query frame")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
 // TestFusionQueryTracksMarshalRoundTrip covers the Tracks wire codec,
 // including the chunking flag.
 func TestFusionQueryTracksMarshalRoundTrip(t *testing.T) {
@@ -261,15 +212,9 @@ func TestFusionControllerStats(t *testing.T) {
 
 	ap1Pos := geom.Point{X: 4, Y: 2}
 	ap2Pos := geom.Point{X: 20, Y: 3}
-	a1, err := Dial(addr, Hello{Name: "ap1", Pos: ap1Pos})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a1 := dialAP(t, addr, Hello{Name: "ap1", Pos: ap1Pos})
 	defer a1.Close()
-	a2, err := Dial(addr, Hello{Name: "ap2", Pos: ap2Pos})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a2 := dialAP(t, addr, Hello{Name: "ap2", Pos: ap2Pos})
 	defer a2.Close()
 	time.Sleep(50 * time.Millisecond)
 
@@ -315,17 +260,18 @@ func TestFusionControllerMinDiversityDisabled(t *testing.T) {
 	}
 	c.Serve(ln)
 	defer c.Close()
+	sub := c.Subscribe(64)
 
 	ap1 := geom.Point{X: 20, Y: 5}
 	ap2 := geom.Point{X: 12, Y: 13}
 	ap3 := geom.Point{X: 8, Y: 5}
 	target := geom.Point{X: 16, Y: 9.5} // near the ap1-ap2 line
 
-	a1, _ := Dial(ln.Addr().String(), Hello{Name: "ap1", Pos: ap1})
+	a1 := dialAP(t, ln.Addr().String(), Hello{Name: "ap1", Pos: ap1})
 	defer a1.Close()
-	a2, _ := Dial(ln.Addr().String(), Hello{Name: "ap2", Pos: ap2})
+	a2 := dialAP(t, ln.Addr().String(), Hello{Name: "ap2", Pos: ap2})
 	defer a2.Close()
-	a3, _ := Dial(ln.Addr().String(), Hello{Name: "ap3", Pos: ap3})
+	a3 := dialAP(t, ln.Addr().String(), Hello{Name: "ap3", Pos: ap3})
 	defer a3.Close()
 	time.Sleep(50 * time.Millisecond)
 
@@ -336,7 +282,7 @@ func TestFusionControllerMinDiversityDisabled(t *testing.T) {
 	// With three APs registered and the guard off, two low-diversity
 	// bearings decide at once — well inside the 1s forced timeout.
 	select {
-	case d := <-c.Decisions():
+	case d := <-sub.C:
 		if len(d.APs) != 2 {
 			t.Errorf("decision used %d APs, want the immediate pair", len(d.APs))
 		}
@@ -363,6 +309,7 @@ func trackStateFixture(i int) (ts fusion.TrackState) {
 func TestFusionObserverSessionNotAnAP(t *testing.T) {
 	c, addr := startController(t)
 	defer c.Close()
+	sub := c.Subscribe(64)
 
 	ap1 := geom.Point{X: 20, Y: 5}
 	ap2 := geom.Point{X: 12, Y: 13}
@@ -394,7 +341,7 @@ func TestFusionObserverSessionNotAnAP(t *testing.T) {
 	a1.SendContext(ctx, Report{APName: "ap1", MAC: mac, SeqNo: 1, BearingDeg: geom.BearingDeg(ap1, target)})
 	a2.SendContext(ctx, Report{APName: "ap2", MAC: mac, SeqNo: 1, BearingDeg: geom.BearingDeg(ap2, target)})
 	select {
-	case <-c.Decisions():
+	case <-sub.C:
 	case <-time.After(700 * time.Millisecond):
 		t.Fatal("observer session inflated apCount: all-APs shortcut did not fire")
 	}
@@ -502,7 +449,7 @@ func TestFusionAlertsParkedBeforeSubscribe(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := wifi.MustParseAddr("66:00:00:00:00:29")
-	if err := sender.SendAlert("ap2", bad, 0.8); err != nil {
+	if err := sender.SendAlertDetail(Alert{APName: "ap2", MAC: bad, Distance: 0.8}); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)

@@ -1,7 +1,7 @@
 package netproto
 
 // Native fuzzing of the wire decoder: every inbound frame — from any
-// peer, at any negotiated version — funnels through Unmarshal, so it
+// peer — funnels through Unmarshal, so it
 // must never panic, never over-allocate on a hostile length field, and
 // whatever it accepts must re-encode to a form it accepts again. CI
 // runs a time-boxed `go test -fuzz` smoke on top of the seeded corpus.
@@ -15,12 +15,13 @@ import (
 	"secureangle/internal/defense"
 	"secureangle/internal/fusion"
 	"secureangle/internal/geom"
+	"secureangle/internal/journal"
 	"secureangle/internal/wifi"
 )
 
-// fuzzSeeds returns one marshalled body per frame kind and version
-// form this build speaks — Hello v1/v2+, Report, ReportBatch, Welcome,
-// Ping, Alert v1/v2/v3, Query v2/v3, Tracks, Threats, Directive.
+// fuzzSeeds returns marshalled bodies covering every frame kind —
+// Hello, Welcome, Ping, Report, ReportBatch, Alert, Query, Tracks,
+// Threats, Directive, Segment, SegmentAck — plus malformed inputs.
 func fuzzSeeds() [][]byte {
 	mac := wifi.Addr{0x66, 0, 0, 0, 0, 5}
 	dir := defense.Directive{
@@ -32,22 +33,23 @@ func fuzzSeeds() [][]byte {
 		TTL: 10 * time.Minute,
 	}
 	return [][]byte{
-		MarshalHello(Hello{Name: "ap1", Pos: geom.Point{X: 1, Y: 2}}),                   // v1 form
-		MarshalHello(Hello{Name: "ap1", Pos: geom.Point{X: 1, Y: 2}, Version: ProtoV2}), // versioned form
-		MarshalHello(Hello{Name: "", Pos: geom.Point{}, Version: ProtoV3}),              // observer
-		MarshalHello(Hello{Name: "ap1", Pos: geom.Point{X: 1, Y: 2}, Version: ProtoV4,
-			Token: "deadbeefdeadbeefdeadbeefdeadbeef"}), // enrolled v4 form
-		MarshalHello(Hello{Name: "ap1", Pos: geom.Point{X: 1, Y: 2}, Version: ProtoV4}), // v4, tokenless
-		MarshalWelcome(Welcome{Version: ProtoV4, Status: WelcomeAuthRejected}),          // v4 rejection
-		MarshalReport(Report{APName: "ap1", MAC: mac, BearingDeg: 42.5, SeqNo: 7}),      // sig-less report
-		MarshalReportBatch([]Report{{APName: "a", MAC: mac, SeqNo: 1}, {APName: "b"}}),  // batch
-		MarshalWelcome(Welcome{Version: ProtoV2}),                                       //
-		MarshalPing(), //
-		marshalAlertV(Alert{APName: "ap1", MAC: mac, Distance: 0.9}, ProtoV1),           // v1 alert
-		marshalAlertV(Alert{APName: "ap1", MAC: mac, Stage: "spoofcheck"}, ProtoV2),     // v2 alert
-		MarshalAlert(Alert{APName: "ap1", MAC: mac, Threshold: 0.12, HasBearing: true}), // v3 alert
-		MarshalQuery(Query{All: true, ID: 9}),                                           // v2 query (KindTracks)
-		MarshalQuery(Query{MAC: mac, ID: 10, Kind: KindThreats}),                        // v3 query
+		MarshalHello(Hello{Name: "ap1", Pos: geom.Point{X: 1, Y: 2}}), // tokenless
+		MarshalSegment(Segment{Partition: 1, PartCount: 2, LeaderLSN: 9, Records: []journal.Record{
+			{Type: journal.RecAlert, LSN: 9, TS: time.Unix(7, 0), Data: []byte{1, 2, 3}}}}), // replication
+		MarshalHello(Hello{Name: "", Pos: geom.Point{}}), // observer
+		MarshalHello(Hello{Name: "ap1", Pos: geom.Point{X: 1, Y: 2},
+			Token: "deadbeefdeadbeefdeadbeefdeadbeef"}), // enrolled
+		MarshalSegmentAck(SegmentAck{Positions: []SegmentPos{{Partition: 1, LSN: 9}}}), // subscribe
+		MarshalWelcome(Welcome{Status: WelcomeAuthRejected}),                           // rejection
+		MarshalReport(Report{APName: "ap1", MAC: mac, BearingDeg: 42.5, SeqNo: 7}),     // sig-less report
+		MarshalReportBatch([]Report{{APName: "a", MAC: mac, SeqNo: 1}, {APName: "b"}}), // batch
+		MarshalWelcome(Welcome{}),
+		MarshalPing(),
+		MarshalAlert(Alert{APName: "ap1", MAC: mac, Distance: 0.9, Trace: 7}),
+		MarshalAlert(Alert{APName: "ap1", MAC: mac, Stage: "spoofcheck"}),
+		MarshalAlert(Alert{APName: "ap1", MAC: mac, Threshold: 0.12, HasBearing: true}),
+		MarshalQuery(Query{All: true, ID: 9}),                    // KindTracks
+		MarshalQuery(Query{MAC: mac, ID: 10, Kind: KindThreats}), // KindThreats
 		MarshalTracks(Tracks{ID: 3, More: true, States: []fusion.TrackState{{MAC: mac, Fixes: 2, Updated: time.Unix(5, 0)}}}),
 		MarshalThreats(Threats{ID: 4, States: []defense.ClientThreat{{MAC: mac, State: defense.StateQuarantine, LastAP: "ap1", Since: time.Unix(5, 0), Updated: time.Unix(6, 0)}}}),
 		MarshalDirective(Directive{Directive: dir}),
@@ -58,8 +60,7 @@ func fuzzSeeds() [][]byte {
 	}
 }
 
-// remarshal re-encodes a decoded message in this build's highest wire
-// form (the re-decode target).
+// remarshal re-encodes a decoded message (the re-decode target).
 func remarshal(msg any) ([]byte, bool) {
 	switch m := msg.(type) {
 	case Hello:
@@ -82,6 +83,10 @@ func remarshal(msg any) ([]byte, bool) {
 		return MarshalThreats(m), true
 	case Directive:
 		return MarshalDirective(m), true
+	case Segment:
+		return MarshalSegment(m), true
+	case SegmentAck:
+		return MarshalSegmentAck(m), true
 	default:
 		return nil, false
 	}
@@ -96,8 +101,7 @@ func FuzzUnmarshal(f *testing.F) {
 		if err != nil {
 			return // malformed input rejected — the contract
 		}
-		// Round-trip property: whatever decodes must re-encode (the
-		// re-encode normalises to the newest version form) to a body
+		// Round-trip property: whatever decodes must re-encode to a body
 		// that decodes again, and that second decode must re-encode to
 		// the SAME bytes — a fixed point after one normalisation. Bytes
 		// are the comparison surface because struct equality is wrong

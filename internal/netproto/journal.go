@@ -518,10 +518,9 @@ func (c *Controller) journalAppendTo(p int, t journal.RecordType, data []byte) {
 }
 
 // resumeFrames builds the frames a (re)connecting AP session must see
-// to enforce the quarantines currently in force: v3 sessions get resume
-// directives carrying a fresh lease TTL, older sessions the legacy
-// Alert form. Ordered by MAC for determinism.
-func (c *Controller) resumeFrames(version uint16) [][]byte {
+// to enforce the quarantines currently in force: resume directives
+// carrying a fresh lease TTL, ordered by MAC for determinism.
+func (c *Controller) resumeFrames() [][]byte {
 	set := c.partsLoaded()
 	if set == nil {
 		return nil
@@ -536,35 +535,26 @@ func (c *Controller) resumeFrames(version uint16) [][]byte {
 	policy := c.DefensePolicy.WithDefaults()
 	frames := make([][]byte, 0, len(qs))
 	for _, st := range qs {
-		if version >= ProtoV3 {
-			d := defense.Directive{
-				MAC:        st.MAC,
-				Action:     st.Action,
-				From:       defense.StateQuarantine,
-				To:         defense.StateQuarantine,
-				Reporter:   "resume",
-				BearingDeg: st.BearingDeg,
-				HasBearing: st.HasBearing,
-				Pos:        st.Pos,
-				HasPos:     st.HasPos,
-				Score:      st.Score,
-				Distance:   st.LastDistance,
-				Threshold:  st.LastThreshold,
-				Stage:      st.Stage,
-				Trace:      st.Trace,
-			}
-			if policy.QuarantineTTL > 0 {
-				d.TTL = policy.QuarantineTTL
-			}
-			frames = append(frames, marshalDirectiveV(Directive{Directive: d}, version))
-		} else {
-			frames = append(frames, marshalAlertV(Alert{
-				APName: "controller", MAC: st.MAC, Distance: st.LastDistance,
-				Threshold: st.LastThreshold, Stage: st.Stage,
-				BearingDeg: st.BearingDeg, HasBearing: st.HasBearing,
-				Trace: st.Trace,
-			}, version))
+		d := defense.Directive{
+			MAC:        st.MAC,
+			Action:     st.Action,
+			From:       defense.StateQuarantine,
+			To:         defense.StateQuarantine,
+			Reporter:   "resume",
+			BearingDeg: st.BearingDeg,
+			HasBearing: st.HasBearing,
+			Pos:        st.Pos,
+			HasPos:     st.HasPos,
+			Score:      st.Score,
+			Distance:   st.LastDistance,
+			Threshold:  st.LastThreshold,
+			Stage:      st.Stage,
+			Trace:      st.Trace,
 		}
+		if policy.QuarantineTTL > 0 {
+			d.TTL = policy.QuarantineTTL
+		}
+		frames = append(frames, MarshalDirective(Directive{Directive: d}))
 	}
 	return frames
 }

@@ -2,6 +2,8 @@ package netproto
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"net"
 	"testing"
 	"time"
@@ -24,27 +26,17 @@ func testSig() *signature.Signature {
 }
 
 func TestHelloRoundTrip(t *testing.T) {
-	// An unversioned Hello marshals in the v1 wire form and decodes as
-	// protocol version 1.
-	h := Hello{Name: "ap-west", Pos: geom.Point{X: 8, Y: 5}}
-	got, err := Unmarshal(MarshalHello(h))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := h
-	want.Version = ProtoV1
-	if got.(Hello) != want {
-		t.Errorf("round trip %v != %v", got, want)
-	}
-
-	// A versioned Hello round-trips with its version intact.
-	h2 := Hello{Name: "ap-east", Pos: geom.Point{X: 1, Y: 2}, Version: ProtoV2}
-	got2, err := Unmarshal(MarshalHello(h2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got2.(Hello) != h2 {
-		t.Errorf("v2 round trip %v != %v", got2, h2)
+	for _, h := range []Hello{
+		{Name: "ap-west", Pos: geom.Point{X: 8, Y: 5}},
+		{Name: "ap-east", Pos: geom.Point{X: 1, Y: 2}, Token: "tok"},
+	} {
+		got, err := Unmarshal(MarshalHello(h))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.(Hello) != h {
+			t.Errorf("round trip %v != %v", got, h)
+		}
 	}
 }
 
@@ -82,21 +74,42 @@ func TestReportWithoutSignature(t *testing.T) {
 }
 
 func TestUnmarshalMalformed(t *testing.T) {
+	hello := MarshalHello(Hello{Name: "a"})
+	helloNoToken := hello[:len(hello)-2]
+	helloV4 := append([]byte{}, hello...)
+	helloV4[len(hello)-3] = 4
+	report := MarshalReport(Report{APName: "a"})
+	batch := MarshalReportBatch([]Report{{APName: "a"}, {APName: "b"}})
+	alert := MarshalAlert(Alert{APName: "a", Stage: "spoofcheck"})
+	directive := MarshalDirective(Directive{})
 	cases := [][]byte{
 		nil,
-		{99},                    // unknown type
 		{TypeHello},             // no name
 		{TypeHello, 0, 3, 'a'},  // short name
 		{TypeReport, 0, 1, 'x'}, // truncated body
+		// Retired pre-v5 forms.
+		helloNoToken[:len(helloNoToken)-2], // no version, no token
+		helloNoToken,                       // version, no token
+		helloV4,                            // another version
+		{TypeWelcome, 0, 2},                // 3-byte Welcome
+		{TypeWelcome, 0, 4, WelcomeOK},     // another version
+		report[:len(report)-8],             // trace-less Report
+		batch[:len(batch)-16],              // trace-less ReportBatch
+		alert[:len(alert)-8],               // trace-less Alert
+		alert[:len(alert)-8-17],            // stage-only Alert
+		alert[:len(alert)-8-17-2-10],       // bare Alert
+		directive[:len(directive)-8],       // trace-less Directive
 	}
 	for i, b := range cases {
-		if _, err := Unmarshal(b); err == nil {
-			t.Errorf("case %d accepted", i)
+		if _, err := Unmarshal(b); !errors.Is(err, ErrBadMessage) {
+			t.Errorf("case %d: err = %v, want ErrBadMessage", i, err)
 		}
 	}
+	if _, err := Unmarshal([]byte{99}); err == nil {
+		t.Error("unknown type accepted")
+	}
 	// Valid hello with trailing garbage.
-	h := MarshalHello(Hello{Name: "a"})
-	if _, err := Unmarshal(append(h, 0xff)); err == nil {
+	if _, err := Unmarshal(append(hello, 0xff)); err == nil {
 		t.Error("trailing garbage accepted")
 	}
 }
@@ -129,6 +142,18 @@ func TestMessageSizeLimit(t *testing.T) {
 	}
 }
 
+// dialAP runs the agent handshake against addr under a 5 s deadline.
+func dialAP(t *testing.T, addr string, h Hello) *Agent {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	a, err := DialContext(ctx, addr, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
 // startController runs a controller on a loopback listener.
 func startController(t *testing.T) (*Controller, string) {
 	t.Helper()
@@ -145,19 +170,14 @@ func startController(t *testing.T) (*Controller, string) {
 func TestControllerFusesInsideClient(t *testing.T) {
 	c, addr := startController(t)
 	defer c.Close()
+	sub := c.Subscribe(4)
 
 	target := geom.Point{X: 9, Y: 6}
 	ap1Pos := geom.Point{X: 4, Y: 2}
 	ap2Pos := geom.Point{X: 20, Y: 3}
-	a1, err := Dial(addr, Hello{Name: "ap1", Pos: ap1Pos})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a1 := dialAP(t, addr, Hello{Name: "ap1", Pos: ap1Pos})
 	defer a1.Close()
-	a2, err := Dial(addr, Hello{Name: "ap2", Pos: ap2Pos})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a2 := dialAP(t, addr, Hello{Name: "ap2", Pos: ap2Pos})
 	defer a2.Close()
 
 	mac := wifi.MustParseAddr("00:16:ea:50:00:07")
@@ -169,7 +189,7 @@ func TestControllerFusesInsideClient(t *testing.T) {
 	}
 
 	select {
-	case d := <-c.Decisions():
+	case d := <-sub.C:
 		if d.Decision != locate.Allow {
 			t.Errorf("inside client dropped: %+v", d)
 		}
@@ -187,13 +207,14 @@ func TestControllerFusesInsideClient(t *testing.T) {
 func TestControllerDropsOutsideClient(t *testing.T) {
 	c, addr := startController(t)
 	defer c.Close()
+	sub := c.Subscribe(4)
 
 	intruder := geom.Point{X: -5, Y: 8} // outside the shell
 	ap1Pos := geom.Point{X: 4, Y: 2}
 	ap2Pos := geom.Point{X: 12, Y: 14}
-	a1, _ := Dial(addr, Hello{Name: "ap1", Pos: ap1Pos})
+	a1 := dialAP(t, addr, Hello{Name: "ap1", Pos: ap1Pos})
 	defer a1.Close()
-	a2, _ := Dial(addr, Hello{Name: "ap2", Pos: ap2Pos})
+	a2 := dialAP(t, addr, Hello{Name: "ap2", Pos: ap2Pos})
 	defer a2.Close()
 
 	mac := wifi.MustParseAddr("66:66:66:66:66:66")
@@ -201,7 +222,7 @@ func TestControllerDropsOutsideClient(t *testing.T) {
 	a2.Send(Report{APName: "ap2", MAC: mac, SeqNo: 9, BearingDeg: geom.BearingDeg(ap2Pos, intruder)})
 
 	select {
-	case d := <-c.Decisions():
+	case d := <-sub.C:
 		if d.Decision != locate.Drop {
 			t.Errorf("outside client allowed: %+v", d)
 		}
@@ -213,21 +234,18 @@ func TestControllerDropsOutsideClient(t *testing.T) {
 func TestControllerIgnoresUnknownAP(t *testing.T) {
 	c, addr := startController(t)
 	defer c.Close()
+	sub := c.Subscribe(4)
 
-	// Agent that never sent a Hello for the name it reports under.
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	// Send a report directly without Hello.
+	// A session reporting under a name no Hello registered.
+	a := dialAP(t, addr, Hello{Name: "ap1", Pos: geom.Point{X: 4, Y: 2}})
+	defer a.Close()
 	mac := wifi.MustParseAddr("00:16:ea:50:00:01")
-	if err := WriteMessage(conn, MarshalReport(Report{APName: "ghost", MAC: mac, SeqNo: 1, BearingDeg: 10})); err != nil {
+	if err := a.Send(Report{APName: "ghost", MAC: mac, SeqNo: 1, BearingDeg: 10}); err != nil {
 		t.Fatal(err)
 	}
 
 	select {
-	case d, ok := <-c.Decisions():
+	case d, ok := <-sub.C:
 		if ok {
 			t.Errorf("decision from unknown AP: %+v", d)
 		}
@@ -240,12 +258,13 @@ func TestControllerRequiresMinAPs(t *testing.T) {
 	c, addr := startController(t)
 	c.MinAPs = 3
 	defer c.Close()
+	sub := c.Subscribe(4)
 
 	ap1Pos := geom.Point{X: 4, Y: 2}
 	ap2Pos := geom.Point{X: 20, Y: 3}
-	a1, _ := Dial(addr, Hello{Name: "ap1", Pos: ap1Pos})
+	a1 := dialAP(t, addr, Hello{Name: "ap1", Pos: ap1Pos})
 	defer a1.Close()
-	a2, _ := Dial(addr, Hello{Name: "ap2", Pos: ap2Pos})
+	a2 := dialAP(t, addr, Hello{Name: "ap2", Pos: ap2Pos})
 	defer a2.Close()
 
 	mac := wifi.MustParseAddr("00:16:ea:50:00:02")
@@ -254,7 +273,7 @@ func TestControllerRequiresMinAPs(t *testing.T) {
 	a2.Send(Report{APName: "ap2", MAC: mac, SeqNo: 3, BearingDeg: geom.BearingDeg(ap2Pos, target)})
 
 	select {
-	case d := <-c.Decisions():
+	case d := <-sub.C:
 		t.Errorf("decision with only 2 of 3 APs: %+v", d)
 	case <-time.After(300 * time.Millisecond):
 	}
@@ -262,10 +281,8 @@ func TestControllerRequiresMinAPs(t *testing.T) {
 
 func TestControllerGracefulClose(t *testing.T) {
 	c, addr := startController(t)
-	a, err := Dial(addr, Hello{Name: "ap1", Pos: geom.Point{}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sub := c.Subscribe(4)
+	a := dialAP(t, addr, Hello{Name: "ap1", Pos: geom.Point{}})
 	defer a.Close()
 	done := make(chan struct{})
 	go func() {
@@ -277,26 +294,16 @@ func TestControllerGracefulClose(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Close hung with open connection")
 	}
-	// Decisions channel must be closed.
-	if _, ok := <-c.Decisions(); ok {
-		t.Error("decisions channel still open")
+	// Subscription channels must be closed.
+	if _, ok := <-sub.C; ok {
+		t.Error("subscription channel still open")
 	}
 }
 
 func TestAgentOnPipe(t *testing.T) {
-	// NewAgentOn works over an in-memory pipe; the far end sees the Hello.
-	client, server := net.Pipe()
-	defer client.Close()
-	defer server.Close()
-	go func() {
-		if _, err := NewAgentOn(client, Hello{Name: "pipe-ap", Pos: geom.Point{X: 1, Y: 2}}); err != nil {
-			t.Error(err)
-		}
-	}()
-	body, err := ReadMessage(server)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// NewAgentContext works over an in-memory pipe; the far end sees the
+	// Hello and answers with the Welcome.
+	body := helloOnWire(t, Hello{Name: "pipe-ap", Pos: geom.Point{X: 1, Y: 2}}, MarshalWelcome(Welcome{Status: WelcomeOK}))
 	msg, err := Unmarshal(body)
 	if err != nil {
 		t.Fatal(err)

@@ -10,8 +10,12 @@
 //	uint8  type
 //	...    type-specific body
 //
-// Message types: Hello (AP announces its name and position) and Report
-// (one packet's MAC, bearing, and serialised AoA signature).
+// A session opens with Hello (the AP's name, position and enrollment
+// token) answered by Welcome; the agent then streams Report and
+// ReportBatch bearings and Alert spoof flags, may send Ping, Query, and
+// Directive acks or release requests, and receives Alert and Directive
+// broadcasts and Tracks/Threats query replies. A warm standby follows
+// the controller's journal with SegmentAck/Segment (replication.go).
 package netproto
 
 import (
@@ -41,84 +45,29 @@ const (
 	TypeSegmentAck  = 12
 )
 
-// Wire protocol versions. v1 is the seed protocol: a Hello with no
-// version field and no controller reply. v2 appends a version to the
-// Hello, answers it with a Welcome carrying the negotiated version
-// (the minimum of what both ends speak), extends Alert with the
-// pipeline-stage field, and adds the Query/Tracks mobility-trace
-// exchange (the controller ignores Query on v1 sessions and never
-// sends Tracks to them). v3 is the defense loop: Alert gains the
-// threshold/bearing scoring fields, Query gains a Kind byte selecting
-// the Query(KindThreats)/Threats defense-state exchange, and the
-// Directive countermeasure broadcast/ack/release flows are added. Each
-// frame is encoded at the session's negotiated version, so v1 and v2
-// peers keep decoding exactly the forms their builds shipped with —
-// they never see Directive, Threats, extended Alerts, or Kind-suffixed
-// Queries; quarantine entries reach them as legacy Alert broadcasts.
-// Agents and controllers negotiate down, so older agents talk to a
-// newer controller unchanged.
-// v4 is the enrollment extension: the Hello gains a bearer-token
-// string (minted by the controller at enroll time) and the Welcome
-// gains a status byte so an authentication rejection is a typed
-// outcome rather than a silent hangup. Sessions negotiated below v4
-// keep the exact v1–v3 wire forms — no token, 3-byte Welcome — and
-// whether the controller accepts them is its RequireAuth knob, not a
-// wire-format question.
-// v5 is the trace-context extension: Report, ReportBatch, Alert, and
-// Directive frames carry the 64-bit trace ID minted at the observing
-// AP, so a decision's causal chain (observation → ingest → fusion →
-// directive → ack) is joinable end to end. Every trace field is a
-// trailing extension — appended after the v4 form, discriminated by
-// leftover length at decode (a batch appends one 8-byte ID per report
-// after the bodies) — so sessions negotiated at v1–v4 keep their exact
-// byte forms and old decoders never see the new bytes.
-const (
-	ProtoV1 = 1
-	ProtoV2 = 2
-	ProtoV3 = 3
-	ProtoV4 = 4
-	ProtoV5 = 5
-	// ProtoVersion is the highest version this build speaks.
-	ProtoVersion = ProtoV5
-)
-
-// NegotiateVersion returns the version a ProtoVersion-speaking peer
-// settles on against a remote advertising v: the highest version both
-// ends speak. A zero v (a Hello without the field) is v1.
-func NegotiateVersion(v uint16) uint16 {
-	if v < ProtoV2 {
-		return ProtoV1
-	}
-	if v > ProtoVersion {
-		return ProtoVersion
-	}
-	return v
-}
+// ProtoVersion is the one wire version this build speaks. Hello and
+// Welcome carry it, so a peer built for another version is refused at
+// the handshake rather than left to misparse later frames.
+const ProtoVersion = 5
 
 // MaxMessageSize bounds a single message (a signature over a 0.25-degree
 // 360 grid is ~23 KB; 1 MB leaves ample margin while stopping hostile
 // length prefixes from ballooning allocations).
 const MaxMessageSize = 1 << 20
 
-// Hello announces an AP to the controller. Version is the highest
-// protocol version the agent speaks; zero (or 1) marshals in the v1
-// wire form, without the version field, so a Hello round-trips
-// byte-identically with v1 peers. An empty Name makes the session an
-// observer: it receives broadcasts and may query tracks, but is not
-// registered as a bearing source (the `secureangle tracks` CLI
-// connects this way).
+// Hello announces an AP to the controller; it must be a session's
+// first frame. An empty Name makes the session an observer: it
+// receives broadcasts and may query tracks, but is not registered as a
+// bearing source (the `secureangle tracks` CLI connects this way).
 type Hello struct {
 	Name string
 	Pos  geom.Point
-	// Version is the advertised protocol version (0 means v1).
-	Version uint16
-	// Token is the enrollment bearer token (v4+; empty for earlier
-	// versions and for agents connecting to an auth-optional
-	// controller).
+	// Token is the enrollment bearer token (empty for agents
+	// connecting to an auth-optional controller).
 	Token string
 }
 
-// Welcome status codes (v4+).
+// Welcome status codes.
 const (
 	// WelcomeOK: the session is accepted.
 	WelcomeOK = 0
@@ -128,15 +77,9 @@ const (
 	WelcomeAuthRejected = 1
 )
 
-// Welcome is the controller's reply to a v2 (or later) Hello, carrying
-// the negotiated protocol version for the connection. v1 agents never
-// receive one — the v1 exchange had no controller reply. On v4+
-// sessions a status byte follows the version (see WelcomeOK and
-// WelcomeAuthRejected); earlier sessions keep the 3-byte form.
+// Welcome is the controller's reply to a Hello.
 type Welcome struct {
-	Version uint16
-	// Status is WelcomeOK or WelcomeAuthRejected (v4+; earlier wire
-	// forms have no status and decode as WelcomeOK).
+	// Status is WelcomeOK or WelcomeAuthRejected.
 	Status uint8
 }
 
@@ -159,8 +102,8 @@ type Report struct {
 	SeqNo uint64
 	// Sig may be nil when only the bearing is reported.
 	Sig *signature.Signature
-	// Trace is the trace ID minted at the observing AP (protocol v5;
-	// zero when untraced or on older sessions).
+	// Trace is the trace ID minted at the observing AP (zero when
+	// untraced).
 	Trace uint64
 }
 
@@ -190,47 +133,28 @@ func readString(b []byte) (string, []byte, error) {
 }
 
 // MarshalHello encodes a Hello message body (without the length
-// prefix). Version 0 or 1 produces the v1 form (no version field);
-// higher versions append it.
+// prefix).
 func MarshalHello(h Hello) []byte {
 	b := []byte{TypeHello}
 	b = writeString(b, h.Name)
 	b = binary.BigEndian.AppendUint64(b, math.Float64bits(h.Pos.X))
 	b = binary.BigEndian.AppendUint64(b, math.Float64bits(h.Pos.Y))
-	if h.Version >= ProtoV2 {
-		b = binary.BigEndian.AppendUint16(b, h.Version)
-	}
-	if h.Version >= ProtoV4 {
-		b = writeString(b, h.Token)
-	}
-	return b
+	b = binary.BigEndian.AppendUint16(b, ProtoVersion)
+	return writeString(b, h.Token)
 }
 
 // MarshalWelcome encodes a Welcome message body.
 func MarshalWelcome(w Welcome) []byte {
 	b := []byte{TypeWelcome}
-	b = binary.BigEndian.AppendUint16(b, w.Version)
-	if w.Version >= ProtoV4 {
-		b = append(b, w.Status)
-	}
-	return b
+	b = binary.BigEndian.AppendUint16(b, ProtoVersion)
+	return append(b, w.Status)
 }
 
-// MarshalReport encodes a Report message body in the highest wire form
-// this build speaks.
+// MarshalReport encodes a Report message body: the report body, then
+// its trace ID.
 func MarshalReport(r Report) []byte {
-	return marshalReportV(r, ProtoVersion)
-}
-
-// marshalReportV encodes a Report for a session at the given negotiated
-// version: v5 appends the trailing trace ID, earlier versions keep the
-// exact v1–v4 bytes.
-func marshalReportV(r Report, version uint16) []byte {
 	b := appendReportBody([]byte{TypeReport}, r)
-	if version >= ProtoV5 {
-		b = binary.BigEndian.AppendUint64(b, r.Trace)
-	}
-	return b
+	return binary.BigEndian.AppendUint64(b, r.Trace)
 }
 
 // appendReportBody appends one report's self-delimiting wire form.
@@ -254,29 +178,18 @@ func appendReportBody(b []byte, r Report) []byte {
 // instead of one syscall per packet.
 type ReportBatch []Report
 
-// MarshalReportBatch encodes a ReportBatch message body in the highest
-// wire form this build speaks. The caller must keep the result under
-// MaxMessageSize (Agent.SendBatch chunks automatically).
+// MarshalReportBatch encodes a ReportBatch message body: the count,
+// the report bodies, then one 8-byte trace ID per report in report
+// order. The caller must keep the result under MaxMessageSize
+// (Agent.SendBatch chunks automatically).
 func MarshalReportBatch(rs []Report) []byte {
-	return marshalReportBatchV(rs, ProtoVersion)
-}
-
-// marshalReportBatchV encodes a ReportBatch for a session at the given
-// negotiated version. The v5 trace IDs trail the report bodies as one
-// contiguous block (one 8-byte ID per report, in report order) rather
-// than interleaving, so the batch stays length-discriminable: after
-// count self-delimiting bodies, 0 leftover bytes is the v1–v4 form and
-// 8*count is v5.
-func marshalReportBatchV(rs []Report, version uint16) []byte {
 	b := []byte{TypeReportBatch}
 	b = binary.BigEndian.AppendUint32(b, uint32(len(rs)))
 	for _, r := range rs {
 		b = appendReportBody(b, r)
 	}
-	if version >= ProtoV5 {
-		for _, r := range rs {
-			b = binary.BigEndian.AppendUint64(b, r.Trace)
-		}
+	for _, r := range rs {
+		b = binary.BigEndian.AppendUint64(b, r.Trace)
 	}
 	return b
 }
@@ -312,7 +225,8 @@ func readReportBody(b []byte) (Report, []byte, error) {
 	return r, rest, nil
 }
 
-// Unmarshal decodes a message body into either Hello or Report.
+// Unmarshal decodes a message body into the frame type its first byte
+// names.
 func Unmarshal(b []byte) (any, error) {
 	if len(b) < 1 {
 		return nil, ErrBadMessage
@@ -323,28 +237,11 @@ func Unmarshal(b []byte) (any, error) {
 		if err != nil {
 			return nil, err
 		}
-		var version uint16
-		var token string
-		switch {
-		case len(rest) == 16:
-			version = ProtoV1
-		case len(rest) == 18:
-			version = binary.BigEndian.Uint16(rest[16:18])
-		case len(rest) > 18:
-			// Only v4+ Hellos carry bytes past the version field (the
-			// enrollment token); trailing garbage on a v1–v3 Hello is a
-			// malformed frame.
-			version = binary.BigEndian.Uint16(rest[16:18])
-			if version < ProtoV4 {
-				return nil, ErrBadMessage
-			}
-			var tail []byte
-			var err error
-			token, tail, err = readString(rest[18:])
-			if err != nil || len(tail) != 0 {
-				return nil, ErrBadMessage
-			}
-		default:
+		if len(rest) < 18 || binary.BigEndian.Uint16(rest[16:18]) != ProtoVersion {
+			return nil, ErrBadMessage
+		}
+		token, tail, err := readString(rest[18:])
+		if err != nil || len(tail) != 0 {
 			return nil, ErrBadMessage
 		}
 		return Hello{
@@ -353,24 +250,13 @@ func Unmarshal(b []byte) (any, error) {
 				X: math.Float64frombits(binary.BigEndian.Uint64(rest[0:8])),
 				Y: math.Float64frombits(binary.BigEndian.Uint64(rest[8:16])),
 			},
-			Version: version,
-			Token:   token,
+			Token: token,
 		}, nil
 	case TypeWelcome:
-		switch len(b) {
-		case 3:
-			return Welcome{Version: binary.BigEndian.Uint16(b[1:3])}, nil
-		case 4:
-			v := binary.BigEndian.Uint16(b[1:3])
-			if v < ProtoV4 {
-				// v1–v3 Welcomes are exactly 3 bytes; a status byte on
-				// an older version is malformed.
-				return nil, ErrBadMessage
-			}
-			return Welcome{Version: v, Status: b[3]}, nil
-		default:
+		if len(b) != 4 || binary.BigEndian.Uint16(b[1:3]) != ProtoVersion {
 			return nil, ErrBadMessage
 		}
+		return Welcome{Status: b[3]}, nil
 	case TypePing:
 		if len(b) != 1 {
 			return nil, ErrBadMessage
@@ -381,13 +267,10 @@ func Unmarshal(b []byte) (any, error) {
 		if err != nil {
 			return nil, err
 		}
-		switch len(rest) {
-		case 0: // v1–v4 form
-		case 8: // v5: trailing trace ID
-			r.Trace = binary.BigEndian.Uint64(rest)
-		default:
+		if len(rest) != 8 {
 			return nil, ErrBadMessage
 		}
+		r.Trace = binary.BigEndian.Uint64(rest)
 		return r, nil
 	case TypeReportBatch:
 		rest := b[1:]
@@ -415,15 +298,11 @@ func Unmarshal(b []byte) (any, error) {
 			}
 			batch = append(batch, r)
 		}
-		switch {
-		case len(rest) == 0: // v1–v4 form
-		case count > 0 && len(rest) == 8*count:
-			// v5: one trailing trace ID per report, in report order.
-			for i := range batch {
-				batch[i].Trace = binary.BigEndian.Uint64(rest[8*i:])
-			}
-		default:
+		if len(rest) != 8*count {
 			return nil, ErrBadMessage
+		}
+		for i := range batch {
+			batch[i].Trace = binary.BigEndian.Uint64(rest[8*i:])
 		}
 		return batch, nil
 	case TypeAlert:

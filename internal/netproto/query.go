@@ -16,20 +16,8 @@ import (
 
 // The query exchanges: an agent sends Query and the controller answers
 // with one or more Tracks frames (KindTracks — the fusion engine's
-// live mobility state, protocol v2) or Threats frames (KindThreats —
-// the defense engine's live threat state, protocol v3). Every message
-// type is version-gated — the controller ignores a Query arriving on a
-// session too old for its kind (and never emits Tracks or Threats on
-// one), and the agent-side senders refuse locally, so older peers
-// never see a frame they cannot decode.
-
-// ErrRequiresV2 reports a v2-only operation attempted on a session
-// that negotiated protocol v1.
-var ErrRequiresV2 = errors.New("netproto: operation requires protocol v2")
-
-// ErrRequiresV3 reports a v3-only operation (the defense exchanges)
-// attempted on a session that negotiated an older protocol.
-var ErrRequiresV3 = errors.New("netproto: operation requires protocol v3")
+// live mobility state) or Threats frames (KindThreats — the defense
+// engine's live threat state).
 
 // QueryKind selects what a Query asks for.
 type QueryKind uint8
@@ -37,8 +25,7 @@ type QueryKind uint8
 const (
 	// KindTracks requests mobility-trace state (Tracks replies).
 	KindTracks QueryKind = 0
-	// KindThreats requests defense threat state (Threats replies;
-	// protocol v3).
+	// KindThreats requests defense threat state (Threats replies).
 	KindThreats QueryKind = 1
 )
 
@@ -70,9 +57,8 @@ const trackWireSize = 6 + 16 + 16 + 8 + 8 + 8 + 1
 // maxTracksPerFrame bounds a Tracks frame under MaxMessageSize.
 const maxTracksPerFrame = (MaxMessageSize - 16) / trackWireSize
 
-// MarshalQuery encodes a Query message body. A KindTracks query is
-// encoded in the original 11-byte v2 form (decodable by v2
-// controllers); other kinds append the kind byte (the v3 form).
+// MarshalQuery encodes a Query message body. A KindTracks query is 11
+// bytes; other kinds append the kind byte.
 func MarshalQuery(q Query) []byte {
 	b := []byte{TypeQuery, 0}
 	if q.All {
@@ -359,18 +345,9 @@ func (a *Agent) deliverAlert(m Alert) {
 }
 
 // Query asks the controller for per-client state; replies arrive as
-// Tracks frames on TrackReplies (KindTracks, protocol v2) or Threats
-// frames on ThreatReplies (KindThreats, protocol v3). On a session
-// too old for the query's kind it fails with ErrRequiresV2/V3 without
-// touching the wire (a v2 controller would kill a connection sending
-// it the kind-suffixed form).
+// Tracks frames on TrackReplies (KindTracks) or Threats frames on
+// ThreatReplies (KindThreats).
 func (a *Agent) Query(q Query) error {
-	if q.Kind != KindTracks && a.Version() < ProtoV3 {
-		return ErrRequiresV3
-	}
-	if a.Version() < ProtoV2 {
-		return ErrRequiresV2
-	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.writeBody(MarshalQuery(q))
@@ -460,16 +437,11 @@ func (a *Agent) QueryThreats(ctx context.Context, q Query) ([]defense.ClientThre
 // --- Controller side ---
 
 // answerQuery resolves a session's Query against the fusion engine
-// (KindTracks) or the defense engine (KindThreats, v3-gated like the
-// frames it answers with) and enqueues the (chunked) reply on the
-// session's broadcast queue.
-func (c *Controller) answerQuery(q Query, name string, bcast chan []byte, ver uint16) {
+// (KindTracks) or the defense engine (KindThreats) and enqueues the
+// (chunked) reply on the session's broadcast queue.
+func (c *Controller) answerQuery(q Query, name string, bcast chan []byte) {
 	switch q.Kind {
 	case KindThreats:
-		if ver < ProtoV3 {
-			c.logf("controller: threat query ignored on v%d session", ver)
-			return
-		}
 		var states []defense.ClientThreat
 		if s := c.partsLoaded(); s != nil {
 			if q.All {

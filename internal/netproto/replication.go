@@ -1,9 +1,9 @@
 package netproto
 
-// Journal segment streaming (protocol v4): a warm standby subscribes
-// with a SegmentAck carrying its per-partition resume positions, and
-// the leader streams every partition's journal records to it in
-// Segment frames, tailing the live WAL with a journal.Cursor. Empty
+// Journal segment streaming: a warm standby subscribes with a
+// SegmentAck carrying its per-partition resume positions, and the
+// leader streams every partition's journal records to it in Segment
+// frames, tailing the live WAL with a journal.Cursor. Empty
 // Segment frames double as heartbeats (~2/s per partition), carrying
 // the leader's durable tip so the standby can observe lag 0 — the
 // failover-readiness signal — and detect leader loss by silence.
@@ -183,7 +183,7 @@ type replSession struct {
 	sent  []atomic.Uint64
 }
 
-// handleSegmentAck processes one SegmentAck on an authenticated v4
+// handleSegmentAck processes one SegmentAck on an authenticated
 // session: the first subscribes (spawning the per-partition senders),
 // later ones update the session's applied positions. Returns the live
 // session so the handler threads it through subsequent acks.

@@ -190,7 +190,7 @@ func (s *Standby) followOnce(ctx context.Context) error {
 	// Observer handshake: an empty Hello name keeps the standby out of
 	// the leader's AP position table (it is never a bearing source),
 	// and the token authenticates the subscription.
-	if err := WriteMessage(conn, MarshalHello(Hello{Version: ProtoVersion, Token: s.cfg.Token})); err != nil {
+	if err := WriteMessage(conn, MarshalHello(Hello{Token: s.cfg.Token})); err != nil {
 		return err
 	}
 	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
@@ -208,9 +208,6 @@ func (s *Standby) followOnce(ctx context.Context) error {
 	}
 	if w.Status != WelcomeOK {
 		return ErrAuthRejected
-	}
-	if NegotiateVersion(w.Version) < ProtoV4 {
-		return fmt.Errorf("leader speaks v%d, need v4 for journal streaming", w.Version)
 	}
 
 	// Subscribe from what the local journals already hold.

@@ -42,7 +42,6 @@ var (
 type apHealth struct {
 	name      string
 	observer  bool
-	version   uint16
 	connected time.Time
 	lastSeen  atomic.Int64 // unix nanos of the last inbound frame
 	frames    atomic.Uint64
@@ -52,8 +51,8 @@ type apHealth struct {
 	queue     func() int   // send-queue depth (set by startBroadcaster)
 }
 
-func newAPHealth(name string, observer bool, version uint16) *apHealth {
-	h := &apHealth{name: name, observer: observer, version: version, connected: time.Now()}
+func newAPHealth(name string, observer bool) *apHealth {
+	h := &apHealth{name: name, observer: observer, connected: time.Now()}
 	h.lastSeen.Store(h.connected.UnixNano())
 	return h
 }
@@ -62,9 +61,7 @@ func newAPHealth(name string, observer bool, version uint16) *apHealth {
 type APHealth struct {
 	Name string `json:"name"`
 	// Observer marks a broadcast/query-only session (empty Hello name).
-	Observer bool `json:"observer,omitempty"`
-	// Version is the negotiated protocol version.
-	Version     uint16    `json:"version"`
+	Observer    bool      `json:"observer,omitempty"`
 	ConnectedAt time.Time `json:"connected_at"`
 	LastSeen    time.Time `json:"last_seen"`
 	// QueueDepth is the outbound broadcast queue's current backlog.
@@ -98,7 +95,6 @@ func (c *Controller) APHealth() []APHealth {
 		out[i] = APHealth{
 			Name:        h.name,
 			Observer:    h.observer,
-			Version:     h.version,
 			ConnectedAt: h.connected,
 			LastSeen:    time.Unix(0, h.lastSeen.Load()),
 			QueueDepth:  depths[i],
@@ -192,7 +188,7 @@ type DefenseStatus struct {
 // JSON at /status and rendered by `secureangle status`.
 type Status struct {
 	Time time.Time `json:"time"`
-	// Proto is the highest protocol version this controller speaks.
+	// Proto is the wire protocol version this controller speaks.
 	Proto        uint16 `json:"proto_version"`
 	AuthRequired bool   `json:"auth_required"`
 	// Partitions is the MAC-range partition count of the engine core.
@@ -396,7 +392,7 @@ func (c *Controller) RegisterOps(reg *ops.Registry) {
 			emit(`state="quarantine"`, float64(quarantine))
 		})
 	reg.RegisterCollector("secureangle_controller_unknown_ap_drops_total",
-		"Reports dropped because the AP never sent a Hello.", ops.KindCounter,
+		"Reports dropped because they name an AP no session registered.", ops.KindCounter,
 		func(emit func(string, float64)) { emit("", float64(c.unknownAP.Load())) })
 	reg.RegisterCollector("secureangle_controller_directive_acks_total",
 		"Applied-countermeasure acknowledgements from APs.", ops.KindCounter,
@@ -483,13 +479,6 @@ func (c *Controller) RegisterOps(reg *ops.Registry) {
 		func(emit func(string, float64)) {
 			for _, h := range c.APHealth() {
 				emit(fmt.Sprintf("ap=%q", h.Name), float64(h.Reports))
-			}
-		})
-	reg.RegisterCollector("secureangle_ap_version",
-		"Negotiated protocol version per session.", ops.KindGauge,
-		func(emit func(string, float64)) {
-			for _, h := range c.APHealth() {
-				emit(fmt.Sprintf("ap=%q", h.Name), float64(h.Version))
 			}
 		})
 }

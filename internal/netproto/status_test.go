@@ -59,8 +59,8 @@ func TestStatusReportLive(t *testing.T) {
 		t.Fatalf("status APs = %+v, want one entry for ap1", st.APs)
 	}
 	h := st.APs[0]
-	if h.Version != ProtoVersion || h.Reports != 3 || h.Frames < 3 {
-		t.Fatalf("ap1 health = %+v (want v%d, 3 reports, >=3 frames)", h, ProtoVersion)
+	if h.Reports != 3 || h.Frames < 3 {
+		t.Fatalf("ap1 health = %+v (want 3 reports, >=3 frames)", h)
 	}
 	if time.Since(h.LastSeen) > time.Minute || h.LastSeen.Before(h.ConnectedAt) {
 		t.Fatalf("ap1 last seen implausible: %+v", h)

@@ -1,6 +1,7 @@
 package netproto
 
 import (
+	"context"
 	"fmt"
 	"net"
 	"sync"
@@ -24,6 +25,7 @@ func TestControllerConcurrentAgents(t *testing.T) {
 	}
 	c.Serve(ln)
 	defer c.Close()
+	sub := c.Subscribe(64)
 
 	const nAPs = 6
 	const nTx = 50
@@ -31,10 +33,7 @@ func TestControllerConcurrentAgents(t *testing.T) {
 	agents := make([]*Agent, nAPs)
 	for i := 0; i < nAPs; i++ {
 		apPos[i] = geom.Point{X: float64(i * 4), Y: float64((i % 3) * 7)}
-		a, err := Dial(ln.Addr().String(), Hello{Name: fmt.Sprintf("ap%d", i), Pos: apPos[i]})
-		if err != nil {
-			t.Fatal(err)
-		}
+		a := dialAP(t, ln.Addr().String(), Hello{Name: fmt.Sprintf("ap%d", i), Pos: apPos[i]})
 		defer a.Close()
 		agents[i] = a
 	}
@@ -72,7 +71,7 @@ func TestControllerConcurrentAgents(t *testing.T) {
 	timeout := time.After(10 * time.Second)
 	for len(got) < nTx {
 		select {
-		case d, ok := <-c.Decisions():
+		case d, ok := <-sub.C:
 			if !ok {
 				t.Fatalf("decisions channel closed with %d/%d", len(got), nTx)
 			}
@@ -111,8 +110,8 @@ func TestAgentConcurrentSend(t *testing.T) {
 	done := make(chan error, 1)
 	const n = 200
 	go func() {
-		// Read Hello + n reports off the pipe; any framing corruption
-		// surfaces as a decode error.
+		// Read Hello + n reports off the pipe, answering the Hello with
+		// the Welcome; any framing corruption surfaces as a decode error.
 		for i := 0; i <= n; i++ {
 			body, err := ReadMessage(server)
 			if err != nil {
@@ -123,11 +122,17 @@ func TestAgentConcurrentSend(t *testing.T) {
 				done <- err
 				return
 			}
+			if i == 0 {
+				if err := WriteMessage(server, MarshalWelcome(Welcome{Status: WelcomeOK})); err != nil {
+					done <- err
+					return
+				}
+			}
 		}
 		done <- nil
 	}()
 
-	a, err := NewAgentOn(client, Hello{Name: "stress", Pos: geom.Point{}})
+	a, err := NewAgentContext(context.Background(), client, Hello{Name: "stress", Pos: geom.Point{}})
 	if err != nil {
 		t.Fatal(err)
 	}

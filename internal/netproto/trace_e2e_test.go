@@ -59,9 +59,6 @@ func TestIncidentTimelineEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ag2.Close()
-	if ag1.Version() != ProtoVersion || ag2.Version() != ProtoVersion {
-		t.Fatalf("sessions negotiated v%d/v%d, want v%d", ag1.Version(), ag2.Version(), ProtoVersion)
-	}
 	directives := ag2.Directives()
 
 	// One observed transmission: both APs report it under the same
@@ -192,29 +189,6 @@ func TestIncidentTimelineEndToEnd(t *testing.T) {
 			t.Fatalf("Render() missing %q:\n%s", want, out)
 		}
 	}
-}
-
-// TestTraceWireCompatV3 pins the downgrade contract: a session
-// negotiated at v3 strips the trace field rather than corrupting the
-// frame, and the controller still processes the report.
-func TestTraceWireCompatV3(t *testing.T) {
-	c, addr := startController(t)
-	defer c.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	a, err := DialContext(ctx, addr, Hello{Name: "ap1", Pos: geom.Point{X: 4, Y: 2}, Version: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	if a.Version() != 3 {
-		t.Fatalf("negotiated v%d, want v3", a.Version())
-	}
-	mac := wifi.Addr{9, 9, 9, 9, 9, 9}
-	if err := a.Send(Report{APName: "ap1", MAC: mac, BearingDeg: 40, SeqNo: 1, Trace: 0xdeadbeef}); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, 3*time.Second, "ingest", func() bool { return c.Stats().Ingested == 1 })
 }
 
 // opsBase starts the ops HTTP endpoint for a running controller and

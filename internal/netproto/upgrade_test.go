@@ -12,139 +12,6 @@ import (
 	"secureangle/internal/wifi"
 )
 
-// TestV1HelloWireFormatUnchanged pins the v1 encoding: an unversioned
-// Hello must marshal byte-identically to the seed protocol (no version
-// field), or real v1 agents would stop decoding.
-func TestV1HelloWireFormatUnchanged(t *testing.T) {
-	b := MarshalHello(Hello{Name: "ap1", Pos: geom.Point{X: 3, Y: 4}})
-	// type byte + 2-byte name length + name + 16 bytes of position.
-	if want := 1 + 2 + 3 + 16; len(b) != want {
-		t.Fatalf("v1 hello is %d bytes, want %d", len(b), want)
-	}
-	v2 := MarshalHello(Hello{Name: "ap1", Pos: geom.Point{X: 3, Y: 4}, Version: ProtoV2})
-	if len(v2) != len(b)+2 {
-		t.Fatalf("v2 hello is %d bytes, want %d", len(v2), len(b)+2)
-	}
-}
-
-// TestUpgradeV1AgentV2Controller is the acceptance round trip: a v1
-// agent (Hello without a version field) and a v2 agent (negotiated
-// handshake) both exchange reports with the same v2 controller, whose
-// fused decision draws on both.
-func TestUpgradeV1AgentV2Controller(t *testing.T) {
-	c, addr := startController(t)
-	defer c.Close()
-	sub := c.Subscribe(4)
-
-	target := geom.Point{X: 9, Y: 6}
-	ap1Pos := geom.Point{X: 4, Y: 2}
-	ap2Pos := geom.Point{X: 20, Y: 3}
-
-	// v1 agent: the legacy constructor, no version, no Welcome.
-	v1, err := Dial(addr, Hello{Name: "ap1", Pos: ap1Pos})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v1.Close()
-	if v1.Version() != ProtoV1 {
-		t.Fatalf("v1 agent negotiated v%d", v1.Version())
-	}
-
-	// v2 agent: DialContext performs the versioned handshake.
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	v2, err := DialContext(ctx, addr, Hello{Name: "ap2", Pos: ap2Pos})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v2.Close()
-	if v2.Version() != ProtoVersion {
-		t.Fatalf("negotiating agent settled on v%d, want the build's v%d", v2.Version(), ProtoVersion)
-	}
-
-	mac := wifi.MustParseAddr("00:16:ea:50:00:11")
-	if err := v1.Send(Report{APName: "ap1", MAC: mac, SeqNo: 7, BearingDeg: geom.BearingDeg(ap1Pos, target)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := v2.SendContext(ctx, Report{APName: "ap2", MAC: mac, SeqNo: 7, BearingDeg: geom.BearingDeg(ap2Pos, target)}); err != nil {
-		t.Fatal(err)
-	}
-
-	select {
-	case d := <-sub.C:
-		if d.MAC != mac || d.SeqNo != 7 {
-			t.Errorf("decision identity %v/%d", d.MAC, d.SeqNo)
-		}
-		if d.Decision != locate.Allow {
-			t.Errorf("inside client dropped: %+v", d)
-		}
-		if d.Pos.Dist(target) > 0.1 {
-			t.Errorf("fused position %v", d.Pos)
-		}
-		if len(d.APs) != 2 {
-			t.Errorf("decision drew on APs %v, want both", d.APs)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("no decision within 5s")
-	}
-}
-
-// TestAlertStagePerVersion: a v2 agent's staged alert is broadcast with
-// the stage to v2 sessions and with the stage stripped (still
-// decodable) to v1 sessions.
-func TestAlertStagePerVersion(t *testing.T) {
-	c, addr := startController(t)
-	defer c.Close()
-
-	v1, err := Dial(addr, Hello{Name: "ap1", Pos: geom.Point{X: 1, Y: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v1.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	v2, err := DialContext(ctx, addr, Hello{Name: "ap2", Pos: geom.Point{X: 2, Y: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v2.Close()
-
-	v1Alerts := v1.Alerts()
-	v2Alerts := v2.Alerts()
-
-	mac := wifi.MustParseAddr("66:00:00:00:00:01")
-	if err := v2.SendAlertDetail(Alert{APName: "ap2", MAC: mac, Distance: 0.4, Stage: "spoofcheck"}); err != nil {
-		t.Fatal(err)
-	}
-
-	recv := func(ch <-chan Alert, label string) Alert {
-		select {
-		case a, ok := <-ch:
-			if !ok {
-				t.Fatalf("%s alert channel closed", label)
-			}
-			return a
-		case <-time.After(5 * time.Second):
-			t.Fatalf("%s got no alert broadcast", label)
-			return Alert{}
-		}
-	}
-	a2 := recv(v2Alerts, "v2")
-	if a2.MAC != mac || a2.Stage != "spoofcheck" {
-		t.Errorf("v2 broadcast %+v, want stage intact", a2)
-	}
-	a1 := recv(v1Alerts, "v1")
-	if a1.MAC != mac {
-		t.Errorf("v1 broadcast %+v", a1)
-	}
-	if a1.Stage != "" {
-		t.Errorf("v1 session received v2-only stage %q", a1.Stage)
-	}
-	if q := c.Quarantined(); len(q) != 1 || q[0].Stage != "spoofcheck" {
-		t.Errorf("quarantine %+v, want one staged entry", q)
-	}
-}
-
 // TestDialContextAlreadyCancelled: the satellite requirement — a dead
 // context fails the dial without touching the network.
 func TestDialContextAlreadyCancelled(t *testing.T) {
@@ -156,8 +23,7 @@ func TestDialContextAlreadyCancelled(t *testing.T) {
 }
 
 // TestSubscribeFanout: every subscriber sees every decision;
-// unsubscribing closes only that channel; the legacy Decisions channel
-// keeps working alongside.
+// unsubscribing closes only that channel.
 func TestSubscribeFanout(t *testing.T) {
 	c, addr := startController(t)
 	defer c.Close()
@@ -166,15 +32,9 @@ func TestSubscribeFanout(t *testing.T) {
 
 	ap1Pos := geom.Point{X: 4, Y: 2}
 	ap2Pos := geom.Point{X: 20, Y: 3}
-	a1, err := Dial(addr, Hello{Name: "ap1", Pos: ap1Pos})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a1 := dialAP(t, addr, Hello{Name: "ap1", Pos: ap1Pos})
 	defer a1.Close()
-	a2, err := Dial(addr, Hello{Name: "ap2", Pos: ap2Pos})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a2 := dialAP(t, addr, Hello{Name: "ap2", Pos: ap2Pos})
 	defer a2.Close()
 
 	target := geom.Point{X: 9, Y: 6}
@@ -205,9 +65,8 @@ func TestSubscribeFanout(t *testing.T) {
 	send(1)
 	d1 := recv(s1.C, "sub1")
 	d2 := recv(s2.C, "sub2")
-	dl := recv(c.Decisions(), "legacy")
-	if d1.SeqNo != 1 || d2.SeqNo != 1 || dl.SeqNo != 1 {
-		t.Errorf("fanout seqs %d/%d/%d", d1.SeqNo, d2.SeqNo, dl.SeqNo)
+	if d1.SeqNo != 1 || d2.SeqNo != 1 {
+		t.Errorf("fanout seqs %d/%d", d1.SeqNo, d2.SeqNo)
 	}
 
 	c.Unsubscribe(s2)
@@ -218,7 +77,6 @@ func TestSubscribeFanout(t *testing.T) {
 	if d := recv(s1.C, "sub1"); d.SeqNo != 2 {
 		t.Errorf("sub1 seq %d after unsubscribe of sub2", d.SeqNo)
 	}
-	recv(c.Decisions(), "legacy")
 }
 
 // TestSubscribeAfterClose returns an already-closed channel rather than
@@ -281,10 +139,7 @@ func TestPingKeepalive(t *testing.T) {
 	c.Serve(ln)
 	defer c.Close()
 
-	a, err := Dial(ln.Addr().String(), Hello{Name: "ap1", Pos: geom.Point{X: 1, Y: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := dialAP(t, ln.Addr().String(), Hello{Name: "ap1", Pos: geom.Point{X: 1, Y: 1}})
 	defer a.Close()
 	// Stay idle for several deadline windows, pinging inside each.
 	for i := 0; i < 6; i++ {
@@ -295,7 +150,7 @@ func TestPingKeepalive(t *testing.T) {
 	}
 	// Still connected: an alert sent now must reach the quarantine.
 	mac := wifi.MustParseAddr("66:00:00:00:00:02")
-	if err := a.SendAlert("ap1", mac, 0.5); err != nil {
+	if err := a.SendAlertDetail(Alert{APName: "ap1", MAC: mac, Distance: 0.5}); err != nil {
 		t.Fatalf("post-ping alert: %v", err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
