@@ -31,7 +31,7 @@ stress:
 # Headline benchmarks -> BENCH_PR$(PR).json (see scripts/bench.sh; CI
 # uploads the file as an artifact and the script prints a side-by-side
 # delta against the previous PR's file). Override with `make bench PR=7`.
-PR ?= 10
+PR ?= 17
 bench:
 	PR=$(PR) sh scripts/bench.sh
 
@@ -40,10 +40,11 @@ bench-smoke:
 	sh scripts/bench_smoke.sh
 
 # Time-boxed native fuzzing of every hostile-bytes decoder: the wire
-# frames, the journal event codecs, the engine snapshot codecs, the
+# frames and the buffered frame reader, the journal event codecs, the engine snapshot codecs, the
 # signature codec, and the I/Q capture reader.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzUnmarshal -fuzztime 30s ./internal/netproto
+	$(GO) test -run '^$$' -fuzz FuzzFrameReader -fuzztime 15s ./internal/netproto
 	$(GO) test -run '^$$' -fuzz FuzzEventDecoders -fuzztime 15s ./internal/journal
 	$(GO) test -run '^$$' -fuzz FuzzFusionSnapshotRestore -fuzztime 15s ./internal/fusion
 	$(GO) test -run '^$$' -fuzz FuzzDefenseSnapshotRestore -fuzztime 15s ./internal/defense

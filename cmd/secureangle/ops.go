@@ -141,6 +141,9 @@ func renderStatus(addr string) error {
 				time.Since(h.LastSeen).Truncate(time.Millisecond), lat)
 		}
 	}
+	if st.SendOverflows > 0 {
+		fmt.Printf("sessions closed for an unsent backlog past the cap: %d\n", st.SendOverflows)
+	}
 
 	if len(st.Threats) == 0 {
 		fmt.Println("no active threats")

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"math"
 	"net"
-	"sync"
 
 	"secureangle/internal/defense"
 	"secureangle/internal/journal"
@@ -97,26 +96,12 @@ func unmarshalAlert(rest []byte) (Alert, error) {
 
 // --- Controller-side connection registry ---
 
-// apConn is one registered agent connection's outbound queue. stop
-// and conn let a reconnect under the same AP name retire the stale
-// broadcaster and connection atomically with the replacement.
+// apConn is one registered session's outbox; conn lets a reconnect
+// under the same AP name close the stale session.
 type apConn struct {
-	ch     chan []byte
-	stop   chan struct{}
+	out    *outbox
 	conn   net.Conn
 	health *apHealth
-}
-
-// peers tracks the agents to notify on broadcasts. (The seed kept the
-// quarantined-MAC map here too; that state now lives in the defense
-// engine, with TTLs and a release path, instead of a permanent map.)
-type peers struct {
-	mu    sync.Mutex
-	conns map[string]apConn // per-AP outbound broadcast queues
-}
-
-func newPeers() *peers {
-	return &peers{conns: make(map[string]apConn)}
 }
 
 // Quarantined returns an Alert view of every client the defense engine

@@ -1,6 +1,7 @@
 package netproto
 
 import (
+	"bufio"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
@@ -39,6 +40,10 @@ type FenceDecision struct {
 // with nothing to report stay connected by calling Agent.Ping within
 // this window.
 const DefaultReadTimeout = 2 * time.Minute
+
+// SendBacklog caps one session's unsent bytes: a session that falls
+// further behind is closed and counted (ControllerStats.SendOverflows).
+const SendBacklog = 4 << 20
 
 // Controller fuses AP reports into localisation and fence decisions.
 // One goroutine per connection reads messages; fusion state lives in a
@@ -118,13 +123,15 @@ type Controller struct {
 	subs    map[int]chan FenceDecision
 	nextSub int
 	closed  bool
-	quar    *peers
 	// tokens maps enrolled AP names to token digests (see enroll.go);
 	// dirSent remembers when each MAC's latest directive was broadcast
 	// so an ack can be turned into a latency sample (bounded, see
 	// noteDirectiveSent). Both under mu.
 	tokens  map[string][sha256.Size]byte
 	dirSent map[wifi.Addr]time.Time
+	// sessions holds every live session's outbox by name (sessMu).
+	sessMu   sync.Mutex
+	sessions map[string]apConn
 
 	// opsSrv is the /metrics + /status HTTP server when ServeOps was
 	// called (nil otherwise), shut down by Close.
@@ -138,8 +145,12 @@ type Controller struct {
 	parts       atomic.Pointer[partition.Set]
 	unknownAP   atomic.Uint64
 	observerSeq atomic.Uint64
-	// directiveAcks counts applied-countermeasure reports from APs.
+	// directiveAcks counts applied-countermeasure reports from APs;
+	// sendOverflows sessions closed for passing sendBacklog (0 means
+	// SendBacklog; tests lower it).
 	directiveAcks atomic.Uint64
+	sendOverflows atomic.Uint64
+	sendBacklog   int
 
 	// The flight recorder (see WithJournal / WithJournalDir): one
 	// journal per partition; clk is the engines' time source, pinned to
@@ -167,13 +178,13 @@ type Controller struct {
 func NewController(fence *locate.Fence) *Controller {
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Controller{
-		Fence:  fence,
-		MinAPs: 2,
-		apPos:  make(map[string]geom.Point),
-		subs:   make(map[int]chan FenceDecision),
-		quar:   newPeers(),
-		ctx:    ctx,
-		cancel: cancel,
+		Fence:    fence,
+		MinAPs:   2,
+		apPos:    make(map[string]geom.Point),
+		subs:     make(map[int]chan FenceDecision),
+		sessions: make(map[string]apConn),
+		ctx:      ctx,
+		cancel:   cancel,
 	}
 }
 
@@ -367,7 +378,9 @@ func (c *Controller) fanOutDecision(d fusion.Decision) bool {
 		select {
 		case ch <- out:
 		default:
-			c.logf("controller: subscriber %d behind, dropping %v", id, out.MAC)
+			if c.Logf != nil {
+				c.logf("controller: subscriber %d behind, dropping %v", id, out.MAC)
+			}
 		}
 	}
 	c.mu.Unlock()
@@ -396,6 +409,8 @@ type ControllerStats struct {
 	UnknownAPDrops uint64
 	// DirectiveAcks counts applied-countermeasure reports from APs.
 	DirectiveAcks uint64
+	// SendOverflows counts sessions closed for passing SendBacklog.
+	SendOverflows uint64
 }
 
 // Stats snapshots the controller's fusion, defense, and ingress
@@ -406,6 +421,7 @@ func (c *Controller) Stats() ControllerStats {
 	s := ControllerStats{
 		UnknownAPDrops: c.unknownAP.Load(),
 		DirectiveAcks:  c.directiveAcks.Load(),
+		SendOverflows:  c.sendOverflows.Load(),
 	}
 	if set := c.partsLoaded(); set != nil {
 		s.Stats = set.Stats()
@@ -576,6 +592,8 @@ func (c *Controller) Close() {
 	c.mu.Unlock()
 }
 
+// logf writes through Logf. Per-event call sites check Logf first: the
+// arguments escape, so building them allocates even when Logf is nil.
 func (c *Controller) logf(format string, args ...any) {
 	if c.Logf != nil {
 		c.Logf(format, args...)
@@ -624,27 +642,26 @@ func (c *Controller) readTimeout() time.Duration {
 func (c *Controller) handle(conn net.Conn) {
 	defer conn.Close()
 	// Close the connection when the controller shuts down so the read
-	// loop unblocks.
+	// loop unblocks; done then ends the session's writer and streams.
+	defer context.AfterFunc(c.ctx, func() { conn.Close() })()
 	done := make(chan struct{})
 	defer close(done)
-	go func() {
-		select {
-		case <-c.ctx.Done():
-			conn.Close()
-		case <-done:
-		}
-	}()
 
 	tokenOK := false
 	var apName string
-	var bcast chan []byte
+	var sess apConn
 	var health *apHealth
 	var repl *replSession
+	br := bufio.NewReader(conn)
+	var readBuf []byte // decoded messages copy what they keep
 	for {
 		if t := c.readTimeout(); t > 0 {
 			conn.SetReadDeadline(time.Now().Add(t))
 		}
-		body, err := ReadMessage(conn)
+		body, err := ReadMessageBuf(br, readBuf)
+		if cap(body) <= frameKeep {
+			readBuf = body
+		}
 		if err != nil {
 			if !errors.Is(err, net.ErrClosed) {
 				c.logf("controller: read: %v", err)
@@ -698,16 +715,8 @@ func (c *Controller) handle(conn net.Conn) {
 				c.mu.Unlock()
 				c.logf("controller: AP %q at %v", m.Name, m.Pos)
 			}
-			// Written directly — the broadcaster is not running yet, so
-			// this goroutine still owns the write side and the Welcome
-			// is guaranteed to be the first controller frame the agent
-			// reads.
-			if err := WriteMessage(conn, MarshalWelcome(Welcome{Status: WelcomeOK})); err != nil {
-				c.logf("controller: welcome to %q: %v", m.Name, err)
-				return
-			}
 			health = newAPHealth(apName, m.Name == "")
-			bcast = c.startBroadcaster(apName, conn, done, health)
+			sess = c.startSession(apName, conn, done, health)
 		case Ping:
 			// Keepalive only: reading it already pushed the deadline.
 		case Report:
@@ -719,7 +728,7 @@ func (c *Controller) handle(conn net.Conn) {
 		case Alert:
 			c.handleAlert(m)
 		case Query:
-			c.answerQuery(m, apName, bcast)
+			c.answerQuery(m, sess)
 		case Directive:
 			c.handleDirective(m, apName)
 		case SegmentAck:
@@ -731,74 +740,71 @@ func (c *Controller) handle(conn net.Conn) {
 				c.logf("controller: segment ack ignored on unauthenticated session %s", apName)
 				continue
 			}
-			repl = c.handleSegmentAck(repl, m, apName, done)
+			repl = c.handleSegmentAck(repl, m, apName, sess.out, done)
 		}
 	}
 }
 
-// startBroadcaster registers an outbound queue for an AP connection and
-// pumps controller broadcasts (quarantine alerts, track replies) onto
-// the socket. From this point the write side of the connection is the
-// broadcaster's alone, so no lock is shared with the read loop.
+// startSession registers an outbox for a session and starts its
+// writer, which from then on owns the connection's write side: one
+// Write per wake-up carries everything posted since the last one. The
+// outbox opens with the Welcome and the resume frames.
 //
 // An AP reconnecting under a name still registered (its old TCP
 // connection lingering half-open) replaces the registration atomically:
-// the stale broadcaster is stopped, its queue abandoned, and its
-// connection closed so the old handler reaps itself — no handoff window
-// in which broadcasts race between the two connections.
-func (c *Controller) startBroadcaster(name string, conn net.Conn, done chan struct{}, health *apHealth) chan []byte {
-	ch := make(chan []byte, 16)
-	stop := make(chan struct{})
-	if health != nil {
-		health.queue = func() int { return len(ch) }
+// the stale connection is closed, which ends its writer and handler —
+// no handoff window in which broadcasts race between the two.
+func (c *Controller) startSession(name string, conn net.Conn, done chan struct{}, health *apHealth) apConn {
+	limit := c.sendBacklog
+	if limit <= 0 {
+		limit = SendBacklog
 	}
-	c.quar.mu.Lock()
-	prev, hadPrev := c.quar.conns[name]
-	c.quar.conns[name] = apConn{ch: ch, stop: stop, conn: conn, health: health}
-	c.quar.mu.Unlock()
+	ac := apConn{conn: conn, health: health, out: newOutbox(limit, func() {
+		c.sendOverflows.Add(1)
+		c.logf("controller: session %s unsent backlog past %d bytes, closing it", name, limit)
+		conn.Close()
+	})}
+	c.sessMu.Lock()
+	prev, hadPrev := c.sessions[name]
+	c.sessions[name] = ac
+	c.sessMu.Unlock()
 	if hadPrev {
 		c.logf("controller: AP %q reconnected, replacing stale connection", name)
-		close(prev.stop)
 		prev.conn.Close()
 	}
 	// A (re)connecting AP must learn the quarantines already in force —
 	// after a controller restart the defense engine's restored leases
 	// would otherwise exist only in controller memory while the fleet,
 	// freshly rebooted or lease-expired, lets the attackers back in.
-	resume := c.resumeFrames()
+	// Taken after registration, so a directive emitted meanwhile is
+	// either in the snapshot or queued behind it.
+	open, n := c.appendResume(appendFrame(nil, MarshalWelcome(Welcome{Status: WelcomeOK})))
+	ac.out.prepend(open, n+1)
 	c.wg.Add(1)
 	go func() {
 		defer c.wg.Done()
 		defer func() {
-			c.quar.mu.Lock()
-			if cur, ok := c.quar.conns[name]; ok && cur.ch == ch {
-				delete(c.quar.conns, name)
+			ac.out.close()
+			c.sessMu.Lock()
+			if cur, ok := c.sessions[name]; ok && cur.out == ac.out {
+				delete(c.sessions, name)
 			}
-			c.quar.mu.Unlock()
+			c.sessMu.Unlock()
 		}()
-		// The pump owns the write side from birth, so the resume frames
-		// are written directly, ahead of any queued broadcast.
-		for _, frame := range resume {
-			if err := WriteMessage(conn, frame); err != nil {
-				return
-			}
-		}
-		for {
-			select {
-			case body := <-ch:
-				if err := WriteMessage(conn, body); err != nil {
+		for b := []byte(nil); ; {
+			if b = ac.out.take(b); len(b) > 0 {
+				if _, err := conn.Write(b); err != nil {
 					return
 				}
-			case <-stop:
-				return
-			case <-c.ctx.Done():
-				return
+			}
+			select {
+			case <-ac.out.wake:
 			case <-done:
 				return
 			}
 		}
 	}()
-	return ch
+	return ac
 }
 
 // ingest resolves a report's AP position and hands the bearing to the
@@ -810,7 +816,9 @@ func (c *Controller) ingest(r Report) {
 	c.mu.Unlock()
 	if !ok {
 		c.unknownAP.Add(1)
-		c.logf("controller: report from unknown AP %q dropped", r.APName)
+		if c.Logf != nil {
+			c.logf("controller: report from unknown AP %q dropped", r.APName)
+		}
 		return
 	}
 	// Apply before journaling: a snapshot racing this event then either
@@ -880,7 +888,9 @@ func (c *Controller) ingestBatch(rs []Report) {
 	}
 	if unknown > 0 {
 		c.unknownAP.Add(uint64(unknown))
-		c.logf("controller: %d report(s) from unknown AP(s) dropped", unknown)
+		if c.Logf != nil {
+			c.logf("controller: %d report(s) from unknown AP(s) dropped", unknown)
+		}
 	}
 	if len(bearings) == 0 {
 		c.releaseBatchScratch(sc)
@@ -1006,7 +1016,10 @@ func (c *Controller) releaseBatchScratch(sc *batchIngestScratch) {
 // Agent is an AP's connection to the controller.
 type Agent struct {
 	conn net.Conn
-	mu   sync.Mutex
+	// br buffers the read side for the handshake and the shared reader
+	// alike, so frames read in with the Welcome are not lost.
+	br *bufio.Reader
+	mu sync.Mutex
 
 	// Timeout, when positive, bounds every Send*/SendAlert* write with
 	// a deadline, so a wedged controller cannot block the AP's hot path
@@ -1081,7 +1094,8 @@ func handshake(ctx context.Context, conn net.Conn, hello Hello) (*Agent, error) 
 	if err := WriteMessage(conn, MarshalHello(hello)); err != nil {
 		return nil, err
 	}
-	body, err := ReadMessage(conn)
+	br := bufio.NewReader(conn)
+	body, err := ReadMessage(br)
 	if err != nil {
 		if cerr := ctx.Err(); cerr != nil {
 			return nil, cerr
@@ -1099,7 +1113,7 @@ func handshake(ctx context.Context, conn net.Conn, hello Hello) (*Agent, error) 
 	if w.Status != WelcomeOK {
 		return nil, ErrAuthRejected
 	}
-	return &Agent{conn: conn}, nil
+	return &Agent{conn: conn, br: br}, nil
 }
 
 // writeBody frames and writes one message with the Agent's write

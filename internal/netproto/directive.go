@@ -41,18 +41,21 @@ const (
 )
 
 // MarshalDirective encodes a Directive message body.
-func MarshalDirective(d Directive) []byte {
-	b := []byte{TypeDirective, 0}
+func MarshalDirective(d Directive) []byte { return appendDirective(nil, d) }
+
+// appendDirective appends a Directive message body to b.
+func appendDirective(b []byte, d Directive) []byte {
+	var flags byte
 	if d.HasPos {
-		b[1] |= directiveFlagHasPos
+		flags |= directiveFlagHasPos
 	}
 	if d.Ack {
-		b[1] |= directiveFlagAck
+		flags |= directiveFlagAck
 	}
 	if d.HasBearing {
-		b[1] |= directiveFlagHasBearing
+		flags |= directiveFlagHasBearing
 	}
-	b = append(b, byte(d.Action), byte(d.From), byte(d.To))
+	b = append(b, TypeDirective, flags, byte(d.Action), byte(d.From), byte(d.To))
 	b = append(b, d.MAC[:]...)
 	b = binary.BigEndian.AppendUint64(b, math.Float64bits(d.BearingDeg))
 	b = binary.BigEndian.AppendUint64(b, math.Float64bits(d.Pos.X))
@@ -127,31 +130,26 @@ func (c *Controller) emitDirective(d defense.Directive) {
 	// trace unconditionally and mark the fan-out point in the timeline.
 	c.traceSpan(trace.StageDirective, d.Trace, d.MAC, "controller", 0)
 	c.tracer().Retain(d.Trace)
-	frame := MarshalDirective(Directive{Directive: d})
-	var alert []byte
+	// One post per session carries the quarantine's Alert mirror and the
+	// directive, framed once here.
+	b, n := make([]byte, 0, 256), 1
 	if d.To == defense.StateQuarantine && d.From != defense.StateQuarantine {
-		alert = MarshalAlert(Alert{
+		b, n = appendFrame(b, MarshalAlert(Alert{
 			APName: "controller", MAC: d.MAC, Distance: d.Distance,
 			Threshold: d.Threshold, Stage: d.Stage,
 			BearingDeg: d.BearingDeg, HasBearing: d.HasBearing, Trace: d.Trace,
-		})
-		c.logf("controller: quarantining mac=%s reporter=%s score=%.2f action=%s trace=%016x", d.MAC, d.Reporter, d.Score, d.Action, d.Trace)
+		})), 2
+		if c.Logf != nil {
+			c.logf("controller: quarantining mac=%s reporter=%s score=%.2f action=%s trace=%016x", d.MAC, d.Reporter, d.Score, d.Action, d.Trace)
+		}
 	}
-	c.quar.mu.Lock()
-	defer c.quar.mu.Unlock()
-	for name, ac := range c.quar.conns {
-		if alert != nil {
-			select {
-			case ac.ch <- alert:
-			default:
-				c.logf("controller: broadcast queue to %s full", name)
-			}
-		}
-		select {
-		case ac.ch <- frame:
-		default:
-			c.logf("controller: directive queue to %s full", name)
-		}
+	at := len(b)
+	b = appendDirective(append(b, 0, 0, 0, 0), Directive{Directive: d})
+	binary.BigEndian.PutUint32(b[at:], uint32(len(b)-at-4))
+	c.sessMu.Lock()
+	defer c.sessMu.Unlock()
+	for _, ac := range c.sessions {
+		ac.out.post(b, n, false)
 	}
 }
 
@@ -165,16 +163,24 @@ func (c *Controller) handleDirective(d Directive, apName string) {
 		c.noteDirectiveAck(d.MAC, apName)
 		c.traceSpan(trace.StageAck, d.Trace, d.MAC, apName, 0)
 		c.tracer().Retain(d.Trace)
-		c.journalAppend(d.MAC, journal.RecAck, journal.EncodeAck(journal.AckEvent{AP: apName, Directive: d.Directive}))
-		c.logf("controller: ap=%s applied %s mac=%s bearing=%.1f trace=%016x", apName, d.Action, d.MAC, d.BearingDeg, d.Trace)
+		if c.journals() != nil {
+			c.journalAppend(d.MAC, journal.RecAck, journal.EncodeAck(journal.AckEvent{AP: apName, Directive: d.Directive}))
+		}
+		if c.Logf != nil {
+			c.logf("controller: ap=%s applied %s mac=%s bearing=%.1f trace=%016x", apName, d.Action, d.MAC, d.BearingDeg, d.Trace)
+		}
 		return
 	}
 	if d.Action == defense.ActionAllow {
-		c.logf("controller: release of %s requested by %s", d.MAC, apName)
+		if c.Logf != nil {
+			c.logf("controller: release of %s requested by %s", d.MAC, apName)
+		}
 		c.releaseFrom(d.MAC, apName)
 		return
 	}
-	c.logf("controller: directive %s from %s ignored (agents cannot order countermeasures)", d.Action, apName)
+	if c.Logf != nil {
+		c.logf("controller: directive %s from %s ignored (agents cannot order countermeasures)", d.Action, apName)
+	}
 }
 
 // --- Agent side ---

@@ -7,7 +7,10 @@ package netproto
 // runs a time-boxed `go test -fuzz` smoke on top of the seeded corpus.
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
+	"io"
 	"reflect"
 	"testing"
 	"time"
@@ -123,6 +126,65 @@ func FuzzUnmarshal(f *testing.F) {
 		}
 		if !bytes.Equal(enc, enc2) {
 			t.Fatalf("normalised form is not a fixed point for %T:\n%x\nvs\n%x", msg, enc, enc2)
+		}
+	})
+}
+
+// shortReader returns data in reads of 1 + sizes[i] bytes, cycling
+// through sizes: the arbitrary short reads a TCP stream can deliver.
+type shortReader struct {
+	data  []byte
+	sizes []byte
+	i     int
+}
+
+func (r *shortReader) Read(p []byte) (int, error) {
+	if len(r.data) == 0 {
+		return 0, io.EOF
+	}
+	n := 1
+	if len(r.sizes) > 0 {
+		n += int(r.sizes[r.i%len(r.sizes)])
+		r.i++
+	}
+	n = min(n, len(p), len(r.data))
+	copy(p, r.data[:n])
+	r.data = r.data[n:]
+	return n, nil
+}
+
+// FuzzFrameReader feeds a stream of concatenated frames through a
+// session's small buffered reader over arbitrary short reads: it must
+// return the same bodies, and the same errors (ErrTooLarge, truncation),
+// as framing read straight off the bytes.
+func FuzzFrameReader(f *testing.F) {
+	var stream []byte
+	for _, seed := range fuzzSeeds() {
+		stream = appendFrame(stream, seed)
+	}
+	hostile := binary.BigEndian.AppendUint32(appendFrame(nil, MarshalPing()), MaxMessageSize+1)
+	f.Add(stream, []byte{0, 6, 2, 40})
+	f.Add(stream[:len(stream)-3], []byte{15})                    // truncated body
+	f.Add(stream[:len(stream)-len(fuzzSeeds()[0])-2], []byte{1}) // truncated length prefix
+	f.Add(hostile, []byte{3})                                    // ErrTooLarge
+	f.Add(appendFrame(nil, make([]byte, 3*4096)), []byte{})      // body larger than the buffer
+	f.Fuzz(func(t *testing.T, data, sizes []byte) {
+		want := bytes.NewReader(data)
+		got := bufio.NewReaderSize(&shortReader{data: data, sizes: sizes}, 16)
+		var buf []byte
+		for i := 0; ; i++ {
+			wb, werr := ReadMessage(want)
+			gb, gerr := ReadMessageBuf(got, buf)
+			if gerr != werr {
+				t.Fatalf("frame %d: buffered reader error %v, want %v", i, gerr, werr)
+			}
+			if !bytes.Equal(gb, wb) {
+				t.Fatalf("frame %d: buffered reader body %x, want %x", i, gb, wb)
+			}
+			if werr != nil {
+				return
+			}
+			buf = gb
 		}
 	})
 }

@@ -517,23 +517,20 @@ func (c *Controller) journalAppendTo(p int, t journal.RecordType, data []byte) {
 	}
 }
 
-// resumeFrames builds the frames a (re)connecting AP session must see
-// to enforce the quarantines currently in force: resume directives
-// carrying a fresh lease TTL, ordered by MAC for determinism.
-func (c *Controller) resumeFrames() [][]byte {
+// appendResume appends the frames a (re)connecting AP session must see
+// to enforce the quarantines currently in force — resume directives
+// carrying a fresh lease TTL, ordered by MAC for determinism — and
+// reports how many it appended.
+func (c *Controller) appendResume(b []byte) ([]byte, int) {
 	set := c.partsLoaded()
 	if set == nil {
-		return nil
+		return b, 0
 	}
 	qs := set.Quarantined()
-	if len(qs) == 0 {
-		return nil
-	}
 	sort.Slice(qs, func(i, k int) bool {
 		return bytes.Compare(qs[i].MAC[:], qs[k].MAC[:]) < 0
 	})
 	policy := c.DefensePolicy.WithDefaults()
-	frames := make([][]byte, 0, len(qs))
 	for _, st := range qs {
 		d := defense.Directive{
 			MAC:        st.MAC,
@@ -554,7 +551,7 @@ func (c *Controller) resumeFrames() [][]byte {
 		if policy.QuarantineTTL > 0 {
 			d.TTL = policy.QuarantineTTL
 		}
-		frames = append(frames, MarshalDirective(Directive{Directive: d}))
+		b = appendFrame(b, MarshalDirective(Directive{Directive: d}))
 	}
-	return frames
+	return b, len(qs)
 }

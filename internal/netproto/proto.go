@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 
 	"secureangle/internal/geom"
 	"secureangle/internal/signature"
@@ -324,17 +325,29 @@ func Unmarshal(b []byte) (any, error) {
 	}
 }
 
-// WriteMessage frames and writes one message body.
+// frameKeep is the largest buffer a write pool, session outbox or read
+// loop keeps for reuse; larger frames get one-off buffers.
+const frameKeep = 64 << 10
+
+var framePool = sync.Pool{New: func() any { return new([]byte) }}
+
+func appendFrame(b, body []byte) []byte {
+	return append(binary.BigEndian.AppendUint32(b, uint32(len(body))), body...)
+}
+
+// WriteMessage frames and writes one message body with one Write: the
+// length prefix and the body share a pooled buffer.
 func WriteMessage(w io.Writer, body []byte) error {
 	if len(body) > MaxMessageSize {
 		return ErrTooLarge
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
+	bp := framePool.Get().(*[]byte)
+	frame := appendFrame((*bp)[:0], body)
+	_, err := w.Write(frame)
+	if cap(frame) <= frameKeep {
+		*bp = frame
 	}
-	_, err := w.Write(body)
+	framePool.Put(bp)
 	return err
 }
 
@@ -344,16 +357,15 @@ func ReadMessage(r io.Reader) ([]byte, error) {
 }
 
 // ReadMessageBuf reads one length-prefixed message body into buf when
-// it fits, allocating only when it does not — the streaming consumers'
-// (standby apply loop) zero-alloc steady state. The returned slice
-// aliases buf; it is valid until the next ReadMessageBuf call with the
-// same buffer.
+// it fits, allocating only when it does not — the session read loops'
+// zero-alloc steady state. The returned slice aliases buf; it is valid
+// until the next ReadMessageBuf call with the same buffer.
 func ReadMessageBuf(r io.Reader, buf []byte) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	hdr := append(buf[:0], 0, 0, 0, 0)
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(hdr)
 	if n > MaxMessageSize {
 		return nil, ErrTooLarge
 	}

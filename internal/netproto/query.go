@@ -298,10 +298,14 @@ func (a *Agent) startReader() {
 				close(a.threats)
 				close(a.directives)
 			}()
+			var buf []byte // delivered messages are decoded into copies
 			for {
-				body, err := ReadMessage(a.conn)
+				body, err := ReadMessageBuf(a.br, buf)
 				if err != nil {
 					return
+				}
+				if cap(body) <= frameKeep {
+					buf = body
 				}
 				msg, err := Unmarshal(body)
 				if err != nil {
@@ -437,9 +441,9 @@ func (a *Agent) QueryThreats(ctx context.Context, q Query) ([]defense.ClientThre
 // --- Controller side ---
 
 // answerQuery resolves a session's Query against the fusion engine
-// (KindTracks) or the defense engine (KindThreats) and enqueues the
-// (chunked) reply on the session's broadcast queue.
-func (c *Controller) answerQuery(q Query, name string, bcast chan []byte) {
+// (KindTracks) or the defense engine (KindThreats) and posts the
+// (chunked) reply to the session's outbox.
+func (c *Controller) answerQuery(q Query, sess apConn) {
 	switch q.Kind {
 	case KindThreats:
 		var states []defense.ClientThreat
@@ -450,7 +454,7 @@ func (c *Controller) answerQuery(q Query, name string, bcast chan []byte) {
 				states = []defense.ClientThreat{st}
 			}
 		}
-		sendChunked(c, name, bcast, q.ID, states, maxThreatsPerFrame,
+		postChunked(sess, q.ID, states, maxThreatsPerFrame,
 			func(id uint32, ss []defense.ClientThreat, more bool) []byte {
 				return MarshalThreats(Threats{ID: id, States: ss, More: more})
 			})
@@ -461,36 +465,26 @@ func (c *Controller) answerQuery(q Query, name string, bcast chan []byte) {
 		} else if ts, ok := c.Track(q.MAC); ok {
 			states = []fusion.TrackState{ts}
 		}
-		sendChunked(c, name, bcast, q.ID, states, maxTracksPerFrame,
+		postChunked(sess, q.ID, states, maxTracksPerFrame,
 			func(id uint32, ss []fusion.TrackState, more bool) []byte {
 				return MarshalTracks(Tracks{ID: id, States: ss, More: more})
 			})
 	}
 }
 
-// sendChunked splits a query reply across frames of at most maxPer
-// states and enqueues them on the session's broadcast queue. The first
-// frame is always sent (an empty snapshot still terminates the reply),
-// and a full queue degrades to a best-effort empty terminating frame,
-// so a Query* caller sees a truncated result instead of waiting out
-// its context deadline for chunks that will never come.
-func sendChunked[T any](c *Controller, name string, bcast chan []byte, id uint32, states []T, maxPer int, marshal func(id uint32, states []T, more bool) []byte) {
+// postChunked splits a query reply across frames of at most maxPer
+// states and posts them to the session's outbox as one piece. The first
+// frame is always sent: an empty snapshot still terminates the reply.
+// The post waits out a backlog like journal streaming does, so a large
+// threat table is delivered, not counted as an overflow.
+func postChunked[T any](sess apConn, id uint32, states []T, maxPer int, marshal func(id uint32, states []T, more bool) []byte) {
+	var b []byte
+	frames := 0
 	for first := true; first || len(states) > 0; first = false {
-		n := len(states)
-		if n > maxPer {
-			n = maxPer
-		}
-		frame := marshal(id, states[:n], n < len(states))
+		n := min(len(states), maxPer)
+		b = appendFrame(b, marshal(id, states[:n], n < len(states)))
 		states = states[n:]
-		select {
-		case bcast <- frame:
-		default:
-			c.logf("controller: query reply queue to %s full, dropping %d states", name, n+len(states))
-			select {
-			case bcast <- marshal(id, nil, false):
-			default:
-			}
-			return
-		}
+		frames++
 	}
+	sess.out.post(b, frames, true)
 }

@@ -14,6 +14,8 @@ package netproto
 // enrollment trust root rather than growing a second one.
 
 import (
+	"encoding/binary"
+	"sort"
 	"sync/atomic"
 	"time"
 
@@ -62,22 +64,27 @@ type SegmentPos struct {
 }
 
 // MarshalSegment encodes a Segment frame.
-func MarshalSegment(s Segment) []byte {
+func MarshalSegment(s Segment) []byte { return framedSegment(s)[4:] }
+
+// framedSegment encodes a Segment with its length prefix, in one
+// exactly sized buffer that the session outbox can adopt uncopied.
+func framedSegment(s Segment) []byte {
 	size := 1 + 2 + 2 + 8 + 4
 	for _, r := range s.Records {
 		size += 1 + 8 + 8 + 4 + len(r.Data)
 	}
-	b := make([]byte, 0, size)
+	b := make([]byte, 0, 4+size)
+	b = binary.BigEndian.AppendUint32(b, uint32(size))
 	b = append(b, TypeSegment)
-	b = be16(b, uint16(s.Partition))
-	b = be16(b, uint16(s.PartCount))
-	b = be64(b, s.LeaderLSN)
-	b = be32(b, uint32(len(s.Records)))
+	b = binary.BigEndian.AppendUint16(b, uint16(s.Partition))
+	b = binary.BigEndian.AppendUint16(b, uint16(s.PartCount))
+	b = binary.BigEndian.AppendUint64(b, s.LeaderLSN)
+	b = binary.BigEndian.AppendUint32(b, uint32(len(s.Records)))
 	for _, r := range s.Records {
 		b = append(b, byte(r.Type))
-		b = be64(b, r.LSN)
-		b = be64(b, uint64(r.TS.UnixNano()))
-		b = be32(b, uint32(len(r.Data)))
+		b = binary.BigEndian.AppendUint64(b, r.LSN)
+		b = binary.BigEndian.AppendUint64(b, uint64(r.TS.UnixNano()))
+		b = binary.BigEndian.AppendUint32(b, uint32(len(r.Data)))
 		b = append(b, r.Data...)
 	}
 	return b
@@ -95,11 +102,11 @@ func unmarshalSegmentInto(rest []byte, recs []journal.Record) (Segment, error) {
 		return Segment{}, ErrBadMessage
 	}
 	s := Segment{
-		Partition: int(beU16(rest[0:2])),
-		PartCount: int(beU16(rest[2:4])),
-		LeaderLSN: beU64(rest[4:12]),
+		Partition: int(binary.BigEndian.Uint16(rest[0:2])),
+		PartCount: int(binary.BigEndian.Uint16(rest[2:4])),
+		LeaderLSN: binary.BigEndian.Uint64(rest[4:12]),
 	}
-	n := beU32(rest[12:16])
+	n := binary.BigEndian.Uint32(rest[12:16])
 	rest = rest[16:]
 	const recFixed = 1 + 8 + 8 + 4
 	if uint64(n)*recFixed > uint64(len(rest)) {
@@ -116,10 +123,10 @@ func unmarshalSegmentInto(rest []byte, recs []journal.Record) (Segment, error) {
 		}
 		rec := journal.Record{
 			Type: journal.RecordType(rest[0]),
-			LSN:  beU64(rest[1:9]),
-			TS:   time.Unix(0, int64(beU64(rest[9:17]))),
+			LSN:  binary.BigEndian.Uint64(rest[1:9]),
+			TS:   time.Unix(0, int64(binary.BigEndian.Uint64(rest[9:17]))),
 		}
-		dl := beU32(rest[17:21])
+		dl := binary.BigEndian.Uint32(rest[17:21])
 		rest = rest[recFixed:]
 		if dl > journal.MaxRecordSize || uint64(dl) > uint64(len(rest)) {
 			return Segment{}, ErrBadMessage
@@ -138,10 +145,10 @@ func unmarshalSegmentInto(rest []byte, recs []journal.Record) (Segment, error) {
 func MarshalSegmentAck(a SegmentAck) []byte {
 	b := make([]byte, 0, 1+2+10*len(a.Positions))
 	b = append(b, TypeSegmentAck)
-	b = be16(b, uint16(len(a.Positions)))
+	b = binary.BigEndian.AppendUint16(b, uint16(len(a.Positions)))
 	for _, p := range a.Positions {
-		b = be16(b, uint16(p.Partition))
-		b = be64(b, p.LSN)
+		b = binary.BigEndian.AppendUint16(b, uint16(p.Partition))
+		b = binary.BigEndian.AppendUint64(b, p.LSN)
 	}
 	return b
 }
@@ -150,7 +157,7 @@ func unmarshalSegmentAck(rest []byte) (SegmentAck, error) {
 	if len(rest) < 2 {
 		return SegmentAck{}, ErrBadMessage
 	}
-	n := beU16(rest[0:2])
+	n := binary.BigEndian.Uint16(rest[0:2])
 	rest = rest[2:]
 	if n > replMaxPositions || len(rest) != int(n)*10 {
 		return SegmentAck{}, ErrBadMessage
@@ -161,8 +168,8 @@ func unmarshalSegmentAck(rest []byte) (SegmentAck, error) {
 	}
 	for i := 0; i < int(n); i++ {
 		a.Positions = append(a.Positions, SegmentPos{
-			Partition: int(beU16(rest[0:2])),
-			LSN:       beU64(rest[2:10]),
+			Partition: int(binary.BigEndian.Uint16(rest[0:2])),
+			LSN:       binary.BigEndian.Uint64(rest[2:10]),
 		})
 		rest = rest[10:]
 	}
@@ -187,7 +194,7 @@ type replSession struct {
 // session: the first subscribes (spawning the per-partition senders),
 // later ones update the session's applied positions. Returns the live
 // session so the handler threads it through subsequent acks.
-func (c *Controller) handleSegmentAck(sess *replSession, m SegmentAck, apName string, done chan struct{}) *replSession {
+func (c *Controller) handleSegmentAck(sess *replSession, m SegmentAck, apName string, out *outbox, done chan struct{}) *replSession {
 	if sess != nil {
 		for _, p := range m.Positions {
 			if p.Partition >= 0 && p.Partition < sess.parts {
@@ -224,7 +231,7 @@ func (c *Controller) handleSegmentAck(sess *replSession, m SegmentAck, apName st
 	c.logf("controller: %s subscribed to journal stream (%d partition(s))", apName, n)
 	for i := range js {
 		c.wg.Add(1)
-		go c.streamPartition(sess, i, js[i], after[i], done)
+		go c.streamPartition(sess, i, js[i], after[i], out, done)
 	}
 	c.wg.Add(1)
 	go func() {
@@ -241,33 +248,23 @@ func (c *Controller) handleSegmentAck(sess *replSession, m SegmentAck, apName st
 }
 
 // streamPartition tails one partition's journal from after and ships
-// Segment frames to the session until its connection drops. The
-// broadcaster pump owns the connection's write side, so frames are
-// funneled through its queue with BLOCKING sends: a slow standby
+// Segment frames to the session's outbox until its connection drops.
+// Posts wait while the outbox backlog is high: a slow standby
 // backpressures its own stream rather than losing frames (a dropped
 // segment would gap the follower's LSN sequence).
-func (c *Controller) streamPartition(sess *replSession, part int, j *journal.Journal, after uint64, done chan struct{}) {
+func (c *Controller) streamPartition(sess *replSession, part int, j *journal.Journal, after uint64, out *outbox, done chan struct{}) {
 	defer c.wg.Done()
 	cur := journal.NewCursor(j.Dir(), after)
 	defer cur.Close()
 	sess.sent[part].Store(after)
 	var lastSend time.Time
 	send := func(recs []journal.Record) bool {
-		frame := MarshalSegment(Segment{
+		if !out.post(framedSegment(Segment{
 			Partition: part,
 			PartCount: sess.parts,
 			LeaderLSN: j.LSN(),
 			Records:   recs,
-		})
-		ch := c.broadcastChan(sess.name)
-		if ch == nil {
-			return false
-		}
-		select {
-		case ch <- frame:
-		case <-done:
-			return false
-		case <-c.ctx.Done():
+		}), 1, true) {
 			return false
 		}
 		lastSend = time.Now()
@@ -308,17 +305,6 @@ func (c *Controller) streamPartition(sess *replSession, part int, j *journal.Jou
 		case <-time.After(replPoll):
 		}
 	}
-}
-
-// broadcastChan looks up the broadcaster queue registered for a
-// session name (nil once the connection is replaced or gone).
-func (c *Controller) broadcastChan(name string) chan []byte {
-	c.quar.mu.Lock()
-	defer c.quar.mu.Unlock()
-	if pc, ok := c.quar.conns[name]; ok {
-		return pc.ch
-	}
-	return nil
 }
 
 // ReplicaStatus is one subscribed standby's replication state, as the
@@ -374,31 +360,6 @@ func (c *Controller) ReplicationStatus() []ReplicaStatus {
 		}
 		out = append(out, rs)
 	}
-	sortReplicaStatus(out)
+	sort.Slice(out, func(i, k int) bool { return out[i].Name < out[k].Name })
 	return out
-}
-
-func sortReplicaStatus(rs []ReplicaStatus) {
-	for i := 1; i < len(rs); i++ {
-		for k := i; k > 0 && rs[k].Name < rs[k-1].Name; k-- {
-			rs[k], rs[k-1] = rs[k-1], rs[k]
-		}
-	}
-}
-
-// Big-endian append/read helpers for the replication codec.
-func be16(b []byte, v uint16) []byte { return append(b, byte(v>>8), byte(v)) }
-func be32(b []byte, v uint32) []byte {
-	return append(b, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-}
-func be64(b []byte, v uint64) []byte {
-	return append(b, byte(v>>56), byte(v>>48), byte(v>>40), byte(v>>32), byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-}
-func beU16(b []byte) uint16 { return uint16(b[0])<<8 | uint16(b[1]) }
-func beU32(b []byte) uint32 {
-	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
-}
-func beU64(b []byte) uint64 {
-	return uint64(b[0])<<56 | uint64(b[1])<<48 | uint64(b[2])<<40 | uint64(b[3])<<32 |
-		uint64(b[4])<<24 | uint64(b[5])<<16 | uint64(b[6])<<8 | uint64(b[7])
 }

@@ -13,6 +13,7 @@ package netproto
 // the restored quarantine state.
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -194,7 +195,10 @@ func (s *Standby) followOnce(ctx context.Context) error {
 		return err
 	}
 	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	body, err := ReadMessage(conn)
+	// The Welcome's read may pull in the first Segment too: the apply
+	// loop reads through the same buffered reader.
+	br := bufio.NewReader(conn)
+	body, err := ReadMessage(br)
 	if err != nil {
 		return fmt.Errorf("welcome: %w", err)
 	}
@@ -240,7 +244,7 @@ func (s *Standby) followOnce(ctx context.Context) error {
 			deadline = s.cfg.PromoteAfter
 		}
 		conn.SetReadDeadline(time.Now().Add(deadline))
-		body, err := ReadMessageBuf(conn, readBuf)
+		body, err := ReadMessageBuf(br, readBuf)
 		if err != nil {
 			return err
 		}

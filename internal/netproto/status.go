@@ -48,7 +48,6 @@ type apHealth struct {
 	reports   atomic.Uint64
 	acks      atomic.Uint64
 	lastAckNs atomic.Int64 // latency of the latest ack (0 = none yet)
-	queue     func() int   // send-queue depth (set by startBroadcaster)
 }
 
 func newAPHealth(name string, observer bool) *apHealth {
@@ -64,7 +63,8 @@ type APHealth struct {
 	Observer    bool      `json:"observer,omitempty"`
 	ConnectedAt time.Time `json:"connected_at"`
 	LastSeen    time.Time `json:"last_seen"`
-	// QueueDepth is the outbound broadcast queue's current backlog.
+	// QueueDepth is the number of frames in the session's outbox that
+	// its writer has not yet taken.
 	QueueDepth int `json:"queue_depth"`
 	// Frames counts inbound frames; Reports bearing reports (batch
 	// members counted individually); Acks applied-countermeasure
@@ -79,17 +79,17 @@ type APHealth struct {
 
 // APHealth snapshots every connected session, sorted by name.
 func (c *Controller) APHealth() []APHealth {
-	c.quar.mu.Lock()
-	hs := make([]*apHealth, 0, len(c.quar.conns))
-	depths := make([]int, 0, len(c.quar.conns))
-	for _, ac := range c.quar.conns {
+	c.sessMu.Lock()
+	hs := make([]*apHealth, 0, len(c.sessions))
+	depths := make([]int, 0, len(c.sessions))
+	for _, ac := range c.sessions {
 		if ac.health == nil {
 			continue
 		}
 		hs = append(hs, ac.health)
-		depths = append(depths, len(ac.ch))
+		depths = append(depths, ac.out.depth())
 	}
-	c.quar.mu.Unlock()
+	c.sessMu.Unlock()
 	out := make([]APHealth, len(hs))
 	for i, h := range hs {
 		out[i] = APHealth{
@@ -142,9 +142,9 @@ func (c *Controller) noteDirectiveAck(mac wifi.Addr, apName string) {
 		lat = time.Since(sent)
 		mDirAckSeconds.Observe(lat.Seconds())
 	}
-	c.quar.mu.Lock()
-	ac, live := c.quar.conns[apName]
-	c.quar.mu.Unlock()
+	c.sessMu.Lock()
+	ac, live := c.sessions[apName]
+	c.sessMu.Unlock()
 	if live && ac.health != nil {
 		ac.health.acks.Add(1)
 		if ok {
@@ -201,6 +201,9 @@ type Status struct {
 	// counters (see ControllerStats).
 	UnknownAPDrops uint64 `json:"unknown_ap_drops"`
 	DirectiveAcks  uint64 `json:"directive_acks"`
+	// SendOverflows counts sessions closed for passing the unsent
+	// backlog cap (SendBacklog).
+	SendOverflows uint64 `json:"send_overflows"`
 	// Journal is nil when no flight recorder is attached; on a
 	// partitioned controller it aggregates the per-partition journals
 	// (counters summed, LSN the max, SnapshotLSN the min — the
@@ -227,6 +230,7 @@ func (c *Controller) StatusReport() Status {
 		Enrolled:       c.EnrolledAPs(),
 		UnknownAPDrops: c.unknownAP.Load(),
 		DirectiveAcks:  c.directiveAcks.Load(),
+		SendOverflows:  c.sendOverflows.Load(),
 		APs:            c.APHealth(),
 		Threats:        []ThreatStatus{},
 	}
@@ -397,12 +401,15 @@ func (c *Controller) RegisterOps(reg *ops.Registry) {
 	reg.RegisterCollector("secureangle_controller_directive_acks_total",
 		"Applied-countermeasure acknowledgements from APs.", ops.KindCounter,
 		func(emit func(string, float64)) { emit("", float64(c.directiveAcks.Load())) })
+	reg.RegisterCollector("secureangle_controller_send_overflows_total",
+		"Sessions closed because their unsent backlog passed the cap.", ops.KindCounter,
+		func(emit func(string, float64)) { emit("", float64(c.sendOverflows.Load())) })
 	reg.RegisterCollector("secureangle_controller_sessions",
 		"Connected sessions (APs and observers).", ops.KindGauge,
 		func(emit func(string, float64)) {
-			c.quar.mu.Lock()
-			n := len(c.quar.conns)
-			c.quar.mu.Unlock()
+			c.sessMu.Lock()
+			n := len(c.sessions)
+			c.sessMu.Unlock()
 			emit("", float64(n))
 		})
 	// Journal families: a single-partition controller keeps the PR 5–7
@@ -468,7 +475,7 @@ func (c *Controller) RegisterOps(reg *ops.Registry) {
 			}
 		})
 	reg.RegisterCollector("secureangle_ap_send_queue",
-		"Outbound broadcast queue depth per session.", ops.KindGauge,
+		"Frames pending in each session's outbox.", ops.KindGauge,
 		func(emit func(string, float64)) {
 			for _, h := range c.APHealth() {
 				emit(fmt.Sprintf("ap=%q", h.Name), float64(h.QueueDepth))

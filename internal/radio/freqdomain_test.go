@@ -190,3 +190,62 @@ func TestPrepareReceiveConcurrentUse(t *testing.T) {
 }
 
 var errShape = errors.New("radio test: unexpected stream shape")
+
+// TestCleanCacheAdmission checks that a clean capture enters the cache
+// only on its key's second sighting (a stream of unique frames copies
+// nothing in), and that serving it from the cache is bit-identical to
+// synthesising it afresh.
+func TestCleanCacheAdmission(t *testing.T) {
+	e := testScene()
+	pos := geom.Point{X: 7, Y: 4}
+	frame := func(seed int64) []complex128 {
+		src := rng.New(seed)
+		x := make([]complex128, 400)
+		for i := range x {
+			x[i] = src.ComplexGaussian(1)
+		}
+		return x
+	}
+	cached := NewFrontEnd(testArray(), geom.Point{}, rng.New(3), WithNoiseFloor(4e-9))
+	fresh := NewFrontEnd(testArray(), geom.Point{}, rng.New(3), WithNoiseFloor(4e-9))
+	receive := func(x []complex128) {
+		t.Helper()
+		got, err := cached.Receive(e, pos, x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh.cleanCache, fresh.cleanSeen = nil, [cleanSeenRing]cleanKey{}
+		want, err := fresh.Receive(e, pos, x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for a := range want {
+			for i := range want[a] {
+				if got[a][i] != want[a][i] {
+					t.Fatalf("antenna %d sample %d: cached path %v, fresh synthesis %v", a, i, got[a][i], want[a][i])
+				}
+			}
+		}
+	}
+	for seed := int64(10); seed < 20; seed++ {
+		receive(frame(seed))
+	}
+	if n := len(cached.cleanCache); n != 0 {
+		t.Fatalf("%d unique frames admitted to the clean cache, want 0", n)
+	}
+	x := frame(10) // second sighting: admitted
+	receive(x)
+	if n := len(cached.cleanCache); n != 1 {
+		t.Fatalf("clean cache holds %d entries after a second sighting, want 1", n)
+	}
+	var entry *cleanEntry
+	for _, ce := range cached.cleanCache {
+		entry = ce
+	}
+	receive(x) // third: served from the cache, not stored again
+	for _, ce := range cached.cleanCache {
+		if ce != entry {
+			t.Fatal("third sighting re-synthesised instead of replaying the cached capture")
+		}
+	}
+}

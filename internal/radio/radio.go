@@ -65,6 +65,11 @@ type FrontEnd struct {
 	noise      *rng.Source
 	chanCache  map[chanKey]*chanResponse
 	cleanCache map[cleanKey]*cleanEntry
+	// cleanSeen rings the keys of recent clean captures: a capture is
+	// admitted to cleanCache only on its key's second sighting, so a
+	// stream of unique frames never pays for copying one in.
+	cleanSeen     [cleanSeenRing]cleanKey
+	cleanSeenNext int
 }
 
 // maxChanCacheEntries bounds the per-front-end channel cache (an entry is
@@ -76,6 +81,10 @@ const maxChanCacheEntries = 64
 // full set of pre-impairment antenna streams, ~N*len(baseband)
 // complexes, so the bound is deliberately small).
 const maxCleanCacheEntries = 16
+
+// cleanSeenRing is how many recent capture keys (no sample data) the
+// admission filter remembers.
+const cleanSeenRing = 64
 
 // chanKey identifies one cached channel: transmitter position and
 // baseband length (which fixes the pow2 transform length).
@@ -257,8 +266,12 @@ func (f *FrontEnd) replayClean(ce *cleanEntry, ar *pool.Arena) [][]complex128 {
 }
 
 // storeClean caches a private copy of the clean streams under the given
-// drift epoch.
+// drift epoch — if their key was seen before: the first sighting only
+// records the key.
 func (f *FrontEnd) storeClean(key cleanKey, epoch uint64, streams [][]complex128) {
+	if !f.admitClean(key) {
+		return
+	}
 	cp := make([][]complex128, len(streams))
 	for a, s := range streams {
 		cp[a] = append([]complex128(nil), s...)
@@ -272,6 +285,21 @@ func (f *FrontEnd) storeClean(key cleanKey, epoch uint64, streams [][]complex128
 		clear(f.cleanCache)
 	}
 	f.cleanCache[key] = &cleanEntry{epoch: epoch, streams: cp}
+}
+
+// admitClean reports whether key is in the recent-key ring, recording
+// it there when it is not.
+func (f *FrontEnd) admitClean(key cleanKey) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for _, k := range f.cleanSeen {
+		if k == key {
+			return true
+		}
+	}
+	f.cleanSeen[f.cleanSeenNext] = key
+	f.cleanSeenNext = (f.cleanSeenNext + 1) % cleanSeenRing
+	return false
 }
 
 // PreparedReceive bundles the order-sensitive half of Receive — the

@@ -10,7 +10,7 @@
 # Benchtime can be tuned via BENCHTIME (default 1s).
 set -eu
 
-pr="${PR:-10}"
+pr="${PR:-17}"
 out="${1:-BENCH_PR${pr}.json}"
 benchtime="${BENCHTIME:-1s}"
 tmp="$(mktemp)"
@@ -20,7 +20,8 @@ trap 'rm -f "$tmp"' EXIT
 # directive, journal append + group commit (each package's hot path),
 # the ops metrics update the first four carry, partitioned ingest at
 # 1/4/16 partitions (per-report and batched), the replication cursor's
-# streaming throughput, and the per-packet trace span record.
+# streaming throughput, the per-packet trace span record, and the wire
+# framing every frame goes through.
 go test -run '^$' -benchmem -benchtime "$benchtime" \
     -bench 'BenchmarkPipelinePerPacket$' . | tee -a "$tmp"
 go test -run '^$' -benchmem -benchtime "$benchtime" \
@@ -47,6 +48,8 @@ go test -run '^$' -benchmem -benchtime "$benchtime" \
     -bench 'BenchmarkReplicationCursor$' ./internal/journal | tee -a "$tmp"
 go test -run '^$' -benchmem -benchtime "$benchtime" \
     -bench 'BenchmarkTraceSpan$' ./internal/trace | tee -a "$tmp"
+go test -run '^$' -benchmem -benchtime "$benchtime" \
+    -bench 'BenchmarkWriteMessage$' ./internal/netproto | tee -a "$tmp"
 
 # Find the newest previous trajectory file (highest PR number below
 # ours) before the new file lands.

@@ -53,6 +53,8 @@ go test -run '^$' -benchmem -benchtime 20x \
     -bench 'BenchmarkReplicationCursor$' ./internal/journal | tee -a "$tmp"
 go test -run '^$' -benchmem -benchtime 500000x \
     -bench 'BenchmarkTraceSpan$' ./internal/trace | tee -a "$tmp"
+go test -run '^$' -benchmem -benchtime 500000x \
+    -bench 'BenchmarkWriteMessage$' ./internal/netproto | tee -a "$tmp"
 
 awk -v baseline="$baseline" '
 function parse(file,   line, name, ns) {
@@ -79,6 +81,7 @@ BEGIN {
     budget["BenchmarkPartitionIngestBatch/parts=4"] = 16
     budget["BenchmarkPartitionIngestBatch/parts=16"] = 16
     budget["BenchmarkTraceSpan"] = 0  # hard zero: the span record sits on every packet
+    budget["BenchmarkWriteMessage"] = 0  # hard zero: every frame on the wire is framed here
 }
 /^Benchmark/ {
     name = $1; sub(/-[0-9]+$/, "", name)
