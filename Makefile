@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race stress bench bench-smoke fuzz lint ops-smoke torture
+.PHONY: build test race stress bench bench-smoke fuzz lint loc ops-smoke torture
 
 build:
 	$(GO) build ./...
@@ -66,3 +66,8 @@ ops-smoke:
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
+
+# Non-test Go lines per package and in total (root module, without the
+# nested e2ebench/ benchmark module). Informational: nothing gates on it.
+loc:
+	sh scripts/loc.sh

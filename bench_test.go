@@ -255,7 +255,8 @@ func BenchmarkSmoothingAblation(b *testing.B) {
 // BenchmarkPipelinePerPacket times the end-to-end per-packet cost of one
 // AP: channel, detection, correlation, eigendecomposition, MUSIC scan.
 func BenchmarkPipelinePerPacket(b *testing.B) {
-	ap := NewTestbedAP("bench", AP1, 1)
+	node := testNode(b, "bench", 1)
+	ctx := context.Background()
 	client, err := Client(5)
 	if err != nil {
 		b.Fatal(err)
@@ -263,7 +264,7 @@ func BenchmarkPipelinePerPacket(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ObserveFrame(ap, client.ID, client.Pos); err != nil {
+		if _, err := node.ObserveTestbedFrame(ctx, client.ID, client.Pos); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -304,7 +305,7 @@ func BenchmarkObserveBatch(b *testing.B) {
 		items := makeItems(batch)
 
 		b.Run(fmt.Sprintf("batch=%d/serial", batch), func(b *testing.B) {
-			ap := NewTestbedAP("bench", AP1, 1)
+			ap := testNode(b, "bench", 1).AP()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -318,7 +319,7 @@ func BenchmarkObserveBatch(b *testing.B) {
 
 		b.Run(fmt.Sprintf("batch=%d/pooled", batch), func(b *testing.B) {
 			// Workers = 0: the pool follows GOMAXPROCS (the -cpu sweep).
-			ap := NewTestbedAP("bench", AP1, 1)
+			ap := testNode(b, "bench", 1).AP()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -62,8 +62,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		// DialContext negotiates protocol v2 (versioned Hello/Welcome);
-		// a v1 agent dialing the same controller still works.
+		// DialContext sends the Hello and waits for the controller's
+		// Welcome before any report goes out.
 		dialCtx, cancel := context.WithTimeout(ctx, 5*time.Second)
 		agents[i], err = netproto.DialContext(dialCtx, ln.Addr().String(), netproto.Hello{Name: name, Pos: pos})
 		cancel()

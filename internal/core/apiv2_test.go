@@ -104,14 +104,6 @@ func TestErrTooFewSnapshots(t *testing.T) {
 	}
 }
 
-func TestErrNotDetectedIdentity(t *testing.T) {
-	// The deprecated alias and the new sentinel are the same value, so
-	// pre-v2 errors.Is checks keep passing.
-	if !errors.Is(ErrNoPacket, ErrNotDetected) || ErrNoPacket != ErrNotDetected {
-		t.Fatal("ErrNoPacket is not an alias of ErrNotDetected")
-	}
-}
-
 func TestProcessFrameErrorCarriesMAC(t *testing.T) {
 	ap := newBatchAP(t, 1)
 	c, err := testbed.ClientByID(5)

@@ -39,13 +39,6 @@ var (
 	ErrTooFewSnapshots = errors.New("secureangle: too few snapshots for a full-rank covariance")
 )
 
-// ErrNoPacket is the pre-v2 name of ErrNotDetected, kept so existing
-// errors.Is checks and direct comparisons against the sentinel keep
-// working.
-//
-// Deprecated: use ErrNotDetected.
-var ErrNoPacket = ErrNotDetected
-
 // Pipeline stage names recorded in PipelineError.Stage, in pipeline
 // order. StageDispatch is not a signal-processing stage: it marks work
 // that was never run because the batch's context was cancelled first.

@@ -114,7 +114,7 @@ func RunCalibrationAblation(seed int64, draws int) (*CalibrationAblation, error)
 		for i, set := range [][][]complex128{streams, raw} {
 			dets := detect.Find(set[0], detect.DefaultConfig())
 			if len(dets) == 0 {
-				return nil, core.ErrNoPacket
+				return nil, core.ErrNotDetected
 			}
 			n := len(set[0]) - dets[0].Start
 			if n > 2000 {
@@ -192,7 +192,7 @@ func RunPacketVsSample(seed int64, trials int) (*PacketVsSampleAblation, error) 
 		radio.ApplyCalibration(streams, offsets)
 		dets := detect.Find(streams[0], detect.DefaultConfig())
 		if len(dets) == 0 {
-			return nil, core.ErrNoPacket
+			return nil, core.ErrNotDetected
 		}
 		n := len(streams[0]) - dets[0].Start
 		if n > 2000 {

@@ -64,7 +64,7 @@ func RunFig7(seed int64) (*Fig7Result, error) {
 
 	dets := detect.Find(streams[0], detect.DefaultConfig())
 	if len(dets) == 0 {
-		return nil, core.ErrNoPacket
+		return nil, core.ErrNotDetected
 	}
 	win, ok := detect.ExtractAligned(streams, dets[0], packetSamples(streams[0], dets[0].Start))
 	if !ok {

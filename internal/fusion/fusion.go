@@ -111,9 +111,11 @@ type Config struct {
 	// angular diversity (waiting cannot improve it). Nil means unknown —
 	// the guard then always waits for diversity or the timeout.
 	APCount func() int
-	// Emit receives every fused decision, called outside all shard
-	// locks. Nil discards decisions (tracking still updates).
-	Emit func(Decision)
+	// Emit receives every fused decision with the client's track state
+	// as the decision left it (captured under the shard lock), called
+	// outside all shard locks. Nil discards decisions (tracking still
+	// updates).
+	Emit func(Decision, TrackState)
 	// Logf, if set, receives diagnostic output.
 	Logf func(format string, args ...any)
 
@@ -376,10 +378,10 @@ func (e *Engine) Ingest(b Bearing) {
 	now := e.cfg.Clock()
 	s := e.shardFor(b.MAC)
 	s.mu.Lock()
-	d, emit := e.ingestLocked(s, b, now)
+	d, ts, emit := e.ingestLocked(s, b, now)
 	s.mu.Unlock()
 	if emit && e.cfg.Emit != nil {
-		e.cfg.Emit(d)
+		e.cfg.Emit(d, ts)
 	}
 }
 
@@ -393,20 +395,32 @@ type batchScratch struct {
 	decs    []indexedDecision
 }
 
+// indexedDecision is one decision collected under a shard lock for
+// delivery after unlock, with its decision-time track state and (in a
+// batch) the input index of the bearing that completed it.
 type indexedDecision struct {
-	idx     int32
-	tracked bool
-	d       Decision
-	ts      TrackState
+	idx int32
+	d   Decision
+	ts  TrackState
+}
+
+// deliver hands one collected decision to the batch's emit, or to
+// cfg.Emit when the batch has none.
+func (e *Engine) deliver(emit BatchEmit, id *indexedDecision) {
+	if emit != nil {
+		emit(int(id.idx), id.d, id.ts, true)
+	} else if e.cfg.Emit != nil {
+		e.cfg.Emit(id.d, id.ts)
+	}
 }
 
 // BatchEmit receives one batch decision: the input index of the
 // bearing that completed it, the decision itself, and the client's
-// track state as it stood when the decision fused (tracked is false
-// when the client has no fix yet). The track state is captured under
-// the shard lock at decision time, so a consumer that reacts to each
-// decision sees the same state a serial Ingest+Track sequence would —
-// not one already advanced by later same-MAC bearings in the batch.
+// track state as the decision left it — the state Config.Emit receives
+// too. tracked is always true: every fused decision advances its
+// client's track. The state is captured under the shard lock at
+// decision time, never one already advanced by later same-MAC bearings
+// in the batch.
 type BatchEmit func(i int, d Decision, t TrackState, tracked bool)
 
 // IngestBatch records a slice of bearings, grouping them by shard so
@@ -444,23 +458,15 @@ func (e *Engine) IngestBatch(bs []Bearing, emit BatchEmit) {
 				s.mu.Lock()
 				cur = s
 			}
-			if d, ok := e.ingestLocked(s, bs[i], now); ok {
-				id := indexedDecision{idx: int32(i), d: d}
-				if cl := s.clients[d.MAC]; cl != nil && cl.fixes > 0 {
-					id.ts, id.tracked = cl.state(), true
-				}
-				decs = append(decs, id)
+			if d, ts, ok := e.ingestLocked(s, bs[i], now); ok {
+				decs = append(decs, indexedDecision{idx: int32(i), d: d, ts: ts})
 			}
 		}
 		if cur != nil {
 			cur.mu.Unlock()
 		}
 		for i := range decs {
-			if emit != nil {
-				emit(int(decs[i].idx), decs[i].d, decs[i].ts, decs[i].tracked)
-			} else if e.cfg.Emit != nil {
-				e.cfg.Emit(decs[i].d)
-			}
+			e.deliver(emit, &decs[i])
 		}
 		return
 	}
@@ -514,31 +520,18 @@ func (e *Engine) IngestBatch(bs []Bearing, emit BatchEmit) {
 		s := e.shards[sh]
 		s.mu.Lock()
 		for _, idx := range order[start:end] {
-			if d, ok := e.ingestLocked(s, bs[idx], now); ok {
-				id := indexedDecision{idx: idx, d: d}
-				// Capture the track state now, while later bearings in
-				// this batch (possibly for the same MAC) have not yet
-				// advanced the filter — serial-ingest equivalence.
-				if cl := s.clients[d.MAC]; cl != nil && cl.fixes > 0 {
-					id.ts, id.tracked = cl.state(), true
-				}
+			if d, ts, ok := e.ingestLocked(s, bs[idx], now); ok {
 				slot[idx] = int32(len(decs))
-				decs = append(decs, id)
+				decs = append(decs, indexedDecision{idx: idx, d: d, ts: ts})
 			}
 		}
 		s.mu.Unlock()
 		start = end
 	}
 	if len(decs) > 0 {
-		for i := range slot {
-			k := slot[i]
-			if k < 0 {
-				continue
-			}
-			if emit != nil {
-				emit(int(decs[k].idx), decs[k].d, decs[k].ts, decs[k].tracked)
-			} else if e.cfg.Emit != nil {
-				e.cfg.Emit(decs[k].d)
+		for _, k := range slot {
+			if k >= 0 {
+				e.deliver(emit, &decs[k])
 			}
 		}
 	}
@@ -546,12 +539,12 @@ func (e *Engine) IngestBatch(bs []Bearing, emit BatchEmit) {
 	e.batchPool.Put(sc)
 }
 
-func (e *Engine) ingestLocked(s *shard, b Bearing, now time.Time) (Decision, bool) {
+func (e *Engine) ingestLocked(s *shard, b Bearing, now time.Time) (Decision, TrackState, bool) {
 	s.ctr.ingested++
 	cl := s.touch(e, b.MAC)
 	if cl.seen(b.Seq) {
 		s.ctr.dupDropped++
-		return Decision{}, false
+		return Decision{}, TrackState{}, false
 	}
 	p := cl.pending[b.Seq]
 	if p == nil {
@@ -569,7 +562,7 @@ func (e *Engine) ingestLocked(s *shard, b Bearing, now time.Time) (Decision, boo
 	}
 	p.bearings[b.AP] = apBearing{pos: b.APPos, deg: b.Deg}
 	if len(p.bearings) < e.cfg.MinAPs {
-		return Decision{}, false
+		return Decision{}, TrackState{}, false
 	}
 
 	// Geometric dilution guard: when every pair of bearing lines is
@@ -584,7 +577,7 @@ func (e *Engine) ingestLocked(s *shard, b Bearing, now time.Time) (Decision, boo
 			p.armedAt = now
 			s.decideList.pushTail(p, decideLinks)
 		}
-		return Decision{}, false
+		return Decision{}, TrackState{}, false
 	}
 	return e.finalizeLocked(s, p, now, false)
 }
@@ -633,8 +626,9 @@ func (e *Engine) diverse(p *pendingTx) bool {
 
 // finalizeLocked fuses a pending entry, records the seq in the dedup
 // window, and advances the client's mobility track. Shard lock held;
-// the returned decision is emitted by the caller after unlock.
-func (e *Engine) finalizeLocked(s *shard, p *pendingTx, now time.Time, forced bool) (Decision, bool) {
+// the caller emits the returned decision, with the track state it just
+// advanced, after unlock.
+func (e *Engine) finalizeLocked(s *shard, p *pendingTx, now time.Time, forced bool) (Decision, TrackState, bool) {
 	// Capture everything needed after dropPending now: the pool may hand
 	// p to another shard the moment it is dropped.
 	cl, seq, trace := p.cl, p.seq, p.trace
@@ -665,7 +659,7 @@ func (e *Engine) finalizeLocked(s *shard, p *pendingTx, now time.Time, forced bo
 		if forced {
 			s.dropPending(e, p)
 		}
-		return Decision{}, false
+		return Decision{}, TrackState{}, false
 	}
 	s.dropPending(e, p)
 	cl.mark(seq)
@@ -682,7 +676,7 @@ func (e *Engine) finalizeLocked(s *shard, p *pendingTx, now time.Time, forced bo
 	cl.fixes++
 	cl.lastSeq = seq
 	cl.lastDecision = dec
-	return Decision{MAC: cl.mac, Seq: seq, Pos: pos, Decision: dec, APs: aps, Forced: forced, Trace: trace}, true
+	return Decision{MAC: cl.mac, Seq: seq, Pos: pos, Decision: dec, APs: aps, Forced: forced, Trace: trace}, cl.state(), true
 }
 
 // Sweep processes every deadline due at or before now: sub-MinAPs
@@ -693,15 +687,15 @@ func (e *Engine) finalizeLocked(s *shard, p *pendingTx, now time.Time, forced bo
 func (e *Engine) Sweep(now time.Time) {
 	for _, s := range e.shards {
 		s.mu.Lock()
-		var out []Decision
+		var out []indexedDecision
 		// Decision deadlines first (they are the shorter duration):
 		// every armed entry already has >= MinAPs bearings.
 		for p := s.decideList.head; p != nil; p = s.decideList.head {
 			if now.Before(p.armedAt.Add(e.cfg.DecisionTimeout)) {
 				break
 			}
-			if dec, ok := e.finalizeLocked(s, p, now, true); ok {
-				out = append(out, dec)
+			if d, ts, ok := e.finalizeLocked(s, p, now, true); ok {
+				out = append(out, indexedDecision{d: d, ts: ts})
 			}
 		}
 		for p := s.ttlList.head; p != nil; p = s.ttlList.head {
@@ -711,8 +705,8 @@ func (e *Engine) Sweep(now time.Time) {
 			if len(p.bearings) >= e.cfg.MinAPs {
 				// Viable but still held at TTL (the decision deadline
 				// postdates it): fuse what we have rather than discard.
-				if dec, ok := e.finalizeLocked(s, p, now, true); ok {
-					out = append(out, dec)
+				if d, ts, ok := e.finalizeLocked(s, p, now, true); ok {
+					out = append(out, indexedDecision{d: d, ts: ts})
 				}
 				continue
 			}
@@ -722,10 +716,8 @@ func (e *Engine) Sweep(now time.Time) {
 			e.logf("fusion: expired %v seq %d with %d bearing(s) after %v", cl.mac, seq, n, e.cfg.PendingTTL)
 		}
 		s.mu.Unlock()
-		if e.cfg.Emit != nil {
-			for _, dec := range out {
-				e.cfg.Emit(dec)
-			}
+		for i := range out {
+			e.deliver(nil, &out[i])
 		}
 	}
 }

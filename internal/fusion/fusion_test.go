@@ -40,7 +40,7 @@ type capture struct {
 	logs []string
 }
 
-func (c *capture) emit(d Decision) {
+func (c *capture) emit(d Decision, _ TrackState) {
 	c.mu.Lock()
 	c.decs = append(c.decs, d)
 	c.mu.Unlock()
@@ -431,7 +431,7 @@ func TestFusionConcurrentIngest(t *testing.T) {
 	var decided atomic.Uint64
 	cfg := Config{
 		Fence: testFence(),
-		Emit:  func(Decision) { decided.Add(1) },
+		Emit:  func(Decision, TrackState) { decided.Add(1) },
 		// Both APs reporting triggers the all-APs shortcut, so no key
 		// can stall on the diversity guard under the frozen test clock.
 		APCount: func() int { return 2 },

@@ -7,19 +7,19 @@ package journal
 // sweep hook (so time-driven transitions — decay releases, pending
 // TTLs, forced decisions — happen at their recorded moments), and
 // dispatches the *input* events to the caller's sinks. The controller's
-// crash recovery feeds its live engines through it; Replay feeds fresh
-// engines and captures the directive sequence, optionally under a
-// different DefensePolicy — the counterfactual knob.
+// crash recovery feeds its live engines through it; Replay feeds a
+// fresh one-partition partition.Set — the same fusion→defense loop —
+// and captures the directive sequence, optionally under a different
+// DefensePolicy — the counterfactual knob.
 
 import (
-	"bytes"
 	"fmt"
-	"sort"
 	"time"
 
 	"secureangle/internal/defense"
 	"secureangle/internal/fusion"
 	"secureangle/internal/locate"
+	"secureangle/internal/partition"
 )
 
 // Hooks are ApplyRecords' sinks. Nil hooks are skipped. Clock is
@@ -177,13 +177,17 @@ type ReplayResult struct {
 	Quarantined []defense.ClientThreat
 }
 
-// Replay re-runs a journal directory's event stream against fresh
-// fusion and defense engines driven by the recorded clock, under
-// opts.Policy, and returns the counterfactual directive sequence. Two
-// replays of the same journal with the same options produce
-// byte-identical Wire sequences: inputs are applied in LSN order on one
-// goroutine, both engines iterate deterministically, and fusion sorts
-// bearings before the least-squares fuse.
+// Replay re-runs a journal directory's event stream through the live
+// closed loop — a fresh one-partition partition.Set, whose fusion
+// decisions feed defense through Set.ReportDecision exactly as the
+// controller's do — driven by the recorded clock, under opts.Policy,
+// and returns the counterfactual directive sequence. Reports keep
+// their recorded trace IDs, so under the recorded policy the replayed
+// directives carry the recorded traces. Two replays of the same journal
+// with the same options produce byte-identical Wire sequences: inputs
+// are applied in LSN order on one goroutine, both engines iterate
+// deterministically, and fusion sorts bearings before the
+// least-squares fuse.
 func Replay(dir string, opts ReplayOptions) (*ReplayResult, error) {
 	if opts.Fence == nil {
 		return nil, fmt.Errorf("journal: Replay needs the deployment's Fence")
@@ -200,8 +204,7 @@ func Replay(dir string, opts ReplayOptions) (*ReplayResult, error) {
 	// bound that converges after one report from each AP.
 	apSeen := map[string]bool{}
 
-	var fusEng *fusion.Engine
-	var defEng *defense.Engine
+	var set *partition.Set
 	var lastLSN uint64
 
 	fcfg := opts.Fusion
@@ -210,26 +213,11 @@ func Replay(dir string, opts ReplayOptions) (*ReplayResult, error) {
 	fcfg.TickInterval = time.Hour // replay drives Sweep itself
 	fcfg.APCount = func() int { return len(apSeen) }
 	fcfg.Logf = opts.Logf
-	// The decision sink mirrors the controller's closed loop: every
-	// fused decision is defense evidence, and the refreshed track both
-	// updates the threat's position and surfaces velocity anomalies.
-	fcfg.Emit = func(d fusion.Decision) {
+	fcfg.Emit = func(d fusion.Decision, ts fusion.TrackState) {
 		res.Decisions++
-		defEng.ReportFence(defense.FenceVerdict{
-			MAC: d.MAC, Seq: d.Seq, Pos: d.Pos,
-			Allowed: d.Decision == locate.Allow, Forced: d.Forced,
-		})
-		if ts, ok := fusEng.Track(d.MAC); ok {
-			defEng.ReportTrack(defense.TrackVerdict{MAC: d.MAC, Pos: ts.Pos, Vel: ts.Vel})
-		}
+		set.ReportDecision(d, ts)
 	}
-	fusEng, err := fusion.New(fcfg)
-	if err != nil {
-		return nil, err
-	}
-	defer fusEng.Close()
-
-	defEng, err = defense.New(defense.Config{
+	dcfg := defense.Config{
 		Policy:       opts.Policy,
 		Clock:        clk.Now,
 		TickInterval: time.Hour,
@@ -242,20 +230,19 @@ func Replay(dir string, opts ReplayOptions) (*ReplayResult, error) {
 				Wire:      EncodeDirective(d),
 			})
 		},
-	})
+	}
+	set, err := partition.New(1,
+		func(int) fusion.Config { return fcfg },
+		func(int) defense.Config { return dcfg })
 	if err != nil {
 		return nil, err
 	}
-	defer defEng.Close()
+	defer set.Close()
 
-	sweep := func(now time.Time) {
-		fusEng.Sweep(now)
-		defEng.Sweep(now)
-	}
 	var endTS time.Time
 	last, _, err := ApplyRecords(dir, opts.After, Hooks{
 		Clock: clk,
-		Sweep: sweep,
+		Sweep: set.Sweep,
 		OnRecord: func(rec Record) {
 			lastLSN = rec.LSN
 			endTS = rec.TS
@@ -263,15 +250,15 @@ func Replay(dir string, opts ReplayOptions) (*ReplayResult, error) {
 		Report: func(ev ReportEvent) {
 			res.Reports++
 			apSeen[ev.AP] = true
-			fusEng.Ingest(fusion.Bearing{AP: ev.AP, APPos: ev.APPos, MAC: ev.MAC, Seq: ev.Seq, Deg: ev.BearingDeg})
+			set.Ingest(fusion.Bearing{AP: ev.AP, APPos: ev.APPos, MAC: ev.MAC, Seq: ev.Seq, Deg: ev.BearingDeg, Trace: ev.Trace})
 		},
 		Alert: func(v defense.SpoofVerdict) {
 			res.Alerts++
-			defEng.ReportSpoof(v)
+			set.ReportSpoof(v)
 		},
 		Release: func(ev ReleaseEvent) {
 			res.Releases++
-			defEng.Release(ev.MAC)
+			set.Release(ev.MAC)
 		},
 		Directive: func(d defense.Directive) {
 			res.RecordedDirectives = append(res.RecordedDirectives, d)
@@ -287,17 +274,9 @@ func Replay(dir string, opts ReplayOptions) (*ReplayResult, error) {
 	if opts.Tail > 0 && !endTS.IsZero() {
 		for t := endTS.Add(opts.TailStep); !t.After(endTS.Add(opts.Tail)); t = t.Add(opts.TailStep) {
 			clk.Set(t)
-			sweep(t)
+			set.Sweep(t)
 		}
 	}
-	res.Quarantined = defEng.Quarantined()
-	sortThreats(res.Quarantined)
+	res.Quarantined = set.Quarantined()
 	return res, nil
-}
-
-// sortThreats orders threat states by MAC for deterministic output.
-func sortThreats(ts []defense.ClientThreat) {
-	sort.Slice(ts, func(i, j int) bool {
-		return bytes.Compare(ts[i].MAC[:], ts[j].MAC[:]) < 0
-	})
 }

@@ -313,88 +313,46 @@ func (c *Controller) Threat(mac wifi.Addr) (defense.ClientThreat, bool) {
 	return defense.ClientThreat{}, false
 }
 
-// emitDecision fans one fused decision out to every subscriber, then
-// feeds the defense engine (the fusion engine calls it outside shard
-// locks). The serial path: the mobility track is queried right after
-// the fence report, which — with one ingest per emit — is the state
-// the completing bearing left behind.
-func (c *Controller) emitDecision(d fusion.Decision) {
-	if !c.fanOutDecision(d) {
-		return // mid-close: the engines may be tearing down too
-	}
-	if s := c.partsBuild(); s != nil {
-		c.reportFence(s, d)
-		if ts, ok := s.Track(d.MAC); ok {
-			s.ReportTrack(defense.TrackVerdict{MAC: d.MAC, Pos: ts.Pos, Vel: ts.Vel, Trace: d.Trace})
+// emitDecision is the fusion engines' Emit sink, called outside shard
+// locks on every path — serial and batch ingest, crash recovery and
+// the standby's live apply. It journals the decision and fans it out
+// to every subscriber, then closes the loop: ts is the track state the
+// decision left, captured under the shard lock. During journal
+// recovery the decision is a re-derivation of history: it still feeds
+// the defense engine (that is how threat scores are rebuilt), but
+// consumers must not see it again and the journal already holds it.
+func (c *Controller) emitDecision(d fusion.Decision, ts fusion.TrackState) {
+	if !c.recovering.Load() {
+		c.journalAppend(d.MAC, journal.RecDecision, journal.EncodeDecision(d))
+		// Tail-based retention decided at the fusion boundary: an allowed
+		// decision is benign (kept at the probabilistic sample rate); a
+		// denied one is fence evidence and retained unconditionally.
+		c.traceSpan(trace.StageFuse, d.Trace, d.MAC, "controller", 0)
+		if d.Decision == locate.Allow {
+			c.tracer().Sample(d.Trace)
+		} else {
+			c.tracer().Retain(d.Trace)
 		}
-	}
-}
-
-// emitDecisionTracked is emitDecision for the batched ingest path: the
-// track state was captured under the shard lock at decision time, so
-// the defense engine sees the same mobility evidence a serial
-// Ingest/emit interleaving would — not a track already advanced by
-// later same-MAC bearings in the batch.
-func (c *Controller) emitDecisionTracked(d fusion.Decision, ts fusion.TrackState, tracked bool) {
-	if !c.fanOutDecision(d) {
-		return // mid-close: the engines may be tearing down too
-	}
-	if s := c.partsBuild(); s != nil {
-		c.reportFence(s, d)
-		if tracked {
-			s.ReportTrack(defense.TrackVerdict{MAC: d.MAC, Pos: ts.Pos, Vel: ts.Vel, Trace: d.Trace})
+		out := FenceDecision{MAC: d.MAC, SeqNo: d.Seq, Pos: d.Pos, Decision: d.Decision, APs: d.APs}
+		c.mu.Lock()
+		if c.closed {
+			c.mu.Unlock()
+			return // mid-close: the engines may be tearing down too
 		}
-	}
-}
-
-// fanOutDecision journals a decision and delivers it to every
-// subscriber. It returns false when the controller is mid-close
-// (channels torn down) and the caller should stop.
-func (c *Controller) fanOutDecision(d fusion.Decision) bool {
-	// During journal recovery the decision is a re-derivation of history:
-	// it still feeds the defense engine (that is how threat scores are
-	// rebuilt), but consumers must not see it again and the journal
-	// already holds it.
-	if c.recovering.Load() {
-		return true
-	}
-	c.journalAppend(d.MAC, journal.RecDecision, journal.EncodeDecision(d))
-	// Tail-based retention decided at the fusion boundary: an allowed
-	// decision is benign (kept at the probabilistic sample rate); a
-	// denied one is fence evidence and retained unconditionally.
-	c.traceSpan(trace.StageFuse, d.Trace, d.MAC, "controller", 0)
-	if d.Decision == locate.Allow {
-		c.tracer().Sample(d.Trace)
-	} else {
-		c.tracer().Retain(d.Trace)
-	}
-	out := FenceDecision{MAC: d.MAC, SeqNo: d.Seq, Pos: d.Pos, Decision: d.Decision, APs: d.APs}
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return false // the decision channels may be mid-close
-	}
-	for id, ch := range c.subs {
-		select {
-		case ch <- out:
-		default:
-			if c.Logf != nil {
-				c.logf("controller: subscriber %d behind, dropping %v", id, out.MAC)
+		for id, ch := range c.subs {
+			select {
+			case ch <- out:
+			default:
+				if c.Logf != nil {
+					c.logf("controller: subscriber %d behind, dropping %v", id, out.MAC)
+				}
 			}
 		}
+		c.mu.Unlock()
 	}
-	c.mu.Unlock()
-	return true
-}
-
-// reportFence closes the loop: every fused fence decision is defense
-// evidence.
-func (c *Controller) reportFence(s *partition.Set, d fusion.Decision) {
-	s.ReportFence(defense.FenceVerdict{
-		MAC: d.MAC, Seq: d.Seq, Pos: d.Pos,
-		Allowed: d.Decision == locate.Allow, Forced: d.Forced,
-		Trace: d.Trace,
-	})
+	if s := c.partsLoaded(); s != nil {
+		s.ReportDecision(d, ts)
+	}
 }
 
 // ControllerStats aggregates the fusion engine's counters with the
@@ -836,13 +794,10 @@ func (c *Controller) ingest(r Report) {
 }
 
 // batchIngestScratch is the pooled per-batch state of ingestBatch: the
-// resolved bearings, their partition-grouped reordering, and the
-// encode arena + record headers each journal flush reuses.
+// resolved bearings and the encode arena + record headers each journal
+// flush reuses.
 type batchIngestScratch struct {
 	bearings []fusion.Bearing
-	grouped  []fusion.Bearing
-	partOf   []int32
-	counts   []int32
 	recs     []journal.Record
 	enc      []byte
 	offs     []int32
@@ -851,13 +806,14 @@ type batchIngestScratch struct {
 var batchIngestPool = sync.Pool{New: func() any { return &batchIngestScratch{} }}
 
 // ingestBatch is the TypeReportBatch fast path: one AP-position lookup
-// pass under one lock, one partition grouping pass, one engine batch
-// per touched partition (fusion takes each shard lock once, not once
-// per report), and group-committed report records. Per-partition
-// journal streams are byte-identical to len(rs) serial ingest calls:
-// within a partition, the records of report i's fused decision (and
-// any directives it provokes) land before report i's own record, and
-// reports between decisions group-commit as one journal batch.
+// pass under one lock, one partition grouping pass (partition.Set's
+// Group), one engine batch per touched partition (fusion takes each
+// shard lock once, not once per report), and group-committed report
+// records. Per-partition journal streams are byte-identical to len(rs)
+// serial ingest calls: within a partition, the records of report i's
+// fused decision (and any directives it provokes) land before report
+// i's own record, and reports between decisions group-commit as one
+// journal batch.
 func (c *Controller) ingestBatch(rs []Report) {
 	if len(rs) == 0 {
 		return
@@ -892,60 +848,11 @@ func (c *Controller) ingestBatch(rs []Report) {
 			c.logf("controller: %d report(s) from unknown AP(s) dropped", unknown)
 		}
 	}
-	if len(bearings) == 0 {
-		c.releaseBatchScratch(sc)
-		return
-	}
-
-	set := c.partsBuild()
-	n := 1
-	if set != nil {
-		n = set.N()
-	} else if js := c.journals(); js != nil {
-		n = len(js) // journal-only mode: group for the right journals
-	}
-	if n == 1 {
-		c.ingestRun(set, 0, bearings, sc)
-		c.releaseBatchScratch(sc)
-		return
-	}
-
-	// Group bearings by partition (stable counting sort): each
-	// partition's engine and journal then see one contiguous run.
-	if cap(sc.partOf) < len(bearings) {
-		sc.partOf = make([]int32, len(bearings))
-		sc.grouped = make([]fusion.Bearing, len(bearings))
-	}
-	if cap(sc.counts) < n+1 {
-		sc.counts = make([]int32, n+1)
-	}
-	partOf, grouped := sc.partOf[:len(bearings)], sc.grouped[:len(bearings)]
-	counts := sc.counts[:n+1]
-	for i := range counts {
-		counts[i] = 0
-	}
-	for i := range bearings {
-		p := int32(partition.IndexFor(bearings[i].MAC, n))
-		partOf[i] = p
-		counts[p+1]++
-	}
-	for p := 0; p < n; p++ {
-		counts[p+1] += counts[p]
-	}
-	next := counts[:n]
-	for i := range bearings {
-		p := partOf[i]
-		grouped[next[p]] = bearings[i]
-		next[p]++
-	}
-	start := int32(0)
-	for p := 0; p < n; p++ {
-		end := counts[p] // advanced to the run's end by the scatter
-		if end == start {
-			continue
-		}
-		c.ingestRun(set, p, grouped[start:end], sc)
-		start = end
+	// The set is nil only after Close, which also sealed the journals.
+	if set := c.partsBuild(); set != nil {
+		set.Group(bearings, func(p int, run []fusion.Bearing, _ []int32) {
+			c.ingestRun(set, p, run, sc)
+		})
 	}
 	c.releaseBatchScratch(sc)
 }
@@ -957,15 +864,13 @@ func (c *Controller) ingestBatch(rs []Report) {
 // before that decision's records.
 func (c *Controller) ingestRun(set *partition.Set, p int, run []fusion.Bearing, sc *batchIngestScratch) {
 	cursor := 0
-	if set != nil {
-		set.At(p).Fusion.IngestBatch(run, func(i int, d fusion.Decision, ts fusion.TrackState, tracked bool) {
-			if i > cursor {
-				c.flushReportRun(p, run[cursor:i], sc)
-				cursor = i
-			}
-			c.emitDecisionTracked(d, ts, tracked)
-		})
-	}
+	set.At(p).Fusion.IngestBatch(run, func(i int, d fusion.Decision, ts fusion.TrackState, _ bool) {
+		if i > cursor {
+			c.flushReportRun(p, run[cursor:i], sc)
+			cursor = i
+		}
+		c.emitDecision(d, ts)
+	})
 	c.flushReportRun(p, run[cursor:], sc)
 }
 
@@ -995,9 +900,6 @@ func (c *Controller) flushReportRun(p int, run []fusion.Bearing, sc *batchIngest
 		prev = off
 	}
 	sc.enc, sc.offs, sc.recs = enc, offs, recs
-	if p < 0 || p >= len(js) {
-		p = 0
-	}
 	if _, err := js[p].AppendBatch(recs); err != nil && !errors.Is(err, journal.ErrClosed) {
 		c.logf("controller: journal batch append p%d: %v", p, err)
 	}
@@ -1006,7 +908,6 @@ func (c *Controller) flushReportRun(p int, run []fusion.Bearing, sc *batchIngest
 // releaseBatchScratch clears reference-holding scratch and pools it.
 func (c *Controller) releaseBatchScratch(sc *batchIngestScratch) {
 	clear(sc.bearings)
-	clear(sc.grouped)
 	clear(sc.recs) // Data fields alias the arena; drop them
 	batchIngestPool.Put(sc)
 }

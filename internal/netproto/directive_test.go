@@ -331,3 +331,62 @@ func TestDefenseQuarantineDecaysOverController(t *testing.T) {
 		}
 	}
 }
+
+// TestAbandonedQueryDoesNotStallDirectives: a QueryThreats whose ctx
+// expires before the reply must unsubscribe, so a late multi-frame
+// reply is discarded instead of filling the reply channel and blocking
+// the shared reader — the directive written after it still arrives.
+func TestAbandonedQueryDoesNotStallDirectives(t *testing.T) {
+	client, server := net.Pipe()
+	defer server.Close()
+	mac := wifi.MustParseAddr("66:00:00:00:00:09")
+	abandoned := make(chan struct{})
+	go func() {
+		if _, err := ReadMessage(server); err != nil { // Hello
+			return
+		}
+		if err := WriteMessage(server, MarshalWelcome(Welcome{})); err != nil {
+			return
+		}
+		body, err := ReadMessage(server)
+		if err != nil {
+			return
+		}
+		msg, err := Unmarshal(body)
+		if err != nil {
+			return
+		}
+		q := msg.(Query)
+		<-abandoned
+		for i := 0; i < 5; i++ {
+			if err := WriteMessage(server, MarshalThreats(Threats{ID: q.ID, More: i < 4})); err != nil {
+				return
+			}
+		}
+		WriteMessage(server, MarshalDirective(Directive{Directive: defense.Directive{
+			MAC: mac, Action: defense.ActionQuarantine, To: defense.StateQuarantine,
+		}}))
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	ag, err := NewAgentContext(ctx, client, Hello{Name: "ap1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ag.Close()
+	qctx, qcancel := context.WithTimeout(ctx, 50*time.Millisecond)
+	defer qcancel()
+	if _, err := ag.QueryThreats(qctx, Query{All: true}); err == nil {
+		t.Fatal("query answered; the controller never replied in time")
+	}
+	directives := ag.Directives()
+	close(abandoned)
+	select {
+	case d := <-directives:
+		if d.MAC != mac {
+			t.Fatalf("directive = %+v", d)
+		}
+	case <-ctx.Done():
+		t.Fatal("directive behind a late reply to an abandoned query never arrived")
+	}
+}

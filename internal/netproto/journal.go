@@ -27,7 +27,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"time"
 
 	"secureangle/internal/defense"
@@ -526,10 +525,7 @@ func (c *Controller) appendResume(b []byte) ([]byte, int) {
 	if set == nil {
 		return b, 0
 	}
-	qs := set.Quarantined()
-	sort.Slice(qs, func(i, k int) bool {
-		return bytes.Compare(qs[i].MAC[:], qs[k].MAC[:]) < 0
-	})
+	qs := set.Quarantined() // MAC order
 	policy := c.DefensePolicy.WithDefaults()
 	for _, st := range qs {
 		d := defense.Directive{

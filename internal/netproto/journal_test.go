@@ -421,3 +421,67 @@ func TestJournalCorruptSnapshotFallsBack(t *testing.T) {
 		t.Errorf("no fallback log line; logs = %q", logs)
 	}
 }
+
+// TestReplayMatchesLiveTraces pins journal.Replay to the live closed
+// loop: a journaled controller quarantines several MACs from traced
+// out-of-fence reports, and replaying its journal under the same
+// policy re-derives the recorded directive sequence — action, state
+// transition and trace ID of every directive.
+func TestReplayMatchesLiveTraces(t *testing.T) {
+	fence := &locate.Fence{Boundary: geom.Rect(0, 0, 24, 16)}
+	c := NewController(fence)
+	c.SnapshotInterval = -1
+	c.Logf = func(string, ...any) {}
+	dir := t.TempDir()
+	if err := c.WithJournalDir(dir, journal.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	ap1Pos, ap2Pos := geom.Point{X: 0, Y: 0}, geom.Point{X: 24, Y: 0}
+	c.mu.Lock()
+	c.apPos["ap1"], c.apPos["ap2"] = ap1Pos, ap2Pos
+	c.mu.Unlock()
+
+	const attackers = 3
+	for m := 0; m < attackers; m++ {
+		mac := wifi.Addr{0x02, 0, 0, 0, 0, byte(m + 1)}
+		target := geom.Point{X: 4 + 8*float64(m), Y: 20} // outside the fence
+		for seq := uint64(1); seq <= 6; seq++ {
+			tr := uint64(m+1)<<32 | seq<<8
+			c.ingest(Report{APName: "ap1", MAC: mac, SeqNo: seq, BearingDeg: geom.BearingDeg(ap1Pos, target), Trace: tr | 1})
+			c.ingest(Report{APName: "ap2", MAC: mac, SeqNo: seq, BearingDeg: geom.BearingDeg(ap2Pos, target), Trace: tr | 2})
+		}
+	}
+	if got := len(c.Quarantined()); got != attackers {
+		t.Fatalf("live controller quarantined %d MACs, want %d", got, attackers)
+	}
+	policy := c.DefensePolicy
+	c.Close()
+
+	res, err := journal.Replay(dir, journal.ReplayOptions{Fence: fence, Policy: policy})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := res.RecordedDirectives
+	quarantines := 0
+	for _, d := range rec {
+		if d.To == defense.StateQuarantine {
+			quarantines++
+		}
+		if d.Trace == 0 {
+			t.Errorf("recorded directive %v %v→%v carries no trace", d.MAC, d.From, d.To)
+		}
+	}
+	if quarantines < attackers {
+		t.Fatalf("journal recorded %d quarantines, want >= %d", quarantines, attackers)
+	}
+	if len(res.Directives) != len(rec) {
+		t.Fatalf("replay emitted %d directives, journal recorded %d", len(res.Directives), len(rec))
+	}
+	for i, r := range res.Directives {
+		got, want := r.Directive, rec[i]
+		if got.MAC != want.MAC || got.Action != want.Action || got.From != want.From || got.To != want.To || got.Trace != want.Trace {
+			t.Errorf("directive %d: replayed %v %v %v→%v trace %#x, recorded %v %v %v→%v trace %#x",
+				i, got.MAC, got.Action, got.From, got.To, got.Trace, want.MAC, want.Action, want.From, want.To, want.Trace)
+		}
+	}
+}

@@ -373,6 +373,9 @@ func (a *Agent) TrackReplies() <-chan Tracks {
 // with manual TrackReplies consumption.
 func (a *Agent) QueryTracks(ctx context.Context, q Query) ([]fusion.TrackState, error) {
 	ch := a.TrackReplies() // start the reader before the request can race the reply
+	// Unsubscribe on return: a late reply to an abandoned query must be
+	// discarded, not fill the channel and stall the shared reader.
+	defer a.wantTracks.Store(false)
 	q.Kind = KindTracks
 	q.ID = a.querySeq.Add(1)
 	if err := a.Query(q); err != nil {
@@ -413,6 +416,7 @@ func (a *Agent) ThreatReplies() <-chan Threats {
 // with manual ThreatReplies consumption.
 func (a *Agent) QueryThreats(ctx context.Context, q Query) ([]defense.ClientThreat, error) {
 	ch := a.ThreatReplies()
+	defer a.wantThreats.Store(false) // see QueryTracks
 	q.Kind = KindThreats
 	q.ID = a.querySeq.Add(1)
 	if err := a.Query(q); err != nil {

@@ -13,7 +13,6 @@ package netproto
 // the restored quarantine state.
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -190,29 +189,16 @@ func (s *Standby) followOnce(ctx context.Context) error {
 
 	// Observer handshake: an empty Hello name keeps the standby out of
 	// the leader's AP position table (it is never a bearing source),
-	// and the token authenticates the subscription.
-	if err := WriteMessage(conn, MarshalHello(Hello{Token: s.cfg.Token})); err != nil {
+	// and the token authenticates the subscription. The Welcome's read
+	// may pull in the first Segment too: the apply loop reads through
+	// the handshake's buffered reader.
+	hctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+	ag, err := handshake(hctx, conn, Hello{Token: s.cfg.Token})
+	cancel()
+	if err != nil {
 		return err
 	}
-	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	// The Welcome's read may pull in the first Segment too: the apply
-	// loop reads through the same buffered reader.
-	br := bufio.NewReader(conn)
-	body, err := ReadMessage(br)
-	if err != nil {
-		return fmt.Errorf("welcome: %w", err)
-	}
-	msg, err := Unmarshal(body)
-	if err != nil {
-		return fmt.Errorf("welcome: %w", err)
-	}
-	w, ok := msg.(Welcome)
-	if !ok {
-		return fmt.Errorf("expected Welcome, got %T", msg)
-	}
-	if w.Status != WelcomeOK {
-		return ErrAuthRejected
-	}
+	br := ag.br
 
 	// Subscribe from what the local journals already hold.
 	if err := WriteMessage(conn, MarshalSegmentAck(s.subscribeAck())); err != nil {

@@ -15,10 +15,10 @@ import (
 
 // testSetFixed builds a Set with a pinned clock so serial and batch
 // runs stamp identical decisions.
-func testSetFixed(t testing.TB, n int, emit func(fusion.Decision)) *Set {
+func testSetFixed(t testing.TB, n int, emit func(fusion.Decision, fusion.TrackState)) *Set {
 	t.Helper()
 	if emit == nil {
-		emit = func(fusion.Decision) {}
+		emit = func(fusion.Decision, fusion.TrackState) {}
 	}
 	s, err := New(n,
 		func(p int) fusion.Config {
@@ -82,7 +82,7 @@ func TestSetIngestBatchMatchesSerial(t *testing.T) {
 		}
 
 		var serial []fusion.Decision
-		ss := testSetFixed(t, parts, func(d fusion.Decision) { serial = append(serial, d) })
+		ss := testSetFixed(t, parts, func(d fusion.Decision, _ fusion.TrackState) { serial = append(serial, d) })
 		for _, b := range bs {
 			ss.Ingest(b)
 		}
@@ -116,7 +116,7 @@ func TestSetIngestBatchMatchesSerial(t *testing.T) {
 func TestSetIngestBatchNilEmit(t *testing.T) {
 	bs := setWorkload()
 	count := 0
-	s := testSetFixed(t, 4, func(fusion.Decision) { count++ })
+	s := testSetFixed(t, 4, func(fusion.Decision, fusion.TrackState) { count++ })
 	s.IngestBatch(bs, nil)
 	if count == 0 {
 		t.Fatal("nil emit: no decisions reached the configured Emit")

@@ -22,6 +22,7 @@ import (
 
 	"secureangle/internal/defense"
 	"secureangle/internal/fusion"
+	"secureangle/internal/locate"
 	"secureangle/internal/wifi"
 )
 
@@ -116,40 +117,32 @@ func (s *Set) For(mac wifi.Addr) Part { return s.parts[s.IndexFor(mac)] }
 // Ingest routes a bearing to its MAC's partition.
 func (s *Set) Ingest(b fusion.Bearing) { s.For(b.MAC).Fusion.Ingest(b) }
 
-// setBatchScratch is the pooled grouping state one IngestBatch call
-// borrows: the partition-grouped reordering of the batch.
-type setBatchScratch struct {
+// groupScratch is the pooled state one Group call borrows: the
+// partition-grouped reordering of the batch.
+type groupScratch struct {
 	partOf  []int32
 	counts  []int32
 	order   []int32
 	grouped []fusion.Bearing
 }
 
-var setBatchPool = sync.Pool{New: func() any { return &setBatchScratch{} }}
+var groupPool = sync.Pool{New: func() any { return &groupScratch{} }}
 
-// IngestBatch routes a slice of bearings, grouping them by partition
-// index once so each touched partition's engine takes its shard locks
-// once per batch (fusion.Engine.IngestBatch) instead of once per
-// bearing. Per-MAC input order is preserved, so the decisions are
-// exactly those of len(bs) serial Ingest calls; they are delivered
-// outside all engine locks, grouped by partition and input-ordered
-// within each partition. emit, when non-nil, receives each decision
-// with the input index of the bearing that completed it and overrides
-// the engines' configured Emit for this batch.
-func (s *Set) IngestBatch(bs []fusion.Bearing, emit fusion.BatchEmit) {
+// Group is the set's batch router, a stable counting sort by owning
+// partition: it calls fn once per partition that owns any of bs, in
+// partition order, with that partition's bearings in input order (run)
+// and their indices in bs (idx). With one partition, run is bs itself
+// and idx is nil. run and idx are only valid during fn.
+func (s *Set) Group(bs []fusion.Bearing, fn func(p int, run []fusion.Bearing, idx []int32)) {
 	if len(bs) == 0 {
 		return
 	}
-	if len(s.parts) == 1 {
-		if emit == nil {
-			s.parts[0].Fusion.IngestBatch(bs, nil)
-			return
-		}
-		s.parts[0].Fusion.IngestBatch(bs, emit)
+	n := int32(len(s.parts))
+	if n == 1 {
+		fn(0, bs, nil)
 		return
 	}
-	n := int32(len(s.parts))
-	sc := setBatchPool.Get().(*setBatchScratch)
+	sc := groupPool.Get().(*groupScratch)
 	if cap(sc.partOf) < len(bs) {
 		sc.partOf = make([]int32, len(bs))
 		sc.order = make([]int32, len(bs))
@@ -181,21 +174,50 @@ func (s *Set) IngestBatch(bs []fusion.Bearing, emit fusion.BatchEmit) {
 	start := int32(0)
 	for p := int32(0); p < n; p++ {
 		end := counts[p] // advanced to the run's end by the scatter
-		if end == start {
-			continue
-		}
-		run, runOrder := grouped[start:end], order[start:end]
-		if emit == nil {
-			s.parts[p].Fusion.IngestBatch(run, nil)
-		} else {
-			s.parts[p].Fusion.IngestBatch(run, func(i int, d fusion.Decision, t fusion.TrackState, tracked bool) {
-				emit(int(runOrder[i]), d, t, tracked)
-			})
+		if end > start {
+			fn(int(p), grouped[start:end], order[start:end])
 		}
 		start = end
 	}
 	clear(grouped) // drop Bearing string refs before pooling
-	setBatchPool.Put(sc)
+	groupPool.Put(sc)
+}
+
+// IngestBatch routes a slice of bearings through Group, so each
+// touched partition's engine takes its shard locks once per batch
+// (fusion.Engine.IngestBatch) instead of once per bearing. Per-MAC
+// input order is preserved, so the decisions are exactly those of
+// len(bs) serial Ingest calls; they are delivered outside all engine
+// locks, grouped by partition and input-ordered within each partition.
+// emit, when non-nil, receives each decision with the input index of
+// the bearing that completed it and overrides the engines' configured
+// Emit for this batch.
+func (s *Set) IngestBatch(bs []fusion.Bearing, emit fusion.BatchEmit) {
+	s.Group(bs, func(p int, run []fusion.Bearing, idx []int32) {
+		fe := s.parts[p].Fusion
+		if emit == nil || idx == nil {
+			fe.IngestBatch(run, emit)
+			return
+		}
+		fe.IngestBatch(run, func(i int, d fusion.Decision, t fusion.TrackState, tracked bool) {
+			emit(int(idx[i]), d, t, tracked)
+		})
+	})
+}
+
+// ReportDecision closes the loop for one fused decision: the fence
+// verdict and the track verdict (ts, the track state the decision
+// left) go to the MAC's defense engine, both carrying d.Trace. Live
+// ingest, crash recovery, the standby and journal.Replay all feed
+// defense through it.
+func (s *Set) ReportDecision(d fusion.Decision, ts fusion.TrackState) {
+	de := s.For(d.MAC).Defense
+	de.ReportFence(defense.FenceVerdict{
+		MAC: d.MAC, Seq: d.Seq, Pos: d.Pos,
+		Allowed: d.Decision == locate.Allow, Forced: d.Forced,
+		Trace: d.Trace,
+	})
+	de.ReportTrack(defense.TrackVerdict{MAC: d.MAC, Pos: ts.Pos, Vel: ts.Vel, Trace: d.Trace})
 }
 
 // ReportSpoof routes a spoof verdict to its MAC's partition.

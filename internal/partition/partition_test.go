@@ -17,10 +17,10 @@ func testFence() *locate.Fence {
 	return &locate.Fence{Boundary: geom.Rect(0, 0, 24, 16)}
 }
 
-func testSet(t testing.TB, n int, emit func(fusion.Decision)) *Set {
+func testSet(t testing.TB, n int, emit func(fusion.Decision, fusion.TrackState)) *Set {
 	t.Helper()
 	if emit == nil {
-		emit = func(fusion.Decision) {}
+		emit = func(fusion.Decision, fusion.TrackState) {}
 	}
 	s, err := New(n,
 		func(p int) fusion.Config {
@@ -118,7 +118,7 @@ func TestPartitionSetRoutesByRange(t *testing.T) {
 // stats, and the merged snapshots are MAC-sorted across partitions.
 func TestPartitionSetFanIn(t *testing.T) {
 	decisions := 0
-	s := testSet(t, 4, func(fusion.Decision) { decisions++ })
+	s := testSet(t, 4, func(fusion.Decision, fusion.TrackState) { decisions++ })
 	ap1, ap2 := geom.Point{X: 0, Y: 0}, geom.Point{X: 24, Y: 0}
 	target := geom.Point{X: 12, Y: 8}
 	const clients = 32
@@ -223,7 +223,7 @@ func benchSet(b *testing.B, parts int) *Set {
 				APCount:      func() int { return 2 },
 				TickInterval: time.Hour,
 				MaxClients:   fusion.DefaultMaxClients / parts,
-				Emit:         func(fusion.Decision) {},
+				Emit:         func(fusion.Decision, fusion.TrackState) {},
 			}
 		},
 		func(p int) defense.Config {

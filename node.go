@@ -2,9 +2,7 @@ package secureangle
 
 // The v2 API surface: a long-lived Node built with functional options,
 // context threaded end to end, a streaming ingestion handle with
-// backpressure, and the typed error taxonomy. The v1 entry points
-// (NewTestbedAP*, ObserveFrame*) remain as thin adapters over this
-// constructor.
+// backpressure, and the typed error taxonomy.
 
 import (
 	"context"
@@ -200,9 +198,12 @@ func (n *Node) Stream(ctx context.Context, depth int) *Stream {
 	return n.ap.Stream(ctx, depth)
 }
 
+// uplinkPayload is the canonical testbed uplink payload; hoisted so the
+// steady-state packet path does not re-allocate it.
+var uplinkPayload = []byte("uplink")
+
 // ObserveTestbedFrame synthesises one QPSK uplink data frame from the
-// given testbed client ID at pos and observes it — the v2 form of the
-// package-level ObserveFrame helper.
+// given testbed client ID at pos and observes it.
 func (n *Node) ObserveTestbedFrame(ctx context.Context, clientID int, pos Point) (*Report, error) {
 	bb, err := testbed.FrameBaseband(testbed.UplinkFrame(clientID, 1, uplinkPayload), ofdm.QPSK)
 	if err != nil {
@@ -212,8 +213,7 @@ func (n *Node) ObserveTestbedFrame(ctx context.Context, clientID int, pos Point)
 }
 
 // TestbedBatchItem builds the BatchItem for a testbed client's QPSK
-// uplink frame — the per-item half of ObserveFrameBatch, usable with
-// both ObserveBatch and Stream.Submit.
+// uplink frame, usable with both ObserveBatch and Stream.Submit.
 func TestbedBatchItem(c TestbedClient, seq uint16) (BatchItem, error) {
 	bb, err := testbed.FrameBaseband(testbed.UplinkFrame(c.ID, seq, uplinkPayload), ofdm.QPSK)
 	if err != nil {

@@ -8,6 +8,17 @@ import (
 	"secureangle/internal/geom"
 )
 
+// testNode builds a seeded node at AP1 with the paper's default
+// pipeline, failing tb on a construction error.
+func testNode(tb testing.TB, name string, seed int64) *Node {
+	tb.Helper()
+	n, err := New(WithName(name), WithSeed(seed))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return n
+}
+
 // TestNodeQuickstart exercises the v2 surface exactly as README's API
 // v2 section shows it.
 func TestNodeQuickstart(t *testing.T) {
@@ -27,32 +38,6 @@ func TestNodeQuickstart(t *testing.T) {
 	truth := geom.BearingDeg(AP1, client.Pos)
 	if geom.AngularDistDeg(rep.BearingDeg, truth) > 4 {
 		t.Errorf("bearing %v, truth %v", rep.BearingDeg, truth)
-	}
-}
-
-// TestNodeMatchesV1Adapter: the v1 constructor is a thin adapter over
-// New, so identically-seeded v1 and v2 instances produce identical
-// reports.
-func TestNodeMatchesV1Adapter(t *testing.T) {
-	node, err := New(WithName("ap1"), WithSeed(42))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ap := NewTestbedAP("ap1", AP1, 42)
-	client, err := Client(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2, err := node.ObserveTestbedFrame(context.Background(), client.ID, client.Pos)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1, err := ObserveFrame(ap, client.ID, client.Pos)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v1.BearingDeg != v2.BearingDeg {
-		t.Errorf("v1 bearing %v != v2 bearing %v", v1.BearingDeg, v2.BearingDeg)
 	}
 }
 

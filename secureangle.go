@@ -50,10 +50,8 @@
 //	go func() { for r := range s.Results() { ... } }()
 //	s.Submit(ctx, item)
 //
-// The v1 call-per-packet surface (NewTestbedAP, ObserveFrame, ...)
-// remains below as thin adapters over the same pipeline. See examples/
-// for runnable programs and cmd/secureangle for the experiment harness
-// that regenerates every figure in the paper.
+// See examples/ for runnable programs and cmd/secureangle for the
+// experiment harness that regenerates every figure in the paper.
 package secureangle
 
 import (
@@ -69,7 +67,6 @@ import (
 	"secureangle/internal/locate"
 	"secureangle/internal/music"
 	"secureangle/internal/netproto"
-	"secureangle/internal/ofdm"
 	"secureangle/internal/ops"
 	"secureangle/internal/signature"
 	"secureangle/internal/testbed"
@@ -295,60 +292,6 @@ func CircularArray() *Array { return testbed.CircularArray() }
 
 // LinearArray returns the paper's half-wavelength 8-antenna ULA.
 func LinearArray() *Array { return testbed.LinearArray() }
-
-// NewTestbedAP builds a calibrated AP with the circular array at pos in
-// the Figure 4 environment, seeded deterministically.
-func NewTestbedAP(name string, pos Point, seed int64) *AP {
-	return NewTestbedAPConfig(name, pos, seed, DefaultConfig())
-}
-
-// NewTestbedAPConfig is NewTestbedAP with an explicit pipeline Config
-// (estimator choice, worker-pool bound, detection tuning). It is a thin
-// adapter over the v2 constructor: equivalent to
-//
-//	node, _ := New(WithName(name), WithPosition(pos), WithSeed(seed), WithConfig(cfg))
-//	ap := node.AP()
-//
-// and like New it panics only on a Config that fails Validate after
-// defaulting.
-func NewTestbedAPConfig(name string, pos Point, seed int64, cfg Config) *AP {
-	n, err := New(WithName(name), WithPosition(pos), WithSeed(seed), WithConfig(cfg))
-	if err != nil {
-		panic(err)
-	}
-	return n.AP()
-}
-
-// uplinkPayload is the canonical payload ObserveFrame and friends send;
-// hoisted so the steady-state packet path does not re-allocate it.
-var uplinkPayload = []byte("uplink")
-
-// ObserveFrame sends one QPSK uplink data frame from the given testbed
-// client position through the channel to the AP and returns the bearing
-// report — the one-call version of the full pipeline.
-func ObserveFrame(ap *AP, clientID int, pos Point) (*Report, error) {
-	bb, err := testbed.FrameBaseband(testbed.UplinkFrame(clientID, 1, uplinkPayload), ofdm.QPSK)
-	if err != nil {
-		return nil, err
-	}
-	return ap.Observe(pos, bb)
-}
-
-// ObserveFrameBatch sends one QPSK uplink data frame from each client and
-// runs the estimation stages on the AP's bounded worker pool — the batch
-// form of ObserveFrame. Results align with clients by index; per-client
-// failures (blocked, undetected) surface as per-item errors.
-func ObserveFrameBatch(ap *AP, clients []TestbedClient) ([]BatchResult, error) {
-	items := make([]BatchItem, len(clients))
-	for i, c := range clients {
-		bb, err := testbed.FrameBaseband(testbed.UplinkFrame(c.ID, 1, uplinkPayload), ofdm.QPSK)
-		if err != nil {
-			return nil, err
-		}
-		items[i] = BatchItem{TX: c.Pos, Baseband: bb}
-	}
-	return ap.ObserveBatch(items), nil
-}
 
 // Triangulate fuses bearing observations from two or more APs into a
 // position (least squares).

@@ -1,6 +1,7 @@
 package secureangle
 
 import (
+	"context"
 	"testing"
 
 	"secureangle/internal/geom"
@@ -10,12 +11,12 @@ import (
 // shows it, so the documented entry points cannot rot.
 
 func TestFacadeQuickstart(t *testing.T) {
-	ap := NewTestbedAP("ap1", AP1, 42)
+	node := testNode(t, "ap1", 42)
 	client, err := Client(5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := ObserveFrame(ap, client.ID, client.Pos)
+	rep, err := node.ObserveTestbedFrame(context.Background(), client.ID, client.Pos)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,25 +64,26 @@ func TestFacadeTriangulate(t *testing.T) {
 }
 
 func TestFacadeSpoofFlow(t *testing.T) {
-	ap := NewTestbedAP("ap1", AP1, 7)
+	node := testNode(t, "ap1", 7)
+	ctx := context.Background()
 	victim, _ := Client(5)
 	attacker, _ := Client(9)
 
-	rep, err := ObserveFrame(ap, victim.ID, victim.Pos)
+	rep, err := node.ObserveTestbedFrame(ctx, victim.ID, victim.Pos)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var mac MAC = MAC{0x02, 0, 0, 0, 0, 0x05}
-	ap.Enroll(mac, rep.Sig)
-	if !ap.Known(mac) {
+	node.Enroll(mac, rep.Sig)
+	if !node.Known(mac) {
 		t.Fatal("enrollment failed")
 	}
 	// An observation from the attacker's position must not match.
-	atk, err := ObserveFrame(ap, victim.ID, attacker.Pos)
+	atk, err := node.ObserveTestbedFrame(ctx, victim.ID, attacker.Pos)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stored, _ := ap.StoredSignature(mac)
+	stored, _ := node.StoredSignature(mac)
 	_ = stored
 	if atk.Sig == nil {
 		t.Fatal("attacker observation missing signature")
