@@ -40,12 +40,14 @@ bench-smoke:
 	sh scripts/bench_smoke.sh
 
 # Time-boxed native fuzzing of every hostile-bytes decoder: the wire
-# frames and the buffered frame reader, the journal event codecs, the engine snapshot codecs, the
-# signature codec, and the I/Q capture reader.
+# frames and the buffered frame reader, the journal segment decoder and
+# event codecs, the engine snapshot codecs, the signature codec, and
+# the I/Q capture reader.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzUnmarshal -fuzztime 30s ./internal/netproto
 	$(GO) test -run '^$$' -fuzz FuzzFrameReader -fuzztime 15s ./internal/netproto
 	$(GO) test -run '^$$' -fuzz FuzzEventDecoders -fuzztime 15s ./internal/journal
+	$(GO) test -run '^$$' -fuzz FuzzJournalSegment -fuzztime 15s ./internal/journal
 	$(GO) test -run '^$$' -fuzz FuzzFusionSnapshotRestore -fuzztime 15s ./internal/fusion
 	$(GO) test -run '^$$' -fuzz FuzzDefenseSnapshotRestore -fuzztime 15s ./internal/defense
 	$(GO) test -run '^$$' -fuzz FuzzSignatureCodec -fuzztime 15s ./internal/signature

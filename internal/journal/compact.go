@@ -21,9 +21,7 @@ package journal
 // walk compacted history without special cases.
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"time"
@@ -197,12 +195,7 @@ func (j *Journal) compactSegment(seg segmentInfo, keep func(Record) bool, pol Co
 		runStart, runEnd = 0, 0
 	}
 	_, err = scanSegment(path, seg.firstLSN, 0, func(rec Record) error {
-		end := rec.LSN
-		if rec.Type == RecSkip {
-			if sk, err := DecodeSkip(rec.Data); err == nil {
-				end = sk.End
-			}
-		}
+		end, _ := recordEnd(rec) // the scan already stopped at malformed skips
 		if keep(rec) {
 			flushRun()
 			kept = append(kept, rec)
@@ -228,20 +221,9 @@ func (j *Journal) compactSegment(seg segmentInfo, keep func(Record) bool, pol Co
 	if err != nil {
 		return 0, 0, err
 	}
-	buf := make([]byte, 0, 1<<16)
-	buf = append(buf, segMagic...)
-	buf = binary.BigEndian.AppendUint16(buf, segVersion)
-	buf = binary.BigEndian.AppendUint64(buf, seg.firstLSN)
-	for _, rec := range kept {
-		frameLen := frameFixed + len(rec.Data)
-		start := len(buf)
-		buf = binary.BigEndian.AppendUint32(buf, uint32(frameLen))
-		buf = append(buf, 0, 0, 0, 0)
-		buf = append(buf, byte(rec.Type))
-		buf = binary.BigEndian.AppendUint64(buf, rec.LSN)
-		buf = binary.BigEndian.AppendUint64(buf, uint64(rec.TS.UnixNano()))
-		buf = append(buf, rec.Data...)
-		binary.BigEndian.PutUint32(buf[start+4:start+8], crc32.Checksum(buf[start+recHdrSize:], crcTable))
+	buf := appendSegHeader(make([]byte, 0, 1<<16), seg.firstLSN)
+	for i := range kept {
+		buf = appendFrame(buf, &kept[i])
 	}
 	if _, err := f.Write(buf); err != nil {
 		f.Close()

@@ -2,11 +2,13 @@ package journal
 
 // Cursor is the replication reader: a resumable, tail-following scan
 // of a journal directory that a leader uses to stream records to a
-// warm standby. Unlike the recovery scan (scanSegment), a Cursor must
-// coexist with the live writer: a short or CRC-failing frame at the
-// end of the open segment is usually a record mid-write, not a tear,
-// so the cursor parks at the frame boundary and retries from the same
-// offset on the next call instead of declaring the segment finished.
+// warm standby. It shares the frame decoder and the segment-header
+// check with the recovery scan (scanSegment), but unlike that scan it
+// must coexist with the live writer: a short or CRC-failing frame at
+// the end of the open segment is usually a record mid-write, not a
+// tear, so the cursor parks at the frame boundary and retries from the
+// same offset on the next call instead of declaring the segment
+// finished.
 //
 // The cursor surfaces RecSkip records verbatim so a follower
 // reproduces compaction gaps, and follows segment rotation by moving
@@ -24,14 +26,11 @@ package journal
 // style, and return to it on Close.
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
 	"sync"
-	"time"
 )
 
 // cursorBuffers is the pooled scratch one cursor borrows for its
@@ -50,6 +49,7 @@ type Cursor struct {
 	next uint64 // next LSN to deliver
 
 	f   *os.File // open segment (nil between segments)
+	seg uint64   // first LSN of the open segment
 	off int64    // absolute offset of the next unparsed frame
 
 	bufs  *cursorBuffers // pooled scratch (nil until first Next, returned on Close)
@@ -151,7 +151,7 @@ func (c *Cursor) Next(maxBytes int) ([]Record, error) {
 			// A single frame larger than the window: grow and re-read.
 			// Any other full-window stall (garbage where a frame header
 			// should be) parks like a torn tail below.
-			if need := c.stalledFrameSize(); need > cap(c.bufs.buf) {
+			if need := frameSize(c.bufs.buf[c.pos:c.win]); need > cap(c.bufs.buf) {
 				c.bufs.buf = make([]byte, need)
 				continue
 			}
@@ -178,20 +178,6 @@ func (c *Cursor) fill() {
 	c.atEOF = err != nil || n < len(buf)
 }
 
-// stalledFrameSize returns the full byte size of the frame at the
-// current parse position, when enough of its header is visible to know
-// it (used to grow the window past an oversized record).
-func (c *Cursor) stalledFrameSize() int {
-	if c.win-c.pos < recHdrSize {
-		return 0
-	}
-	frameLen := binary.BigEndian.Uint32(c.bufs.buf[c.pos : c.pos+4])
-	if frameLen < frameFixed || frameLen > MaxRecordSize {
-		return 0
-	}
-	return recHdrSize + int(frameLen)
-}
-
 type parseStatus uint8
 
 const (
@@ -204,43 +190,23 @@ const (
 // parseStall the position is left unchanged so the same offset is
 // retried later (mid-write frames become visible on a later fill).
 func (c *Cursor) parseRecord() (Record, parseStatus, error) {
-	b := c.bufs.buf[:c.win]
-	if c.win-c.pos < recHdrSize {
-		return Record{}, parseStall, nil // tail reached (or header mid-write)
+	rec, n, ok := decodeFrame(c.bufs.buf[c.pos:c.win])
+	if !ok {
+		return Record{}, parseStall, nil // tail reached, mid-write, or a tear recovery will judge
 	}
-	frameLen := binary.BigEndian.Uint32(b[c.pos : c.pos+4])
-	if frameLen < frameFixed || frameLen > MaxRecordSize {
-		return Record{}, parseStall, nil // not a frame (zero-fill or mid-write)
-	}
-	if c.win-c.pos < recHdrSize+int(frameLen) {
-		return Record{}, parseStall, nil // frame body not flushed (or past the window)
-	}
-	frame := b[c.pos+recHdrSize : c.pos+recHdrSize+int(frameLen)]
-	if crc32.Checksum(frame, crcTable) != binary.BigEndian.Uint32(b[c.pos+4:c.pos+8]) {
-		return Record{}, parseStall, nil // mid-write (or a tear recovery will judge)
-	}
-	rec := Record{
-		Type: RecordType(frame[0]),
-		LSN:  binary.BigEndian.Uint64(frame[1:9]),
-		TS:   time.Unix(0, int64(binary.BigEndian.Uint64(frame[9:17]))),
-		Data: frame[frameFixed:frameLen:frameLen],
-	}
-	c.pos += recHdrSize + int(frameLen)
-	c.off += int64(recHdrSize) + int64(frameLen)
+	c.pos += n
+	c.off += int64(n)
 	if rec.LSN < c.next {
 		return Record{}, parseSkipped, nil // before the subscribe position
 	}
 	if rec.LSN != c.next {
 		return Record{}, parseStall, fmt.Errorf("journal: cursor sequence broke at LSN %d (want %d)", rec.LSN, c.next)
 	}
-	c.next = rec.LSN + 1
-	if rec.Type == RecSkip {
-		skip, err := DecodeSkip(rec.Data)
-		if err != nil || skip.End < rec.LSN {
-			return Record{}, parseStall, fmt.Errorf("journal: cursor hit malformed skip at LSN %d", rec.LSN)
-		}
-		c.next = skip.End + 1
+	end, err := recordEnd(rec)
+	if err != nil {
+		return Record{}, parseStall, fmt.Errorf("journal: cursor: %w", err)
 	}
+	c.next = end + 1
 	return rec, parseOK, nil
 }
 
@@ -279,23 +245,25 @@ func (c *Cursor) openNext() (bool, error) {
 		f.Close()
 		return false, nil // header not flushed yet; retry later
 	}
-	if string(hdr[:4]) != segMagic {
+	if err := checkSegHeader(hdr[:], segs[pick].firstLSN); err != nil {
 		f.Close()
-		return false, fmt.Errorf("journal: bad segment magic in %s", segs[pick].name)
+		return false, fmt.Errorf("journal: segment %s: %w", segs[pick].name, err)
 	}
-	if v := binary.BigEndian.Uint16(hdr[4:6]); v != segVersion {
-		f.Close()
-		return false, fmt.Errorf("journal: unsupported segment version %d in %s", v, segs[pick].name)
-	}
-	c.f = f
+	c.f, c.seg = f, segs[pick].firstLSN
 	c.off = segHdrSize
 	c.win, c.pos, c.atEOF = 0, 0, false
 	return true, nil
 }
 
 // successorExists reports whether a segment starting exactly at c.next
-// is on disk — the signal that the current segment is sealed.
+// is on disk — the signal that the current segment is sealed. Until the
+// cursor has read past the open segment's first record, the segment
+// named c.next is the open one itself: its first frame is still being
+// written (or torn), so the cursor parks instead of reopening it.
 func (c *Cursor) successorExists() bool {
+	if c.next == c.seg {
+		return false
+	}
 	_, err := os.Stat(filepath.Join(c.dir, segmentName(c.next)))
 	return err == nil
 }

@@ -14,8 +14,6 @@ package journal
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 	"time"
 
@@ -79,38 +77,13 @@ type IncidentQuery struct {
 	After uint64
 }
 
-// incidentDirs resolves the journal layout under dir: the partition
-// subdirectories for a partitioned tree, or dir itself for a flat
-// journal.
-func incidentDirs(dir string) ([]string, error) {
-	var parts []string
-	for i := 0; ; i++ {
-		p := filepath.Join(dir, fmt.Sprintf("p%d", i))
-		fi, err := os.Stat(p)
-		if err != nil {
-			if os.IsNotExist(err) {
-				break
-			}
-			return nil, err
-		}
-		if !fi.IsDir() {
-			break
-		}
-		parts = append(parts, p)
-	}
-	if len(parts) > 0 {
-		return parts, nil
-	}
-	return []string{dir}, nil
-}
-
 // ReconstructIncident scans the journal layout under dir and returns
 // the merged, latency-annotated timeline of every record matching q.
 func ReconstructIncident(dir string, q IncidentQuery) (*Incident, error) {
 	if !q.HasMAC && q.Trace == 0 {
 		return nil, fmt.Errorf("journal: incident query needs a MAC or a trace ID")
 	}
-	dirs, err := incidentDirs(dir)
+	dirs, err := Dirs(dir)
 	if err != nil {
 		return nil, err
 	}

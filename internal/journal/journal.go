@@ -7,7 +7,7 @@
 //
 // Two consumers sit on the same log:
 //
-//   - Crash recovery (netproto.Controller.WithJournal): a restarted
+//   - Crash recovery (netproto.Controller.WithJournalDir): a restarted
 //     controller restores the latest snapshot and re-applies the WAL
 //     tail, so live quarantines survive a crash instead of handing
 //     every quarantined attacker a free re-entry window.
@@ -17,7 +17,9 @@
 //     fleet have done if QuarantineScore were lower?" — emitting the
 //     counterfactual directive sequence.
 //
-// Layout of a journal directory:
+// Layout of a journal directory (Dirs and OpenDir resolve a tree: a
+// flat single-partition journal in dir itself, or one per partition
+// under dir/p0..p{N-1}):
 //
 //	wal-%020d.log    segments, named by their first LSN
 //	snap-%020d.snap  state snapshots, named by the LSN they cover
@@ -37,33 +39,15 @@
 package journal
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 )
-
-// Segment framing.
-const (
-	segMagic   = "SAWL" // SecureAngle Write-ahead Log
-	segVersion = 1
-	segHdrSize = 4 + 2 + 8
-	recHdrSize = 4 + 4
-	// frameFixed is the frame's fixed prefix: type + lsn + timestamp.
-	frameFixed = 1 + 8 + 8
-)
-
-// MaxRecordSize bounds one record's frame (the netproto message bound:
-// nothing the controller journals is larger).
-const MaxRecordSize = 1 << 20
 
 // Defaults for zero Options fields.
 const (
@@ -75,8 +59,6 @@ const (
 // snapshotsKept is how many snapshot generations are retained (the
 // latest serves recovery; one predecessor survives a torn latest).
 const snapshotsKept = 2
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // FsyncPolicy selects the durability/latency tradeoff of Append.
 type FsyncPolicy uint8
@@ -235,7 +217,7 @@ func Open(dir string, opts Options) (*Journal, error) {
 			j.nextLSN = last + 1
 		}
 	}
-	if snaps, err := listSnapshots(dir); err == nil && len(snaps) > 0 {
+	if snaps, err := Snapshots(dir); err == nil && len(snaps) > 0 {
 		j.snapLSN = snaps[len(snaps)-1]
 	}
 	if opts.Fsync == FsyncInterval {
@@ -285,26 +267,6 @@ func (j *Journal) flushLoop() {
 	}
 }
 
-// frameLocked frames one record into the userspace buffer at the given
-// LSN, updating size/counter state. The caller holds mu and has
-// validated the record size and opened a segment.
-func (j *Journal) frameLocked(typ RecordType, lsn uint64, ts time.Time, data []byte) {
-	frameLen := frameFixed + len(data)
-	start := len(j.buf)
-	j.buf = binary.BigEndian.AppendUint32(j.buf, uint32(frameLen))
-	j.buf = append(j.buf, 0, 0, 0, 0) // crc placeholder
-	j.buf = append(j.buf, byte(typ))
-	j.buf = binary.BigEndian.AppendUint64(j.buf, lsn)
-	j.buf = binary.BigEndian.AppendUint64(j.buf, uint64(ts.UnixNano()))
-	j.buf = append(j.buf, data...)
-	frame := j.buf[start+recHdrSize:]
-	binary.BigEndian.PutUint32(j.buf[start+4:start+8], crc32.Checksum(frame, crcTable))
-	j.segSize += int64(recHdrSize + frameLen)
-	j.appends++
-	j.appendedBytes += uint64(recHdrSize + frameLen)
-	j.dirty = true
-}
-
 // commitWait blocks until every record up to lsn is fsynced, sharing
 // the fsync with concurrent committers: whoever reaches the barrier
 // first syncs for everyone queued behind it, and the rest find the
@@ -335,47 +297,22 @@ func (j *Journal) commitWait(lsn uint64) error {
 // Append returns. Under FsyncAlways, concurrent appenders coalesce on
 // the group-commit barrier and may share a single fsync.
 func (j *Journal) Append(rec Record) (uint64, error) {
+	if err := checkRecordSize(rec.Data); err != nil {
+		return 0, err
+	}
 	j.mu.Lock()
 	if j.closed {
 		j.mu.Unlock()
 		return 0, ErrClosed
 	}
-	if len(rec.Data) > MaxRecordSize-frameFixed {
-		j.mu.Unlock()
-		return 0, fmt.Errorf("journal: record of %d bytes exceeds MaxRecordSize", len(rec.Data))
-	}
 	if rec.TS.IsZero() {
 		rec.TS = j.opts.Clock()
 	}
-	if j.f == nil {
-		if err := j.openSegmentLocked(); err != nil {
-			j.mu.Unlock()
-			return 0, err
-		}
+	rec.LSN = j.nextLSN
+	if err := j.settle(rec.LSN, j.putLocked(&rec, rec.LSN+1)); err != nil {
+		return 0, err
 	}
-	lsn := j.nextLSN
-	j.frameLocked(rec.Type, lsn, rec.TS, rec.Data)
-	j.nextLSN++
-	if j.opts.Fsync != FsyncAlways && len(j.buf) >= 1<<16 {
-		// Bound the userspace buffer between background syncs.
-		if err := j.flushLocked(); err != nil {
-			j.mu.Unlock()
-			return 0, err
-		}
-	}
-	if j.segSize >= j.opts.SegmentBytes {
-		if err := j.rotateLocked(); err != nil {
-			j.mu.Unlock()
-			return 0, err
-		}
-	}
-	j.mu.Unlock()
-	if j.opts.Fsync == FsyncAlways {
-		if err := j.commitWait(lsn); err != nil {
-			return 0, err
-		}
-	}
-	return lsn, nil
+	return rec.LSN, nil
 }
 
 // AppendBatch writes a batch of records with one lock acquisition, one
@@ -394,8 +331,8 @@ func (j *Journal) AppendBatch(recs []Record) (uint64, error) {
 	}
 	need := 0
 	for i := range recs {
-		if len(recs[i].Data) > MaxRecordSize-frameFixed {
-			return 0, fmt.Errorf("journal: record of %d bytes exceeds MaxRecordSize", len(recs[i].Data))
+		if err := checkRecordSize(recs[i].Data); err != nil {
+			return 0, err
 		}
 		need += recHdrSize + frameFixed + len(recs[i].Data)
 	}
@@ -411,41 +348,20 @@ func (j *Journal) AppendBatch(recs []Record) (uint64, error) {
 	}
 	var ts time.Time // one clock reading for the whole batch, read lazily
 	first := j.nextLSN
-	for i := range recs {
-		rts := recs[i].TS
-		if rts.IsZero() {
+	var err error
+	for i := 0; i < len(recs) && err == nil; i++ {
+		rec := recs[i]
+		if rec.TS.IsZero() {
 			if ts.IsZero() {
 				ts = j.opts.Clock()
 			}
-			rts = ts
+			rec.TS = ts
 		}
-		if j.f == nil {
-			if err := j.openSegmentLocked(); err != nil {
-				j.mu.Unlock()
-				return 0, err
-			}
-		}
-		j.frameLocked(recs[i].Type, j.nextLSN, rts, recs[i].Data)
-		j.nextLSN++
-		if j.segSize >= j.opts.SegmentBytes {
-			if err := j.rotateLocked(); err != nil {
-				j.mu.Unlock()
-				return 0, err
-			}
-		}
+		rec.LSN = j.nextLSN
+		err = j.putLocked(&rec, rec.LSN+1)
 	}
-	last := j.nextLSN - 1
-	if j.opts.Fsync != FsyncAlways && len(j.buf) >= 1<<16 {
-		if err := j.flushLocked(); err != nil {
-			j.mu.Unlock()
-			return 0, err
-		}
-	}
-	j.mu.Unlock()
-	if j.opts.Fsync == FsyncAlways {
-		if err := j.commitWait(last); err != nil {
-			return 0, err
-		}
+	if err := j.settle(j.nextLSN-1, err); err != nil {
+		return 0, err
 	}
 	return first, nil
 }
@@ -459,67 +375,74 @@ func (j *Journal) AppendBatch(recs []Record) (uint64, error) {
 // An empty journal accepts any starting LSN, bootstrapping a follower
 // onto a leader whose history starts past LSN 1.
 func (j *Journal) AppendRecord(rec Record) error {
-	wait, err := j.appendRecordBuffered(rec)
-	if err != nil || wait == 0 {
+	if err := checkRecordSize(rec.Data); err != nil {
 		return err
 	}
-	return j.commitWait(wait)
-}
-
-// appendRecordBuffered is AppendRecord up to (not including) the fsync:
-// it returns the LSN the caller must commitWait on, or 0 when the
-// policy demands no immediate fsync (or the record was a duplicate).
-func (j *Journal) appendRecordBuffered(rec Record) (uint64, error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return 0, ErrClosed
-	}
-	if len(rec.Data) > MaxRecordSize-frameFixed {
-		return 0, fmt.Errorf("journal: record of %d bytes exceeds MaxRecordSize", len(rec.Data))
-	}
 	if rec.LSN == 0 {
-		return 0, fmt.Errorf("journal: AppendRecord needs an assigned LSN")
+		return fmt.Errorf("journal: AppendRecord needs an assigned LSN")
+	}
+	j.mu.Lock()
+	if j.closed {
+		j.mu.Unlock()
+		return ErrClosed
 	}
 	if j.virginLocked() {
 		j.nextLSN = rec.LSN
 	}
 	if rec.LSN < j.nextLSN {
-		return 0, nil // duplicate of an already-durable record
+		j.mu.Unlock()
+		return nil // duplicate of an already-durable record
 	}
 	if rec.LSN > j.nextLSN {
-		return 0, fmt.Errorf("journal: replication gap: record LSN %d, want %d", rec.LSN, j.nextLSN)
+		j.mu.Unlock()
+		return fmt.Errorf("journal: replication gap: record LSN %d, want %d", rec.LSN, j.nextLSN)
 	}
-	next := rec.LSN + 1
-	if rec.Type == RecSkip {
-		skip, err := DecodeSkip(rec.Data)
-		if err != nil {
-			return 0, fmt.Errorf("journal: bad skip record at LSN %d: %w", rec.LSN, err)
-		}
-		if skip.End < rec.LSN {
-			return 0, fmt.Errorf("journal: skip record at LSN %d ends at %d", rec.LSN, skip.End)
-		}
-		next = skip.End + 1
+	end, err := recordEnd(rec)
+	if err != nil {
+		j.mu.Unlock()
+		return fmt.Errorf("journal: %w", err)
 	}
+	return j.settle(end, j.putLocked(&rec, end+1))
+}
+
+// putLocked frames rec — whose LSN is the write position — into the
+// userspace buffer, opening a segment first when none is open, moves
+// the write position to next, and rotates a full segment. It is the
+// one append step shared by Append, AppendBatch and AppendRecord; the
+// caller holds mu and has checked the record size.
+func (j *Journal) putLocked(rec *Record, next uint64) error {
 	if j.f == nil {
 		if err := j.openSegmentLocked(); err != nil {
-			return 0, err
+			return err
 		}
 	}
-	j.frameLocked(rec.Type, rec.LSN, rec.TS, rec.Data)
+	n := len(j.buf)
+	j.buf = appendFrame(j.buf, rec)
+	n = len(j.buf) - n
+	j.segSize += int64(n)
+	j.appends++
+	j.appendedBytes += uint64(n)
+	j.dirty = true
 	j.nextLSN = next
-	if j.opts.Fsync != FsyncAlways && len(j.buf) >= 1<<16 {
-		if err := j.flushLocked(); err != nil {
-			return 0, err
-		}
-	}
 	if j.segSize >= j.opts.SegmentBytes {
-		return 0, j.rotateLocked()
+		return j.rotateLocked()
 	}
-	if j.opts.Fsync == FsyncAlways {
-		return next - 1, nil
+	return nil
+}
+
+// settle finishes an append begun under mu, releasing mu: unless err is
+// already set, it bounds the userspace buffer between background syncs
+// and then, under FsyncAlways, waits for the group commit that makes
+// every record through last durable.
+func (j *Journal) settle(last uint64, err error) error {
+	if err == nil && j.opts.Fsync != FsyncAlways && len(j.buf) >= 1<<16 {
+		err = j.flushLocked()
 	}
-	return 0, nil
+	j.mu.Unlock()
+	if err != nil || j.opts.Fsync != FsyncAlways {
+		return err
+	}
+	return j.commitWait(last)
 }
 
 // virginLocked reports whether the journal has no history at all — no
@@ -544,11 +467,7 @@ func (j *Journal) openSegmentLocked() error {
 	if err != nil {
 		return err
 	}
-	hdr := make([]byte, 0, segHdrSize)
-	hdr = append(hdr, segMagic...)
-	hdr = binary.BigEndian.AppendUint16(hdr, segVersion)
-	hdr = binary.BigEndian.AppendUint64(hdr, j.nextLSN)
-	if _, err := f.Write(hdr); err != nil {
+	if _, err := f.Write(appendSegHeader(make([]byte, 0, segHdrSize), j.nextLSN)); err != nil {
 		f.Close()
 		return err
 	}
@@ -775,7 +694,7 @@ func (j *Journal) SaveSnapshot(write func(io.Writer) error) (uint64, error) {
 
 // trimSnapshotsLocked deletes snapshot generations beyond snapshotsKept.
 func (j *Journal) trimSnapshotsLocked() {
-	snaps, err := listSnapshots(j.dir)
+	snaps, err := Snapshots(j.dir)
 	if err != nil {
 		return
 	}
@@ -785,30 +704,9 @@ func (j *Journal) trimSnapshotsLocked() {
 	}
 }
 
-// Snapshots returns the directory's snapshot generations (their
-// covered LSNs), oldest first. Recovery walks them newest-first so a
-// corrupt latest generation can fall back to its predecessor.
-func Snapshots(dir string) ([]uint64, error) { return listSnapshots(dir) }
-
 // OpenSnapshot opens the snapshot generation covering lsn.
 func OpenSnapshot(dir string, lsn uint64) (io.ReadCloser, error) {
 	return os.Open(filepath.Join(dir, snapshotName(lsn)))
-}
-
-// LatestSnapshot opens the newest snapshot in dir, returning its
-// covered LSN and a reader. ok is false when the directory holds no
-// snapshot.
-func LatestSnapshot(dir string) (lsn uint64, r io.ReadCloser, ok bool, err error) {
-	snaps, err := listSnapshots(dir)
-	if err != nil || len(snaps) == 0 {
-		return 0, nil, false, err
-	}
-	lsn = snaps[len(snaps)-1]
-	f, err := os.Open(filepath.Join(dir, snapshotName(lsn)))
-	if err != nil {
-		return 0, nil, false, err
-	}
-	return lsn, f, true, nil
 }
 
 // --- Scanning ---
@@ -850,7 +748,7 @@ func ReadRecords(dir string, after uint64, fn func(Record) error) error {
 	return nil
 }
 
-// errStopScan distinguishes fn-aborts from frame errors inside
+// scanAbort distinguishes fn-aborts from frame errors inside
 // scanSegment.
 type scanAbort struct{ err error }
 
@@ -861,60 +759,27 @@ func (a scanAbort) Error() string { return a.err.Error() }
 // when the segment holds none). Torn or corrupt frames end the scan of
 // this segment without error — the durable prefix is what counts.
 func scanSegment(path string, firstLSN, after uint64, fn func(Record) error) (uint64, error) {
-	f, err := os.Open(path)
+	b, err := os.ReadFile(path)
 	if err != nil {
 		return 0, err
 	}
-	defer f.Close()
-	hdr := make([]byte, segHdrSize)
-	if _, err := io.ReadFull(f, hdr); err != nil {
+	if len(b) < segHdrSize {
 		return firstLSN - 1, nil // torn before the header completed
 	}
-	if string(hdr[:4]) != segMagic {
-		return 0, fmt.Errorf("bad segment magic %q", hdr[:4])
-	}
-	if v := binary.BigEndian.Uint16(hdr[4:6]); v != segVersion {
-		return 0, fmt.Errorf("unsupported segment version %d", v)
-	}
-	if got := binary.BigEndian.Uint64(hdr[6:14]); got != firstLSN {
-		return 0, fmt.Errorf("header LSN %d does not match name (%d)", got, firstLSN)
+	if err := checkSegHeader(b, firstLSN); err != nil {
+		return 0, err
 	}
 	last := firstLSN - 1
-	var rh [recHdrSize]byte
-	for {
-		if _, err := io.ReadFull(f, rh[:]); err != nil {
-			return last, nil // end of segment (or torn header)
+	for b = b[segHdrSize:]; ; {
+		rec, n, ok := decodeFrame(b)
+		if !ok || rec.LSN != last+1 {
+			return last, nil // torn, corrupt, or out of sequence: stop at the tear
 		}
-		frameLen := binary.BigEndian.Uint32(rh[0:4])
-		if frameLen < frameFixed || frameLen > MaxRecordSize {
-			return last, nil // torn or zero-filled tail
+		end, err := recordEnd(rec)
+		if err != nil {
+			return last, nil // malformed gap marker: treat as a tear
 		}
-		frame := make([]byte, frameLen)
-		if _, err := io.ReadFull(f, frame); err != nil {
-			return last, nil // torn mid-frame
-		}
-		if crc32.Checksum(frame, crcTable) != binary.BigEndian.Uint32(rh[4:8]) {
-			return last, nil // bit rot or torn write: stop at the tear
-		}
-		rec := Record{
-			Type: RecordType(frame[0]),
-			LSN:  binary.BigEndian.Uint64(frame[1:9]),
-			TS:   time.Unix(0, int64(binary.BigEndian.Uint64(frame[9:17]))),
-			Data: frame[frameFixed:],
-		}
-		if rec.LSN != last+1 {
-			return last, nil // sequence broke: treat as a tear
-		}
-		last = rec.LSN
-		if rec.Type == RecSkip {
-			// Compaction gap: the record stands in for LSNs
-			// [rec.LSN, End]; the expected sequence resumes after it.
-			skip, err := DecodeSkip(rec.Data)
-			if err != nil || skip.End < rec.LSN {
-				return rec.LSN - 1, nil // malformed gap marker: treat as a tear
-			}
-			last = skip.End
-		}
+		b, last = b[n:], end
 		if fn != nil && rec.LSN > after {
 			if err := fn(rec); err != nil {
 				return last, scanAbort{err}
@@ -930,10 +795,6 @@ type segmentInfo struct {
 	firstLSN uint64
 }
 
-func segmentName(firstLSN uint64) string { return fmt.Sprintf("wal-%020d.log", firstLSN) }
-
-func snapshotName(lsn uint64) string { return fmt.Sprintf("snap-%020d.snap", lsn) }
-
 // listSegments returns the directory's segments sorted by first LSN.
 func listSegments(dir string) ([]segmentInfo, error) {
 	entries, err := os.ReadDir(dir)
@@ -942,38 +803,27 @@ func listSegments(dir string) ([]segmentInfo, error) {
 	}
 	var segs []segmentInfo
 	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasPrefix(name, "wal-") || !strings.HasSuffix(name, ".log") {
-			continue
+		if n, ok := nameLSN(e.Name(), "wal-", ".log"); ok {
+			segs = append(segs, segmentInfo{name: e.Name(), firstLSN: n})
 		}
-		n, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, "wal-"), ".log"), 10, 64)
-		if err != nil {
-			continue
-		}
-		segs = append(segs, segmentInfo{name: name, firstLSN: n})
 	}
 	sort.Slice(segs, func(i, k int) bool { return segs[i].firstLSN < segs[k].firstLSN })
 	return segs, nil
 }
 
-// listSnapshots returns the directory's snapshot LSNs in ascending
-// order.
-func listSnapshots(dir string) ([]uint64, error) {
+// Snapshots returns the directory's snapshot generations (their
+// covered LSNs), oldest first. Recovery walks them newest-first so a
+// corrupt latest generation can fall back to its predecessor.
+func Snapshots(dir string) ([]uint64, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
 	var snaps []uint64
 	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasPrefix(name, "snap-") || !strings.HasSuffix(name, ".snap") {
-			continue
+		if n, ok := nameLSN(e.Name(), "snap-", ".snap"); ok {
+			snaps = append(snaps, n)
 		}
-		n, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, "snap-"), ".snap"), 10, 64)
-		if err != nil {
-			continue
-		}
-		snaps = append(snaps, n)
 	}
 	sort.Slice(snaps, func(i, k int) bool { return snaps[i] < snaps[k] })
 	return snaps, nil

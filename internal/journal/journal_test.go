@@ -257,9 +257,14 @@ func TestJournalSnapshotSaveLoadAndRetention(t *testing.T) {
 	if lsn != 40 {
 		t.Fatalf("snapshot LSN = %d, want 40", lsn)
 	}
-	gotLSN, r, ok, err := LatestSnapshot(dir)
-	if err != nil || !ok {
-		t.Fatalf("LatestSnapshot: ok=%v err=%v", ok, err)
+	snaps, err := Snapshots(dir)
+	if err != nil || len(snaps) == 0 {
+		t.Fatalf("Snapshots: %v, err=%v", snaps, err)
+	}
+	gotLSN := snaps[len(snaps)-1]
+	r, err := OpenSnapshot(dir, gotLSN)
+	if err != nil {
+		t.Fatalf("OpenSnapshot(%d): %v", gotLSN, err)
 	}
 	blob, _ := io.ReadAll(r)
 	r.Close()
@@ -278,7 +283,7 @@ func TestJournalSnapshotSaveLoadAndRetention(t *testing.T) {
 		t.Errorf("retention kept %d segments (cap 2 + active)", len(segs))
 	}
 	// Only the latest snapshotsKept snapshots remain.
-	snaps, _ := listSnapshots(dir)
+	snaps, _ = Snapshots(dir)
 	if len(snaps) > snapshotsKept {
 		t.Errorf("snapshot retention kept %d generations", len(snaps))
 	}

@@ -8,12 +8,13 @@ package journal
 // TTLs, forced decisions — happen at their recorded moments), and
 // dispatches the *input* events to the caller's sinks. The controller's
 // crash recovery feeds its live engines through it; Replay feeds a
-// fresh one-partition partition.Set — the same fusion→defense loop —
-// and captures the directive sequence, optionally under a different
-// DefensePolicy — the counterfactual knob.
+// fresh partition.Set as wide as the journal layout — the same
+// fusion→defense loop — and captures the directive sequence, optionally
+// under a different DefensePolicy — the counterfactual knob.
 
 import (
 	"fmt"
+	"sort"
 	"time"
 
 	"secureangle/internal/defense"
@@ -134,8 +135,8 @@ type ReplayOptions struct {
 	// Fusion optionally overrides fusion tuning (Fence, Emit, Clock,
 	// APCount, and TickInterval are managed by Replay regardless).
 	Fusion fusion.Config
-	// After skips records with LSN <= it (0 replays all retained
-	// history).
+	// After skips records with LSN <= it in every partition stream (0
+	// replays all retained history).
 	After uint64
 	// Tail extends the replay past the last record: the clock steps
 	// forward TailStep at a time (default 50ms, the engines' tick) so
@@ -162,26 +163,31 @@ type ReplayedDirective struct {
 // ReplayResult is a completed replay.
 type ReplayResult struct {
 	// Directives is the counterfactual directive sequence, in emission
-	// order.
+	// order (merged by timestamp across a partitioned journal's streams).
 	Directives []ReplayedDirective
 	// RecordedDirectives is the directive sequence the journal actually
-	// recorded (what the live policy did), for comparison.
+	// recorded (what the live policy did), for comparison — in LSN order,
+	// merged by timestamp across a partitioned journal's streams.
 	RecordedDirectives []defense.Directive
 	// Reports/Alerts/Releases count the re-applied inputs; Decisions the
 	// fence decisions the replayed fusion engine emitted.
 	Reports, Alerts, Releases, Decisions int
-	// LastLSN is the last journal record applied.
+	// LastLSN is the last journal record applied (the highest across a
+	// partitioned journal's streams; LSNs are per partition).
 	LastLSN uint64
 	// Quarantined is the threat state still in quarantine when the
 	// replay (including Tail) ended.
 	Quarantined []defense.ClientThreat
 }
 
-// Replay re-runs a journal directory's event stream through the live
-// closed loop — a fresh one-partition partition.Set, whose fusion
-// decisions feed defense through Set.ReportDecision exactly as the
-// controller's do — driven by the recorded clock, under opts.Policy,
-// and returns the counterfactual directive sequence. Reports keep
+// Replay re-runs a journal's event stream through the live closed loop
+// — a fresh partition.Set, whose fusion decisions feed defense through
+// Set.ReportDecision exactly as the controller's do — driven by the
+// recorded clock, under opts.Policy, and returns the counterfactual
+// directive sequence. The Set is as wide as the journal layout under
+// dir (see Dirs): each partition stream replays into its own partition,
+// in partition order as recovery does, sweeping only that partition's
+// engines because the clock rewinds between streams. Reports keep
 // their recorded trace IDs, so under the recorded policy the replayed
 // directives carry the recorded traces. Two replays of the same journal
 // with the same options produce byte-identical Wire sequences: inputs
@@ -195,6 +201,10 @@ func Replay(dir string, opts ReplayOptions) (*ReplayResult, error) {
 	if opts.TailStep <= 0 {
 		opts.TailStep = 50 * time.Millisecond
 	}
+	dirs, err := Dirs(dir)
+	if err != nil {
+		return nil, err
+	}
 	clk := &ReplayClock{}
 	res := &ReplayResult{}
 
@@ -206,6 +216,11 @@ func Replay(dir string, opts ReplayOptions) (*ReplayResult, error) {
 
 	var set *partition.Set
 	var lastLSN uint64
+	type recorded struct {
+		ts time.Time
+		d  defense.Directive
+	}
+	var recs []recorded
 
 	fcfg := opts.Fusion
 	fcfg.Fence = opts.Fence
@@ -231,7 +246,7 @@ func Replay(dir string, opts ReplayOptions) (*ReplayResult, error) {
 			})
 		},
 	}
-	set, err := partition.New(1,
+	set, err = partition.New(max(len(dirs), 1),
 		func(int) fusion.Config { return fcfg },
 		func(int) defense.Config { return dcfg })
 	if err != nil {
@@ -239,43 +254,70 @@ func Replay(dir string, opts ReplayOptions) (*ReplayResult, error) {
 	}
 	defer set.Close()
 
-	var endTS time.Time
-	last, _, err := ApplyRecords(dir, opts.After, Hooks{
-		Clock: clk,
-		Sweep: set.Sweep,
-		OnRecord: func(rec Record) {
-			lastLSN = rec.LSN
-			endTS = rec.TS
-		},
-		Report: func(ev ReportEvent) {
-			res.Reports++
-			apSeen[ev.AP] = true
-			set.Ingest(fusion.Bearing{AP: ev.AP, APPos: ev.APPos, MAC: ev.MAC, Seq: ev.Seq, Deg: ev.BearingDeg, Trace: ev.Trace})
-		},
-		Alert: func(v defense.SpoofVerdict) {
-			res.Alerts++
-			set.ReportSpoof(v)
-		},
-		Release: func(ev ReleaseEvent) {
-			res.Releases++
-			set.Release(ev.MAC)
-		},
-		Directive: func(d defense.Directive) {
-			res.RecordedDirectives = append(res.RecordedDirectives, d)
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	res.LastLSN = last
-
-	// Play the tail out: step the clock past the final record so
-	// decay/TTL transitions complete.
-	if opts.Tail > 0 && !endTS.IsZero() {
-		for t := endTS.Add(opts.TailStep); !t.After(endTS.Add(opts.Tail)); t = t.Add(opts.TailStep) {
-			clk.Set(t)
-			set.Sweep(t)
+	sweep := func(i int) func(time.Time) {
+		p := set.At(i)
+		return func(now time.Time) {
+			p.Fusion.Sweep(now)
+			p.Defense.Sweep(now)
 		}
+	}
+	ends := make([]time.Time, len(dirs)) // each stream's last record
+	var endTS time.Time                  // the journal's last record
+	for i, pdir := range dirs {
+		last, _, err := ApplyRecords(pdir, opts.After, Hooks{
+			Clock: clk,
+			Sweep: sweep(i),
+			OnRecord: func(rec Record) {
+				lastLSN = rec.LSN
+				ends[i] = rec.TS
+			},
+			Report: func(ev ReportEvent) {
+				res.Reports++
+				apSeen[ev.AP] = true
+				set.Ingest(fusion.Bearing{AP: ev.AP, APPos: ev.APPos, MAC: ev.MAC, Seq: ev.Seq, Deg: ev.BearingDeg, Trace: ev.Trace})
+			},
+			Alert: func(v defense.SpoofVerdict) {
+				res.Alerts++
+				set.ReportSpoof(v)
+			},
+			Release: func(ev ReleaseEvent) {
+				res.Releases++
+				set.Release(ev.MAC)
+			},
+			Directive: func(d defense.Directive) {
+				recs = append(recs, recorded{clk.Now(), d})
+			},
+		})
+		if err != nil {
+			return nil, err
+		}
+		res.LastLSN = max(res.LastLSN, last)
+		if ends[i].After(endTS) {
+			endTS = ends[i]
+		}
+	}
+
+	// Play the tail out: step each partition's clock from its own last
+	// record past the journal's last record, so decay/TTL transitions
+	// complete.
+	if opts.Tail > 0 {
+		for i, end := range ends {
+			if end.IsZero() {
+				continue
+			}
+			sw := sweep(i)
+			for t := end.Add(opts.TailStep); !t.After(endTS.Add(opts.Tail)); t = t.Add(opts.TailStep) {
+				clk.Set(t)
+				sw(t)
+			}
+		}
+	}
+	if len(dirs) > 1 {
+		sort.SliceStable(res.Directives, func(a, b int) bool { return res.Directives[a].TS.Before(res.Directives[b].TS) })
+		sort.SliceStable(recs, func(a, b int) bool { return recs[a].ts.Before(recs[b].ts) })
+	}
+	for _, r := range recs {
+		res.RecordedDirectives = append(res.RecordedDirectives, r.d)
 	}
 	res.Quarantined = set.Quarantined()
 	return res, nil

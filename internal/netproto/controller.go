@@ -89,7 +89,7 @@ type Controller struct {
 	// Off by default, so unenrolled fleets keep connecting; a presented
 	// token must validate even when auth is optional.
 	RequireAuth bool
-	// SnapshotInterval is the journal's snapshot cadence when WithJournal
+	// SnapshotInterval is the journal's snapshot cadence when WithJournalDir
 	// attached one (default DefaultSnapshotInterval; negative disables
 	// snapshots entirely — recovery then replays the whole WAL). Between
 	// snapshots a crash costs one WAL-tail replay; shorter intervals buy

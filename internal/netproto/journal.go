@@ -1,7 +1,7 @@
 package netproto
 
-// The controller's flight recorder (see package journal): WithJournal /
-// WithJournalDir attach durable event journals, recover state from
+// The controller's flight recorder (see package journal):
+// WithJournalDir attaches durable event journals, recovers state from
 // them, and from then on every decision-relevant event — reports at
 // ingest, spoof alerts, fused decisions, directives, acks, operator
 // releases, enrollment mutations — is appended as it happens, with the
@@ -25,8 +25,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
-	"path/filepath"
 	"time"
 
 	"secureangle/internal/defense"
@@ -61,67 +59,17 @@ func (c *Controller) journals() []*journal.Journal {
 	return nil
 }
 
-// WithJournal attaches one open journal to a single-partition
-// controller and recovers from it — the PR 5 entry point, kept for the
-// flat on-disk layout. Partitioned controllers use WithJournalDir.
-func (c *Controller) WithJournal(j *journal.Journal) error {
-	if j == nil {
-		return errors.New("netproto: WithJournal(nil)")
-	}
-	if c.nParts() > 1 {
-		return errors.New("netproto: WithJournal on a partitioned controller (use WithJournalDir)")
-	}
-	return c.attachJournals([]*journal.Journal{j})
-}
-
 // WithJournalDir opens (creating as needed) the controller's journal
 // layout under dir and attaches it: a flat journal for a
-// single-partition controller, dir/p0..p{N-1} for Partitions == N. The
-// on-disk layout must match the configured partition count — a
-// mismatch is refused rather than silently splitting or merging
-// history (re-partitioning an existing journal is an offline
-// migration, not a config change). opts applies to every partition's
+// single-partition controller, dir/p0..p{N-1} for Partitions == N (see
+// journal.OpenDir). An on-disk layout of any other partition count is
+// refused — re-partitioning an existing journal is an offline
+// migration, not a config change. opts applies to every partition's
 // journal; zero fields take the package journal defaults.
 func (c *Controller) WithJournalDir(dir string, opts journal.Options) error {
-	n := c.nParts()
-	flat, err := hasFlatSegments(dir)
+	js, err := journal.OpenDir(dir, c.nParts(), opts)
 	if err != nil {
 		return err
-	}
-	onDisk, err := countPartDirs(dir)
-	if err != nil {
-		return err
-	}
-	if n == 1 {
-		if onDisk > 0 {
-			return fmt.Errorf("netproto: journal dir %s holds %d partition(s) but Partitions=1", dir, onDisk)
-		}
-		j, err := journal.Open(dir, opts)
-		if err != nil {
-			return err
-		}
-		if err := c.attachJournals([]*journal.Journal{j}); err != nil {
-			j.Close()
-			return err
-		}
-		return nil
-	}
-	if flat {
-		return fmt.Errorf("netproto: journal dir %s holds a flat single-partition journal but Partitions=%d", dir, n)
-	}
-	if onDisk > n {
-		return fmt.Errorf("netproto: journal dir %s holds %d partition(s) but Partitions=%d", dir, onDisk, n)
-	}
-	js := make([]*journal.Journal, n)
-	for i := range js {
-		j, err := journal.Open(filepath.Join(dir, fmt.Sprintf("p%d", i)), opts)
-		if err != nil {
-			for k := 0; k < i; k++ {
-				js[k].Close()
-			}
-			return err
-		}
-		js[i] = j
 	}
 	if err := c.attachJournals(js); err != nil {
 		for _, j := range js {
@@ -130,35 +78,6 @@ func (c *Controller) WithJournalDir(dir string, opts journal.Options) error {
 		return err
 	}
 	return nil
-}
-
-// hasFlatSegments reports whether dir directly contains WAL segments
-// (the single-partition layout).
-func hasFlatSegments(dir string) (bool, error) {
-	m, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
-	if err != nil {
-		return false, err
-	}
-	return len(m) > 0, nil
-}
-
-// countPartDirs counts contiguous p0, p1, … subdirectories of dir (the
-// partitioned layout's width).
-func countPartDirs(dir string) (int, error) {
-	n := 0
-	for {
-		fi, err := os.Stat(filepath.Join(dir, fmt.Sprintf("p%d", n)))
-		if err != nil {
-			if os.IsNotExist(err) {
-				return n, nil
-			}
-			return n, err
-		}
-		if !fi.IsDir() {
-			return n, nil
-		}
-		n++
-	}
 }
 
 // attachJournals recovers every partition from its journal and arms

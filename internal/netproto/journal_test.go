@@ -16,6 +16,7 @@ import (
 	"secureangle/internal/geom"
 	"secureangle/internal/journal"
 	"secureangle/internal/locate"
+	"secureangle/internal/partition"
 	"secureangle/internal/wifi"
 )
 
@@ -53,11 +54,7 @@ func TestJournalCrashRecoveryEndToEnd(t *testing.T) {
 	a := NewController(fence)
 	a.DefensePolicy = policy
 	a.SnapshotInterval = -1 // hard-stop semantics: recovery must come from the WAL alone
-	j, err := journal.Open(dir, journal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.WithJournal(j); err != nil {
+	if err := a.WithJournalDir(dir, journal.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -109,11 +106,7 @@ func TestJournalCrashRecoveryEndToEnd(t *testing.T) {
 	b := NewController(fence)
 	b.DefensePolicy = policy
 	b.SnapshotInterval = -1
-	j2, err := journal.Open(dir, journal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.WithJournal(j2); err != nil {
+	if err := b.WithJournalDir(dir, journal.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	defer b.Close()
@@ -185,11 +178,7 @@ func TestJournalSnapshotPlusTailRecovery(t *testing.T) {
 
 	a := NewController(fence)
 	a.SnapshotInterval = -1 // only the explicit snapshot below
-	j, err := journal.Open(dir, journal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.WithJournal(j); err != nil {
+	if err := a.WithJournalDir(dir, journal.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -220,11 +209,7 @@ func TestJournalSnapshotPlusTailRecovery(t *testing.T) {
 
 	b := NewController(fence)
 	b.SnapshotInterval = -1
-	j2, err := journal.Open(dir, journal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.WithJournal(j2); err != nil {
+	if err := b.WithJournalDir(dir, journal.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	defer b.Close()
@@ -250,11 +235,7 @@ func TestJournalRecordsEventStream(t *testing.T) {
 	dir := t.TempDir()
 	fence := &locate.Fence{Boundary: geom.Rect(0, 0, 24, 16)}
 	c := NewController(fence)
-	j, err := journal.Open(dir, journal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.WithJournal(j); err != nil {
+	if err := c.WithJournalDir(dir, journal.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -331,11 +312,7 @@ func TestJournalCorruptSnapshotFallsBack(t *testing.T) {
 
 	a := NewController(fence)
 	a.SnapshotInterval = -1
-	j, err := journal.Open(dir, journal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.WithJournal(j); err != nil {
+	if err := a.WithJournalDir(dir, journal.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -393,11 +370,7 @@ func TestJournalCorruptSnapshotFallsBack(t *testing.T) {
 		logs = append(logs, fmt.Sprintf(format, args...))
 		logMu.Unlock()
 	}
-	j2, err := journal.Open(dir, journal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.WithJournal(j2); err != nil {
+	if err := b.WithJournalDir(dir, journal.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	defer b.Close()
@@ -483,5 +456,139 @@ func TestReplayMatchesLiveTraces(t *testing.T) {
 			t.Errorf("directive %d: replayed %v %v %v→%v trace %#x, recorded %v %v %v→%v trace %#x",
 				i, got.MAC, got.Action, got.From, got.To, got.Trace, want.MAC, want.Action, want.From, want.To, want.Trace)
 		}
+	}
+}
+
+// TestReplayPartitionedJournal: journal.Replay reads a partitioned
+// dir/p0..pN tree. A 2-partition controller quarantines MACs spread
+// over both partitions from traced out-of-fence reports; replaying the
+// tree under the same policy re-applies every ingested report and
+// re-derives each MAC's recorded directive sequence — action, state
+// transition and trace ID.
+func TestReplayPartitionedJournal(t *testing.T) {
+	fence := &locate.Fence{Boundary: geom.Rect(0, 0, 24, 16)}
+	c := NewController(fence)
+	c.Partitions = 2
+	c.SnapshotInterval = -1
+	c.Logf = func(string, ...any) {}
+	dir := t.TempDir()
+	if err := c.WithJournalDir(dir, journal.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	ap1Pos, ap2Pos := geom.Point{X: 0, Y: 0}, geom.Point{X: 24, Y: 0}
+	c.mu.Lock()
+	c.apPos["ap1"], c.apPos["ap2"] = ap1Pos, ap2Pos
+	c.mu.Unlock()
+
+	// First octets 0x02..0x62 route to p0, 0x82..0xe2 to p1.
+	firsts := []byte{0x02, 0x42, 0x62, 0x82, 0xa2, 0xe2}
+	perPart := [2]int{}
+	reports := 0
+	for m, first := range firsts {
+		mac := wifi.Addr{first, 0, 0, 0, 0, byte(m + 1)}
+		perPart[partition.IndexFor(mac, 2)]++
+		target := geom.Point{X: 2 + 4*float64(m), Y: 20} // outside the fence
+		for seq := uint64(1); seq <= 6; seq++ {
+			tr := uint64(m+1)<<32 | seq<<8
+			c.ingest(Report{APName: "ap1", MAC: mac, SeqNo: seq, BearingDeg: geom.BearingDeg(ap1Pos, target), Trace: tr | 1})
+			c.ingest(Report{APName: "ap2", MAC: mac, SeqNo: seq, BearingDeg: geom.BearingDeg(ap2Pos, target), Trace: tr | 2})
+			reports += 2
+		}
+	}
+	if perPart[0] < 2 || perPart[1] < 2 {
+		t.Fatalf("attackers per partition = %v, want both partitions populated", perPart)
+	}
+	if got := len(c.Quarantined()); got != len(firsts) {
+		t.Fatalf("live controller quarantined %d MACs, want %d", got, len(firsts))
+	}
+	policy := c.DefensePolicy
+	c.Close()
+
+	res, err := journal.Replay(dir, journal.ReplayOptions{Fence: fence, Policy: policy})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Reports != reports {
+		t.Fatalf("replay re-applied %d reports, controller ingested %d", res.Reports, reports)
+	}
+	type step struct {
+		action   defense.Action
+		from, to defense.State
+		trace    uint64
+	}
+	recorded, replayed := map[wifi.Addr][]step{}, map[wifi.Addr][]step{}
+	for _, d := range res.RecordedDirectives {
+		recorded[d.MAC] = append(recorded[d.MAC], step{d.Action, d.From, d.To, d.Trace})
+	}
+	for _, r := range res.Directives {
+		d := r.Directive
+		replayed[d.MAC] = append(replayed[d.MAC], step{d.Action, d.From, d.To, d.Trace})
+	}
+	if len(recorded) != len(firsts) {
+		t.Fatalf("journal recorded directives for %d MACs, want %d", len(recorded), len(firsts))
+	}
+	for mac, want := range recorded {
+		got := replayed[mac]
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%v: replayed %v, recorded %v", mac, got, want)
+		}
+	}
+	for i := 1; i < len(res.Directives); i++ {
+		if res.Directives[i].TS.Before(res.Directives[i-1].TS) {
+			t.Fatalf("replayed directives out of timestamp order at %d", i)
+		}
+	}
+}
+
+// TestJournalDirRefusesRepartition: a journal tree opens only under
+// the partition count that wrote it. Reopening a 2-partition tree with
+// Partitions 4 or 1 is an error that attaches nothing; reopening it
+// with 2 restores its alert-driven quarantine where lookups find it.
+func TestJournalDirRefusesRepartition(t *testing.T) {
+	fence := &locate.Fence{Boundary: geom.Rect(0, 0, 24, 16)}
+	dir := t.TempDir()
+	// p1 of 2, p2 of 4: a mis-sized reopen would restore the threat into
+	// a partition its lookups never reach.
+	mac := wifi.Addr{0x86, 0, 0, 0, 0, 0x01}
+	if partition.IndexFor(mac, 2) == partition.IndexFor(mac, 4) {
+		t.Fatalf("test MAC routes to partition %d under both counts", partition.IndexFor(mac, 2))
+	}
+	newCtrl := func(parts int) *Controller {
+		c := NewController(fence)
+		c.Partitions = parts
+		c.SnapshotInterval = -1
+		c.Logf = func(string, ...any) {}
+		return c
+	}
+
+	a := newCtrl(2)
+	if err := a.WithJournalDir(dir, journal.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	a.handleAlert(Alert{APName: "ap1", MAC: mac, Distance: 0.9, Threshold: 0.12, Stage: "spoofcheck"})
+	if q := a.Quarantined(); len(q) != 1 || q[0].MAC != mac {
+		t.Fatalf("alert did not quarantine %v: %+v", mac, q)
+	}
+	a.Close()
+
+	for _, parts := range []int{4, 1} {
+		c := newCtrl(parts)
+		if err := c.WithJournalDir(dir, journal.Options{}); err == nil {
+			t.Errorf("Partitions=%d: reopening a 2-partition tree succeeded", parts)
+		}
+		if c.journals() != nil || len(c.Quarantined()) != 0 {
+			t.Errorf("Partitions=%d: refused reopen attached state: %d journal(s), quarantined %+v",
+				parts, len(c.journals()), c.Quarantined())
+		}
+		c.Close()
+	}
+
+	b := newCtrl(2)
+	if err := b.WithJournalDir(dir, journal.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if th, ok := b.Threat(mac); !ok || th.State != defense.StateQuarantine {
+		t.Fatalf("Threat(%v) after reopen = %+v (ok=%v), want quarantined", mac, th, ok)
 	}
 }

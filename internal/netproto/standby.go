@@ -520,8 +520,7 @@ func (s *Standby) OpsHandler() http.Handler {
 	if s.ctrl.PprofOps {
 		mountPprof(mux)
 	}
-	mux.HandleFunc("/status", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
+	mux.HandleFunc("/status", readOnlyJSON(func(w http.ResponseWriter, r *http.Request) {
 		doc := struct {
 			Status
 			Standby StandbyStatus `json:"standby"`
@@ -529,7 +528,7 @@ func (s *Standby) OpsHandler() http.Handler {
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		_ = enc.Encode(doc)
-	})
+	}))
 	mux.HandleFunc("/promote", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			http.Error(w, `{"error":"method not allowed"}`, http.StatusMethodNotAllowed)

@@ -262,6 +262,71 @@ func TestOpsHandlerHTTPEdges(t *testing.T) {
 	}
 }
 
+// TestOpsHandlerStandbyStatusReadOnly: the standby's /status is a
+// read-only document like the controller's — a POST is a 405 with an
+// Allow header, a GET serves JSON — while /promote stays POST-only.
+func TestOpsHandlerStandbyStatusReadOnly(t *testing.T) {
+	sb, err := NewStandby(StandbyConfig{
+		LeaderAddr: "127.0.0.1:1", // never dialled: Run is not called
+		Dir:        t.TempDir(),
+		Fence:      &locate.Fence{Boundary: geom.Rect(0, 0, 24, 16)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sb.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb.ServeOps(ln)
+	base := "http://" + ln.Addr().String()
+
+	resp, err := http.Post(base+"/status", "application/json", strings.NewReader("{}"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Errorf("POST /status = %d, want 405", resp.StatusCode)
+	}
+	if allow := resp.Header.Get("Allow"); !strings.Contains(allow, "GET") {
+		t.Errorf("POST /status Allow = %q, want GET advertised", allow)
+	}
+	if !strings.Contains(string(body), "method not allowed") {
+		t.Errorf("POST /status body = %q", body)
+	}
+	if sb.Promoted() {
+		t.Error("POST /status promoted the standby")
+	}
+
+	resp, err = http.Get(base + "/status")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Standby StandbyStatus `json:"standby"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&doc)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || err != nil {
+		t.Errorf("GET /status = %d (decode err %v), want a 200 JSON document", resp.StatusCode, err)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+		t.Errorf("GET /status Content-Type = %q, want application/json", ct)
+	}
+
+	resp, err = http.Get(base + "/promote")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Errorf("GET /promote = %d, want 405", resp.StatusCode)
+	}
+}
+
 // TestOpsHandlerTracesDocument: /traces serves the retained store with
 // histogram exemplar links, decodable into TracesDocument.
 func TestOpsHandlerTracesDocument(t *testing.T) {

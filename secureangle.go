@@ -163,7 +163,7 @@ type (
 	Countermeasure = core.Countermeasure
 	// Journal is the controller's flight recorder: a segmented,
 	// CRC32C-framed, append-only event log plus engine snapshots (see
-	// OpenJournal and Controller.WithJournal).
+	// OpenJournal and Controller.WithJournalDir).
 	Journal = journal.Journal
 	// JournalOptions tunes a Journal (segment size, retention, fsync
 	// policy).
@@ -246,10 +246,11 @@ const (
 	FsyncNever = journal.FsyncNever
 )
 
-// OpenJournal opens (creating as needed) a flight-recorder journal
-// directory. Attach it to a controller with Controller.WithJournal
-// before Serve; a restarted controller recovers its fusion and defense
-// state from the same directory.
+// OpenJournal opens (creating as needed) one flight-recorder journal
+// directory, for tools that append to or inspect a journal directly.
+// A controller opens and recovers its own journal layout with
+// Controller.WithJournalDir before Serve; a restarted controller
+// recovers its fusion and defense state from the same directory.
 func OpenJournal(dir string, opts JournalOptions) (*Journal, error) {
 	return journal.Open(dir, opts)
 }
