@@ -91,8 +91,8 @@ func main() {
 			reported++
 		}
 		if reported < 2 {
-			// Too few bearings to fuse: the controller's PendingTTL will
-			// expire this transmission; the walk coasts.
+			// Too few bearings to fuse: the fusion engine's pending TTL
+			// will expire this transmission; the walk coasts.
 			fmt.Printf("%-7.1f %-18v %-18s\n", wp.T, wp.Pos, "(insufficient bearings)")
 			continue
 		}

@@ -8,7 +8,6 @@ import (
 	"secureangle/internal/geom"
 	"secureangle/internal/ofdm"
 	"secureangle/internal/radio"
-	"secureangle/internal/signature"
 	"secureangle/internal/testbed"
 	"secureangle/internal/wifi"
 )
@@ -201,21 +200,7 @@ func (ap *AP) ProcessFrameBatchContext(ctx context.Context, items []FrameBatchIt
 			out[i].Err = &PipelineError{Stage: StageDispatch, AP: ap.Name, MAC: items[i].Frame.Addr2, Err: err}
 			continue
 		}
-		fr := &FrameReport{Report: *r.Report, MAC: items[i].Frame.Addr2}
-		v, enrolled, err := ap.registry.observe(items[i].Frame.Addr2, r.Report.Sig, ap.cfg.Policy)
-		if err != nil {
-			out[i].Err = &PipelineError{Stage: StageSpoofCheck, AP: ap.Name, MAC: items[i].Frame.Addr2, Err: err}
-			continue
-		}
-		fr.Decision = v.Decision
-		fr.Distance = v.Distance
-		fr.Threshold = v.Threshold
-		fr.Enrolled = enrolled
-		fr.Quarantined = ap.measures.active(items[i].Frame.Addr2)
-		if v.Decision == signature.Accept && !fr.Quarantined {
-			ap.measures.noteServeBearing(r.Report.BearingDeg)
-		}
-		out[i].Report = fr
+		out[i].Report, out[i].Err = ap.spoofCheck(r.Report, items[i].Frame.Addr2)
 	}
 	return out
 }

@@ -11,6 +11,7 @@ import (
 	"secureangle/internal/rng"
 	"secureangle/internal/signature"
 	"secureangle/internal/testbed"
+	"secureangle/internal/trace"
 	"secureangle/internal/wifi"
 )
 
@@ -198,6 +199,45 @@ func TestProcessFrameBatchRegistrySemantics(t *testing.T) {
 	}
 	if !ap.Known(testbed.ClientMAC(c.ID)) {
 		t.Fatal("client not enrolled after batch")
+	}
+}
+
+// TestProcessFrameBatchRecordsSpoofCheckSpans checks that the batch path
+// traces its spoof checks like ProcessFrame does: one StageSpoofCheck
+// span per checked frame, on that frame's trace.
+func TestProcessFrameBatchRecordsSpoofCheckSpans(t *testing.T) {
+	ap := newBatchAP(t, 2)
+	var items []FrameBatchItem
+	for i, id := range []int{3, 3, 7} {
+		c, err := testbed.ClientByID(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		items = append(items, FrameBatchItem{TX: c.Pos, Frame: testbed.UplinkFrame(c.ID, uint16(i), []byte("uplink")), Mod: ofdm.QPSK})
+	}
+	for i, r := range ap.ProcessFrameBatch(items) {
+		if r.Err != nil {
+			t.Fatalf("item %d: %v", i, r.Err)
+		}
+		id := r.Report.Trace
+		trace.Default().Retain(id)
+		spans := 0
+		for _, v := range trace.Default().Snapshot(0) {
+			if v.Trace != id {
+				continue
+			}
+			for _, sp := range v.Spans {
+				if sp.Stage == trace.StageSpoofCheck {
+					spans++
+					if sp.MAC != items[i].Frame.Addr2 || sp.AP != ap.Name {
+						t.Errorf("item %d: span %+v", i, sp)
+					}
+				}
+			}
+		}
+		if spans != 1 {
+			t.Errorf("item %d: %d spoof-check spans, want 1", i, spans)
+		}
 	}
 }
 

@@ -575,25 +575,33 @@ func (ap *AP) ProcessFrameContext(ctx context.Context, tx geom.Point, frame *wif
 	if err != nil {
 		return nil, withMAC(err, frame.Addr2)
 	}
-	fr := &FrameReport{Report: *rep, MAC: frame.Addr2}
+	return ap.spoofCheck(rep, frame.Addr2)
+}
+
+// spoofCheck runs the spoof check of one observed frame from mac: it
+// enrolls or checks rep's signature against the registry, records the
+// StageSpoofCheck span, stamps quarantine and, for accepted traffic,
+// notes the serve bearing. ProcessFrameContext and
+// ProcessFrameBatchContext both end here.
+func (ap *AP) spoofCheck(rep *Report, mac wifi.Addr) (*FrameReport, error) {
 	tSpoof := time.Now()
-	v, enrolled, err := ap.registry.observe(frame.Addr2, rep.Sig, ap.cfg.Policy)
+	v, enrolled, err := ap.registry.observe(mac, rep.Sig, ap.cfg.Policy)
 	if err != nil {
-		return nil, &PipelineError{Stage: StageSpoofCheck, AP: ap.Name, MAC: frame.Addr2, Err: err}
+		return nil, &PipelineError{Stage: StageSpoofCheck, AP: ap.Name, MAC: mac, Err: err}
 	}
 	trace.Default().Record(trace.Span{
 		Trace: rep.Trace,
 		Stage: trace.StageSpoofCheck,
 		Start: tSpoof.UnixNano(),
 		Dur:   int64(time.Since(tSpoof)),
-		MAC:   frame.Addr2,
+		MAC:   mac,
 		AP:    ap.Name,
 	})
-	fr.Decision = v.Decision
-	fr.Distance = v.Distance
-	fr.Threshold = v.Threshold
-	fr.Enrolled = enrolled
-	fr.Quarantined = ap.measures.active(frame.Addr2)
+	fr := &FrameReport{
+		Report: *rep, MAC: mac,
+		Decision: v.Decision, Distance: v.Distance, Threshold: v.Threshold,
+		Enrolled: enrolled, Quarantined: ap.measures.active(mac),
+	}
 	if v.Decision == signature.Accept && !fr.Quarantined {
 		// Remember where legitimate traffic comes from: the serve bearing
 		// a null-steer countermeasure preserves gain toward.

@@ -9,14 +9,11 @@ package defense
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"sort"
-	"time"
 
-	"secureangle/internal/geom"
+	"secureangle/internal/bin"
 	"secureangle/internal/wifi"
 )
 
@@ -29,25 +26,23 @@ const (
 	snapVersionV1 = 1
 )
 
-// threatFixedSize is one encoded threat record minus its two strings:
-// MAC + state + action + score + 3 evidence counters + distance +
-// threshold + bearing + hasBearing + pos + hasPos + since + updated.
-const threatFixedSize = 6 + 1 + 1 + 8 + 3*8 + 8 + 8 + 8 + 1 + 16 + 1 + 8 + 8
-
 // Save writes a versioned binary snapshot of the engine's threat state
 // to w, in MAC order (deterministic bytes for identical state). Safe to
 // call concurrently with ingest; consistent per shard, not across
 // shards.
 func (e *Engine) Save(w io.Writer) error {
 	type rec struct {
-		mac  wifi.Addr
-		body []byte
+		mac        wifi.Addr
+		start, end int
 	}
 	var recs []rec
+	var body []byte
 	for _, s := range e.shards {
 		s.mu.Lock()
 		for mac, th := range s.threats {
-			recs = append(recs, rec{mac: mac, body: encodeThreat(nil, th)})
+			start := len(body)
+			body = encodeThreat(body, th)
+			recs = append(recs, rec{mac: mac, start: start, end: len(body)})
 		}
 		s.mu.Unlock()
 	}
@@ -55,62 +50,35 @@ func (e *Engine) Save(w io.Writer) error {
 		return bytes.Compare(recs[i].mac[:], recs[j].mac[:]) < 0
 	})
 	bw := bufio.NewWriter(w)
-	bw.WriteString(snapMagic)
-	var hdr [6]byte
-	binary.BigEndian.PutUint16(hdr[0:2], snapVersion)
-	binary.BigEndian.PutUint32(hdr[2:6], uint32(len(recs)))
-	bw.Write(hdr[:])
-	for i := range recs {
-		bw.Write(recs[i].body)
+	bw.Write(bin.U32(bin.U16([]byte(snapMagic), snapVersion), uint32(len(recs))))
+	for _, r := range recs {
+		bw.Write(body[r.start:r.end])
 	}
 	return bw.Flush()
 }
 
-// encodeThreat appends one threat's wire form: the fixed block, then
-// the two length-prefixed strings. Shard lock held.
+// encodeThreat appends one threat's wire form: MAC, state, action,
+// score, the three evidence counters, distance, threshold, bearing,
+// hasBearing, pos, hasPos, since, updated, the two length-prefixed
+// strings, then the last trace ID. Shard lock held.
 func encodeThreat(b []byte, th *threat) []byte {
-	b = append(b, th.mac[:]...)
+	b = bin.MAC(b, th.mac)
 	b = append(b, byte(th.state), byte(th.action))
-	b = binary.BigEndian.AppendUint64(b, math.Float64bits(th.score))
-	b = binary.BigEndian.AppendUint64(b, th.flags)
-	b = binary.BigEndian.AppendUint64(b, th.fenceDrops)
-	b = binary.BigEndian.AppendUint64(b, th.speedFlags)
-	b = binary.BigEndian.AppendUint64(b, math.Float64bits(th.lastDistance))
-	b = binary.BigEndian.AppendUint64(b, math.Float64bits(th.lastThreshold))
-	b = binary.BigEndian.AppendUint64(b, math.Float64bits(th.bearingDeg))
-	b = appendBool(b, th.hasBearing)
-	b = binary.BigEndian.AppendUint64(b, math.Float64bits(th.pos.X))
-	b = binary.BigEndian.AppendUint64(b, math.Float64bits(th.pos.Y))
-	b = appendBool(b, th.hasPos)
-	b = binary.BigEndian.AppendUint64(b, uint64(th.since.UnixNano()))
-	b = binary.BigEndian.AppendUint64(b, uint64(th.updated.UnixNano()))
-	b = appendString(b, th.lastAP)
-	b = appendString(b, th.stage)
-	return binary.BigEndian.AppendUint64(b, th.lastTrace)
-}
-
-func appendBool(b []byte, v bool) []byte {
-	if v {
-		return append(b, 1)
-	}
-	return append(b, 0)
-}
-
-func appendString(b []byte, s string) []byte {
-	b = binary.BigEndian.AppendUint16(b, uint16(len(s)))
-	return append(b, s...)
-}
-
-func readSnapString(br *bufio.Reader) (string, error) {
-	var n [2]byte
-	if _, err := io.ReadFull(br, n[:]); err != nil {
-		return "", err
-	}
-	buf := make([]byte, binary.BigEndian.Uint16(n[:]))
-	if _, err := io.ReadFull(br, buf); err != nil {
-		return "", err
-	}
-	return string(buf), nil
+	b = bin.F64(b, th.score)
+	b = bin.U64(b, th.flags)
+	b = bin.U64(b, th.fenceDrops)
+	b = bin.U64(b, th.speedFlags)
+	b = bin.F64(b, th.lastDistance)
+	b = bin.F64(b, th.lastThreshold)
+	b = bin.F64(b, th.bearingDeg)
+	b = bin.Bool(b, th.hasBearing)
+	b = bin.Point(b, th.pos)
+	b = bin.Bool(b, th.hasPos)
+	b = bin.Time(b, th.since)
+	b = bin.Time(b, th.updated)
+	b = bin.Str(b, th.lastAP)
+	b = bin.Str(b, th.stage)
+	return bin.U64(b, th.lastTrace)
 }
 
 // Restore loads a snapshot written by Save into the engine, replacing
@@ -120,72 +88,51 @@ func readSnapString(br *bufio.Reader) (string, error) {
 // the engine's view of the fleet, and the controller re-broadcasts them
 // to APs as they (re)connect.
 func (e *Engine) Restore(r io.Reader) error {
-	hdr := make([]byte, 4+6)
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return fmt.Errorf("defense: snapshot header: %w", err)
+	blob, err := io.ReadAll(r)
+	if err != nil {
+		return fmt.Errorf("defense: snapshot: %w", err)
 	}
-	if string(hdr[:4]) != snapMagic {
-		return fmt.Errorf("defense: bad snapshot magic %q", hdr[:4])
+	br := bin.NewReader(blob)
+	magic, ver, count := br.Bytes(4), br.U16(), br.U32()
+	if br.Err != nil {
+		return fmt.Errorf("defense: snapshot header: %w", br.Err)
 	}
-	ver := binary.BigEndian.Uint16(hdr[4:6])
+	if string(magic) != snapMagic {
+		return fmt.Errorf("defense: bad snapshot magic %q", magic)
+	}
 	if ver != snapVersion && ver != snapVersionV1 {
 		return fmt.Errorf("defense: unsupported snapshot version %d", ver)
 	}
-	count := binary.BigEndian.Uint32(hdr[6:10])
-	br := bufio.NewReader(r)
-	fixed := make([]byte, threatFixedSize)
 	for i := uint32(0); i < count; i++ {
-		if _, err := io.ReadFull(br, fixed); err != nil {
+		if err := e.restoreThreat(&br, ver); err != nil {
 			return fmt.Errorf("defense: snapshot threat %d: %w", i, err)
 		}
-		lastAP, err := readSnapString(br)
-		if err != nil {
-			return fmt.Errorf("defense: snapshot threat %d: %w", i, err)
-		}
-		stage, err := readSnapString(br)
-		if err != nil {
-			return fmt.Errorf("defense: snapshot threat %d: %w", i, err)
-		}
-		var lastTrace uint64
-		if ver >= snapVersion {
-			var tb [8]byte
-			if _, err := io.ReadFull(br, tb[:]); err != nil {
-				return fmt.Errorf("defense: snapshot threat %d: %w", i, err)
-			}
-			lastTrace = binary.BigEndian.Uint64(tb[:])
-		}
-		e.restoreThreat(fixed, lastAP, stage, lastTrace)
 	}
 	return nil
 }
 
-// restoreThreat decodes one fixed block + strings and installs the
-// threat entry in its shard.
-func (e *Engine) restoreThreat(b []byte, lastAP, stage string, lastTrace uint64) {
-	var mac wifi.Addr
-	copy(mac[:], b[:6])
-	now := e.cfg.Clock()
-	s := e.shardFor(mac)
-	s.mu.Lock()
-	th, ds := s.touch(e, mac, now)
-	th.state = State(b[6])
-	th.action = Action(b[7])
-	th.score = math.Float64frombits(binary.BigEndian.Uint64(b[8:16]))
-	th.flags = binary.BigEndian.Uint64(b[16:24])
-	th.fenceDrops = binary.BigEndian.Uint64(b[24:32])
-	th.speedFlags = binary.BigEndian.Uint64(b[32:40])
-	th.lastDistance = math.Float64frombits(binary.BigEndian.Uint64(b[40:48]))
-	th.lastThreshold = math.Float64frombits(binary.BigEndian.Uint64(b[48:56]))
-	th.bearingDeg = math.Float64frombits(binary.BigEndian.Uint64(b[56:64]))
-	th.hasBearing = b[64] != 0
-	th.pos = geom.Point{
-		X: math.Float64frombits(binary.BigEndian.Uint64(b[65:73])),
-		Y: math.Float64frombits(binary.BigEndian.Uint64(b[73:81])),
+// restoreThreat decodes one threat record of snapshot version ver and
+// installs it in its shard.
+func (e *Engine) restoreThreat(br *bin.Reader, ver uint16) error {
+	t := threat{
+		mac: br.MAC(), state: State(br.U8()), action: Action(br.U8()), score: br.F64(),
+		flags: br.U64(), fenceDrops: br.U64(), speedFlags: br.U64(),
+		lastDistance: br.F64(), lastThreshold: br.F64(), bearingDeg: br.F64(), hasBearing: br.Bool(),
+		pos: br.Point(), hasPos: br.Bool(), since: br.Time(), updated: br.Time(),
+		lastAP: br.Str(), stage: br.Str(),
 	}
-	th.hasPos = b[81] != 0
-	th.since = time.Unix(0, int64(binary.BigEndian.Uint64(b[82:90])))
-	th.updated = time.Unix(0, int64(binary.BigEndian.Uint64(b[90:98])))
-	th.lastAP, th.stage = lastAP, stage
-	th.lastTrace = lastTrace
+	if ver >= snapVersion {
+		t.lastTrace = br.U64()
+	}
+	if br.Err != nil {
+		return br.Err
+	}
+	now := e.cfg.Clock()
+	s := e.shardFor(t.mac)
+	s.mu.Lock()
+	th, ds := s.touch(e, t.mac, now)
+	t.lruPrev, t.lruNext = th.lruPrev, th.lruNext
+	*th = t
 	s.unlockAndEmit(e, ds)
+	return nil
 }

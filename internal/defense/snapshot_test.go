@@ -2,6 +2,7 @@ package defense
 
 import (
 	"bytes"
+	"encoding/hex"
 	"reflect"
 	"sort"
 	"testing"
@@ -112,4 +113,50 @@ func normThreats(ts []ClientThreat) []ClientThreat {
 		out[i] = st
 	}
 	return out
+}
+
+// TestDefenseSnapshotGoldenBytes pins the SADS v2 bytes of a
+// quarantined spoofer and a monitored fence violator: Save must emit
+// the literal, and the literal must restore into an engine that saves
+// it back unchanged.
+func TestDefenseSnapshotGoldenBytes(t *testing.T) {
+	const golden = "53414453000200000002" +
+		"020000000001020140100000000000000000000000000001000000000000000000000000000000003fe00000000000003fd0000000000000404e000000000000010000000000000000000000000000000000000000e8d4a51000000000e8d4a510000003617031000a73706f6f66636865636b0000000000000abc" +
+		"02000000000200003fe000000000000000000000000000000000000000000001000000000000000000000000000000000000000000000000000000000000000000403e000000000000401400000000000001000000e8d4a51000000000e8d4a51000000000000000000000000000"
+	want, err := hex.DecodeString(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, _, _, _ := testEngine(t, Config{})
+	spoofer := wifi.Addr{2, 0, 0, 0, 0, 1}
+	monitored := wifi.Addr{2, 0, 0, 0, 0, 2}
+	a.ReportSpoof(SpoofVerdict{AP: "ap1", MAC: spoofer, Flagged: true, Distance: 0.5, Threshold: 0.25, BearingDeg: 60, HasBearing: true, Stage: "spoofcheck", Trace: 0xabc})
+	a.ReportFence(FenceVerdict{MAC: monitored, Seq: 1, Pos: geom.Point{X: 30, Y: 5}, Allowed: false})
+	var buf bytes.Buffer
+	if err := a.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("Save emits\n%x\nwant\n%s", buf.Bytes(), golden)
+	}
+
+	b, _, emitted, mu := testEngine(t, Config{})
+	if err := b.Restore(bytes.NewReader(want)); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	if len(*emitted) != 0 {
+		t.Errorf("restore emitted directives: %+v", *emitted)
+	}
+	mu.Unlock()
+	if st, ok := b.State(spoofer); !ok || st.State != StateQuarantine || st.LastAP != "ap1" || st.Stage != "spoofcheck" || st.Trace != 0xabc {
+		t.Errorf("restored spoofer = %+v, %v", st, ok)
+	}
+	buf.Reset()
+	if err := b.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("restore/save round trip gives\n%x\nwant\n%s", buf.Bytes(), golden)
+	}
 }

@@ -12,14 +12,12 @@ package fusion
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"time"
 
-	"secureangle/internal/geom"
+	"secureangle/internal/bin"
 	"secureangle/internal/locate"
 	"secureangle/internal/wifi"
 )
@@ -30,27 +28,23 @@ const (
 	snapVersion = 1
 )
 
-// clientWireSize is one encoded client record: MAC + seq window
-// (init byte, hi, mask) + track filter (pos, vel, init byte) + fix
-// state (trackPos, lastFix nanos, fixes, lastSeq, decision byte).
-const clientWireSize = 6 + 1 + 8 + 8 + 16 + 16 + 1 + 16 + 8 + 8 + 8 + 1
-
 // Save writes a versioned binary snapshot of the engine's per-client
 // state to w, in MAC order (deterministic bytes for identical state).
 // It is safe to call concurrently with ingest; the snapshot is
 // consistent per shard, not across shards (the Snapshot contract).
 func (e *Engine) Save(w io.Writer) error {
 	type rec struct {
-		mac  wifi.Addr
-		body [clientWireSize]byte
+		mac        wifi.Addr
+		start, end int
 	}
 	var recs []rec
+	var body []byte
 	for _, s := range e.shards {
 		s.mu.Lock()
 		for mac, cl := range s.clients {
-			r := rec{mac: mac}
-			encodeClient(r.body[:0], cl)
-			recs = append(recs, r)
+			start := len(body)
+			body = encodeClient(body, cl)
+			recs = append(recs, rec{mac: mac, start: start, end: len(body)})
 		}
 		s.mu.Unlock()
 	}
@@ -58,58 +52,37 @@ func (e *Engine) Save(w io.Writer) error {
 		return bytes.Compare(recs[i].mac[:], recs[j].mac[:]) < 0
 	})
 	bw := bufio.NewWriter(w)
-	bw.WriteString(snapMagic)
-	var hdr [6]byte
-	binary.BigEndian.PutUint16(hdr[0:2], snapVersion)
-	binary.BigEndian.PutUint32(hdr[2:6], uint32(len(recs)))
-	bw.Write(hdr[:])
-	for i := range recs {
-		bw.Write(recs[i].body[:])
+	bw.Write(bin.U32(bin.U16([]byte(snapMagic), snapVersion), uint32(len(recs))))
+	for _, r := range recs {
+		bw.Write(body[r.start:r.end])
 	}
 	return bw.Flush()
 }
 
-// encodeClient appends one client's wire form to b (cap >=
-// clientWireSize). Shard lock held.
+// encodeClient appends one client's wire form to b: MAC, seq window
+// (init byte, hi, mask), track filter (pos, vel, init byte), fix state
+// (trackPos, lastFix nanos, fixes, lastSeq, decision byte). Shard lock
+// held.
 func encodeClient(b []byte, cl *client) []byte {
-	b = append(b, cl.mac[:]...)
-	b = appendBool(b, cl.seqInit)
-	b = binary.BigEndian.AppendUint64(b, cl.seqHi)
-	b = binary.BigEndian.AppendUint64(b, cl.seqMask)
+	b = bin.MAC(b, cl.mac)
+	b = bin.Bool(b, cl.seqInit)
+	b = bin.U64(b, cl.seqHi)
+	b = bin.U64(b, cl.seqMask)
 	fpos, fvel, finited := cl.filter.State()
-	b = appendPoint(b, fpos)
-	b = appendPoint(b, fvel)
-	b = appendBool(b, finited)
-	b = appendPoint(b, cl.trackPos)
+	b = bin.Point(b, fpos)
+	b = bin.Point(b, fvel)
+	b = bin.Bool(b, finited)
+	b = bin.Point(b, cl.trackPos)
 	// The zero time predates the unix-nano range; encode it as 0 so the
 	// round trip preserves lastFix.IsZero for fixless clients.
 	var fixNanos uint64
 	if !cl.lastFix.IsZero() {
 		fixNanos = uint64(cl.lastFix.UnixNano())
 	}
-	b = binary.BigEndian.AppendUint64(b, fixNanos)
-	b = binary.BigEndian.AppendUint64(b, cl.fixes)
-	b = binary.BigEndian.AppendUint64(b, cl.lastSeq)
+	b = bin.U64(b, fixNanos)
+	b = bin.U64(b, cl.fixes)
+	b = bin.U64(b, cl.lastSeq)
 	return append(b, byte(cl.lastDecision))
-}
-
-func appendBool(b []byte, v bool) []byte {
-	if v {
-		return append(b, 1)
-	}
-	return append(b, 0)
-}
-
-func appendPoint(b []byte, p geom.Point) []byte {
-	b = binary.BigEndian.AppendUint64(b, math.Float64bits(p.X))
-	return binary.BigEndian.AppendUint64(b, math.Float64bits(p.Y))
-}
-
-func readPoint(b []byte) geom.Point {
-	return geom.Point{
-		X: math.Float64frombits(binary.BigEndian.Uint64(b[0:8])),
-		Y: math.Float64frombits(binary.BigEndian.Uint64(b[8:16])),
-	}
 }
 
 // Restore loads a snapshot written by Save into the engine, replacing
@@ -118,48 +91,50 @@ func readPoint(b []byte) geom.Point {
 // arrives — the crash-recovery path — and respects the per-shard client
 // cap (restoring more clients than MaxClients evicts, like ingest).
 func (e *Engine) Restore(r io.Reader) error {
-	hdr := make([]byte, 4+6)
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return fmt.Errorf("fusion: snapshot header: %w", err)
+	blob, err := io.ReadAll(r)
+	if err != nil {
+		return fmt.Errorf("fusion: snapshot: %w", err)
 	}
-	if string(hdr[:4]) != snapMagic {
-		return fmt.Errorf("fusion: bad snapshot magic %q", hdr[:4])
+	br := bin.NewReader(blob)
+	magic, ver, count := br.Bytes(4), br.U16(), br.U32()
+	if br.Err != nil {
+		return fmt.Errorf("fusion: snapshot header: %w", br.Err)
 	}
-	if v := binary.BigEndian.Uint16(hdr[4:6]); v != snapVersion {
-		return fmt.Errorf("fusion: unsupported snapshot version %d", v)
+	if string(magic) != snapMagic {
+		return fmt.Errorf("fusion: bad snapshot magic %q", magic)
 	}
-	count := binary.BigEndian.Uint32(hdr[6:10])
-	br := bufio.NewReader(r)
-	var body [clientWireSize]byte
+	if ver != snapVersion {
+		return fmt.Errorf("fusion: unsupported snapshot version %d", ver)
+	}
 	for i := uint32(0); i < count; i++ {
-		if _, err := io.ReadFull(br, body[:]); err != nil {
+		if err := e.restoreClient(&br); err != nil {
 			return fmt.Errorf("fusion: snapshot client %d: %w", i, err)
 		}
-		e.restoreClient(body[:])
 	}
 	return nil
 }
 
 // restoreClient decodes one client record and installs it in its shard.
-func (e *Engine) restoreClient(b []byte) {
-	var mac wifi.Addr
-	copy(mac[:], b[:6])
+func (e *Engine) restoreClient(br *bin.Reader) error {
+	mac := br.MAC()
+	seqInit, seqHi, seqMask := br.Bool(), br.U64(), br.U64()
+	fpos, fvel, finited := br.Point(), br.Point(), br.Bool()
+	trackPos, fixNanos := br.Point(), br.U64()
+	fixes, lastSeq, decision := br.U64(), br.U64(), locate.Decision(br.U8())
+	if br.Err != nil {
+		return br.Err
+	}
 	s := e.shardFor(mac)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	cl := s.touch(e, mac)
-	cl.seqInit = b[6] != 0
-	cl.seqHi = binary.BigEndian.Uint64(b[7:15])
-	cl.seqMask = binary.BigEndian.Uint64(b[15:23])
-	fpos := readPoint(b[23:39])
-	fvel := readPoint(b[39:55])
-	cl.filter.SetState(fpos, fvel, b[55] != 0)
-	cl.trackPos = readPoint(b[56:72])
+	cl.seqInit, cl.seqHi, cl.seqMask = seqInit, seqHi, seqMask
+	cl.filter.SetState(fpos, fvel, finited)
+	cl.trackPos = trackPos
 	cl.lastFix = time.Time{}
-	if nanos := binary.BigEndian.Uint64(b[72:80]); nanos != 0 {
-		cl.lastFix = time.Unix(0, int64(nanos))
+	if fixNanos != 0 {
+		cl.lastFix = time.Unix(0, int64(fixNanos))
 	}
-	cl.fixes = binary.BigEndian.Uint64(b[80:88])
-	cl.lastSeq = binary.BigEndian.Uint64(b[88:96])
-	cl.lastDecision = locate.Decision(b[96])
+	cl.fixes, cl.lastSeq, cl.lastDecision = fixes, lastSeq, decision
+	return nil
 }

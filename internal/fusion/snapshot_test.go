@@ -2,6 +2,7 @@ package fusion
 
 import (
 	"bytes"
+	"encoding/hex"
 	"reflect"
 	"testing"
 	"time"
@@ -109,5 +110,51 @@ func TestFusionRestoreRejectsGarbage(t *testing.T) {
 	}
 	if err := e.Restore(bytes.NewReader(nil)); err == nil {
 		t.Fatal("empty restore succeeded")
+	}
+}
+
+// TestFusionSnapshotGoldenBytes pins the SAFS bytes of one client fused
+// twice from two APs: Save must emit the literal, and the literal must
+// restore into an engine that saves it back unchanged.
+func TestFusionSnapshotGoldenBytes(t *testing.T) {
+	const golden = "53414653000100000001" +
+		"020000000001010000000000000002000000000000000340280000000000004020000000000000000000000000000000000000000000000140280000000000004020000000000000000000e8da9af1000000000000000002000000000000000200"
+	want, err := hex.DecodeString(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clk := newFakeClock()
+	a := newTestEngine(t, Config{APCount: func() int { return 2 }}, clk, &capture{})
+	defer a.Close()
+	mac := wifi.Addr{2, 0, 0, 0, 0, 1}
+	ap1, ap2 := geom.Point{X: 0, Y: 0}, geom.Point{X: 24, Y: 0}
+	target := geom.Point{X: 12, Y: 8}
+	for seq := uint64(1); seq <= 2; seq++ {
+		a.Ingest(Bearing{AP: "ap1", APPos: ap1, MAC: mac, Seq: seq, Deg: geom.BearingDeg(ap1, target)})
+		a.Ingest(Bearing{AP: "ap2", APPos: ap2, MAC: mac, Seq: seq, Deg: geom.BearingDeg(ap2, target)})
+		clk.Advance(100 * time.Millisecond)
+	}
+	var buf bytes.Buffer
+	if err := a.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("Save emits\n%x\nwant\n%s", buf.Bytes(), golden)
+	}
+
+	b := newTestEngine(t, Config{}, newFakeClock(), nil)
+	defer b.Close()
+	if err := b.Restore(bytes.NewReader(want)); err != nil {
+		t.Fatal(err)
+	}
+	if ts, ok := b.Track(mac); !ok || ts.Pos != target || ts.Fixes != 2 || ts.LastSeq != 2 {
+		t.Errorf("restored track = %+v, %v", ts, ok)
+	}
+	buf.Reset()
+	if err := b.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("restore/save round trip gives\n%x\nwant\n%s", buf.Bytes(), golden)
 	}
 }

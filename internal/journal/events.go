@@ -8,12 +8,11 @@ package journal
 // old journals stay readable as fields are added.
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"sync/atomic"
 	"time"
 
+	"secureangle/internal/bin"
 	"secureangle/internal/defense"
 	"secureangle/internal/fusion"
 	"secureangle/internal/geom"
@@ -112,122 +111,26 @@ type ReleaseEvent struct {
 	Trace uint64
 }
 
-// --- primitive append/read helpers (big endian, the netproto idiom) ---
-
-func putStr(b []byte, s string) []byte {
-	b = binary.BigEndian.AppendUint16(b, uint16(len(s)))
-	return append(b, s...)
-}
-
-func getStr(b []byte) (string, []byte, error) {
-	if len(b) < 2 {
-		return "", nil, errTruncated
-	}
-	n := int(binary.BigEndian.Uint16(b))
-	b = b[2:]
-	if len(b) < n {
-		return "", nil, errTruncated
-	}
-	return string(b[:n]), b[n:], nil
-}
-
-func putF64(b []byte, v float64) []byte {
-	return binary.BigEndian.AppendUint64(b, math.Float64bits(v))
-}
-
-func putPoint(b []byte, p geom.Point) []byte { return putF64(putF64(b, p.X), p.Y) }
-
-func putBool(b []byte, v bool) []byte {
-	if v {
-		return append(b, 1)
-	}
-	return append(b, 0)
-}
-
-var errTruncated = fmt.Errorf("journal: truncated event payload")
-
-type reader struct {
-	b   []byte
-	ver byte
-	err error
-}
-
-func (r *reader) str() string {
-	if r.err != nil {
-		return ""
-	}
-	s, rest, err := getStr(r.b)
-	if err != nil {
-		r.err = err
-		return ""
-	}
-	r.b = rest
-	return s
-}
-
-func (r *reader) u64() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.b) < 8 {
-		r.err = errTruncated
-		return 0
-	}
-	v := binary.BigEndian.Uint64(r.b)
-	r.b = r.b[8:]
-	return v
-}
-
-func (r *reader) f64() float64 { return math.Float64frombits(r.u64()) }
-
-func (r *reader) point() geom.Point { return geom.Point{X: r.f64(), Y: r.f64()} }
-
-func (r *reader) byte() byte {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.b) < 1 {
-		r.err = errTruncated
-		return 0
-	}
-	v := r.b[0]
-	r.b = r.b[1:]
-	return v
-}
-
-func (r *reader) bool() bool { return r.byte() != 0 }
-
-func (r *reader) mac() wifi.Addr {
-	var a wifi.Addr
-	if r.err != nil {
-		return a
-	}
-	if len(r.b) < 6 {
-		r.err = errTruncated
-		return a
-	}
-	copy(a[:], r.b[:6])
-	r.b = r.b[6:]
-	return a
-}
-
-func newReader(b []byte) (*reader, error) {
+// openPayload checks a payload's codec version byte and returns a
+// reader over the fields after it, with the version. An empty payload
+// or an unknown version yields a reader already holding the error.
+func openPayload(b []byte) (bin.Reader, byte) {
 	if len(b) < 1 {
-		return nil, errTruncated
+		return bin.Reader{Err: bin.ErrShort}, 0
 	}
 	if b[0] != eventVersion && b[0] != eventVersionV1 {
-		return nil, fmt.Errorf("journal: unsupported event codec version %d", b[0])
+		return bin.Reader{Err: fmt.Errorf("journal: unsupported event codec version %d", b[0])}, 0
 	}
-	return &reader{b: b[1:], ver: b[0]}, nil
+	return bin.NewReader(b[1:]), b[0]
 }
 
-// trace reads the trailing trace ID a version-2 payload carries;
+// readTrace reads the trailing trace ID a version-2 payload carries;
 // version-1 payloads decode with a zero trace.
-func (r *reader) trace() uint64 {
-	if r.ver < 2 {
+func readTrace(r *bin.Reader, ver byte) uint64 {
+	if ver < eventVersion {
 		return 0
 	}
-	return r.u64()
+	return r.U64()
 }
 
 // --- event codecs ---
@@ -242,31 +145,26 @@ func EncodeReport(ev ReportEvent) []byte {
 // one reused buffer instead of one allocation per report.
 func AppendReport(b []byte, ev ReportEvent) []byte {
 	b = append(b, eventVersion)
-	b = putStr(b, ev.AP)
-	b = putPoint(b, ev.APPos)
-	b = append(b, ev.MAC[:]...)
-	b = binary.BigEndian.AppendUint64(b, ev.Seq)
-	b = putF64(b, ev.BearingDeg)
-	return binary.BigEndian.AppendUint64(b, ev.Trace)
+	b = bin.Str(b, ev.AP)
+	b = bin.Point(b, ev.APPos)
+	b = bin.MAC(b, ev.MAC)
+	b = bin.U64(b, ev.Seq)
+	b = bin.F64(b, ev.BearingDeg)
+	return bin.U64(b, ev.Trace)
 }
 
 // DecodeReport decodes an EncodeReport payload.
 func DecodeReport(b []byte) (ReportEvent, error) {
-	r, err := newReader(b)
-	if err != nil {
-		return ReportEvent{}, err
-	}
-	ev := ReportEvent{AP: r.str(), APPos: r.point(), MAC: r.mac(), Seq: r.u64(), BearingDeg: r.f64()}
-	ev.Trace = r.trace()
-	return ev, r.err
+	r, ver := openPayload(b)
+	ev := ReportEvent{AP: r.Str(), APPos: r.Point(), MAC: r.MAC(), Seq: r.U64(), BearingDeg: r.F64(), Trace: readTrace(&r, ver)}
+	return ev, r.Err
 }
 
 // EncodeAlert encodes a scored spoof verdict payload.
 func EncodeAlert(v defense.SpoofVerdict) []byte {
-	b := make([]byte, 0, 1+2+len(v.AP)+6+1+8+8+8+2+len(v.Stage))
-	b = append(b, eventVersion)
-	b = putStr(b, v.AP)
-	b = append(b, v.MAC[:]...)
+	b := append(make([]byte, 0, 1+2+len(v.AP)+6+1+8+8+8+2+len(v.Stage)+8), eventVersion)
+	b = bin.Str(b, v.AP)
+	b = bin.MAC(b, v.MAC)
 	var flags byte
 	if v.Flagged {
 		flags |= 1
@@ -275,76 +173,70 @@ func EncodeAlert(v defense.SpoofVerdict) []byte {
 		flags |= 2
 	}
 	b = append(b, flags)
-	b = putF64(b, v.Distance)
-	b = putF64(b, v.Threshold)
-	b = putF64(b, v.BearingDeg)
-	b = putStr(b, v.Stage)
-	return binary.BigEndian.AppendUint64(b, v.Trace)
+	b = bin.F64(b, v.Distance)
+	b = bin.F64(b, v.Threshold)
+	b = bin.F64(b, v.BearingDeg)
+	b = bin.Str(b, v.Stage)
+	return bin.U64(b, v.Trace)
 }
 
 // DecodeAlert decodes an EncodeAlert payload.
 func DecodeAlert(b []byte) (defense.SpoofVerdict, error) {
-	r, err := newReader(b)
-	if err != nil {
-		return defense.SpoofVerdict{}, err
-	}
-	var v defense.SpoofVerdict
-	v.AP = r.str()
-	v.MAC = r.mac()
-	flags := r.byte()
-	v.Flagged = flags&1 != 0
-	v.HasBearing = flags&2 != 0
-	v.Distance = r.f64()
-	v.Threshold = r.f64()
-	v.BearingDeg = r.f64()
-	v.Stage = r.str()
-	v.Trace = r.trace()
-	return v, r.err
+	r, ver := openPayload(b)
+	v := defense.SpoofVerdict{AP: r.Str(), MAC: r.MAC()}
+	flags := r.U8()
+	v.Flagged, v.HasBearing = flags&1 != 0, flags&2 != 0
+	v.Distance, v.Threshold, v.BearingDeg = r.F64(), r.F64(), r.F64()
+	v.Stage = r.Str()
+	v.Trace = readTrace(&r, ver)
+	return v, r.Err
 }
 
 // EncodeDecision encodes a fused fence decision payload.
 func EncodeDecision(d fusion.Decision) []byte {
-	b := make([]byte, 0, 1+6+8+16+1+1+1+8*len(d.APs))
-	b = append(b, eventVersion)
-	b = append(b, d.MAC[:]...)
-	b = binary.BigEndian.AppendUint64(b, d.Seq)
-	b = putPoint(b, d.Pos)
+	size := 1 + 6 + 8 + 16 + 1 + 1 + 1 + 8
+	for _, ap := range d.APs {
+		size += 2 + len(ap)
+	}
+	b := append(make([]byte, 0, size), eventVersion)
+	b = bin.MAC(b, d.MAC)
+	b = bin.U64(b, d.Seq)
+	b = bin.Point(b, d.Pos)
 	b = append(b, byte(d.Decision))
-	b = putBool(b, d.Forced)
+	b = bin.Bool(b, d.Forced)
 	b = append(b, byte(len(d.APs)))
 	for _, ap := range d.APs {
-		b = putStr(b, ap)
+		b = bin.Str(b, ap)
 	}
-	return binary.BigEndian.AppendUint64(b, d.Trace)
+	return bin.U64(b, d.Trace)
 }
 
 // DecodeDecision decodes an EncodeDecision payload.
 func DecodeDecision(b []byte) (fusion.Decision, error) {
-	r, err := newReader(b)
-	if err != nil {
-		return fusion.Decision{}, err
+	r, ver := openPayload(b)
+	d := fusion.Decision{MAC: r.MAC(), Seq: r.U64(), Pos: r.Point(), Decision: locate.Decision(r.U8()), Forced: r.Bool()}
+	n := int(r.U8())
+	for i := 0; i < n && r.Err == nil; i++ {
+		d.APs = append(d.APs, r.Str())
 	}
-	var d fusion.Decision
-	d.MAC = r.mac()
-	d.Seq = r.u64()
-	d.Pos = r.point()
-	d.Decision = locate.Decision(r.byte())
-	d.Forced = r.bool()
-	n := int(r.byte())
-	for i := 0; i < n && r.err == nil; i++ {
-		d.APs = append(d.APs, r.str())
-	}
-	d.Trace = r.trace()
-	return d, r.err
+	d.Trace = readTrace(&r, ver)
+	return d, r.Err
+}
+
+// directiveSize is the EncodeDirective payload length of d.
+func directiveSize(d defense.Directive) int {
+	return 1 + 6 + 3 + 1 + 8*6 + 8 + 2 + len(d.Reporter) + 2 + len(d.Stage) + 8
 }
 
 // EncodeDirective encodes a defense directive payload — the canonical
 // byte form replay determinism is judged against.
 func EncodeDirective(d defense.Directive) []byte {
-	b := make([]byte, 0, 1+6+3+1+8*6+8+2+len(d.Reporter)+2+len(d.Stage))
+	return appendDirective(make([]byte, 0, directiveSize(d)), d)
+}
+
+func appendDirective(b []byte, d defense.Directive) []byte {
 	b = append(b, eventVersion)
-	b = append(b, d.MAC[:]...)
-	b = append(b, byte(d.Action), byte(d.From), byte(d.To))
+	b = bin.MAC(b, d.MAC)
 	var flags byte
 	if d.HasBearing {
 		flags |= 1
@@ -352,86 +244,67 @@ func EncodeDirective(d defense.Directive) []byte {
 	if d.HasPos {
 		flags |= 2
 	}
-	b = append(b, flags)
-	b = putF64(b, d.BearingDeg)
-	b = putPoint(b, d.Pos)
-	b = putF64(b, d.Score)
-	b = putF64(b, d.Distance)
-	b = putF64(b, d.Threshold)
-	b = binary.BigEndian.AppendUint64(b, uint64(d.TTL))
-	b = putStr(b, d.Reporter)
-	b = putStr(b, d.Stage)
-	return binary.BigEndian.AppendUint64(b, d.Trace)
+	b = append(b, byte(d.Action), byte(d.From), byte(d.To), flags)
+	b = bin.F64(b, d.BearingDeg)
+	b = bin.Point(b, d.Pos)
+	b = bin.F64(b, d.Score)
+	b = bin.F64(b, d.Distance)
+	b = bin.F64(b, d.Threshold)
+	b = bin.U64(b, uint64(d.TTL))
+	b = bin.Str(b, d.Reporter)
+	b = bin.Str(b, d.Stage)
+	return bin.U64(b, d.Trace)
 }
 
 // DecodeDirective decodes an EncodeDirective payload.
 func DecodeDirective(b []byte) (defense.Directive, error) {
-	r, err := newReader(b)
-	if err != nil {
-		return defense.Directive{}, err
-	}
-	var d defense.Directive
-	d.MAC = r.mac()
-	d.Action = defense.Action(r.byte())
-	d.From = defense.State(r.byte())
-	d.To = defense.State(r.byte())
-	flags := r.byte()
-	d.HasBearing = flags&1 != 0
-	d.HasPos = flags&2 != 0
-	d.BearingDeg = r.f64()
-	d.Pos = r.point()
-	d.Score = r.f64()
-	d.Distance = r.f64()
-	d.Threshold = r.f64()
-	d.TTL = time.Duration(r.u64())
-	d.Reporter = r.str()
-	d.Stage = r.str()
-	d.Trace = r.trace()
-	return d, r.err
+	r, ver := openPayload(b)
+	d := defense.Directive{MAC: r.MAC(), Action: defense.Action(r.U8()), From: defense.State(r.U8()), To: defense.State(r.U8())}
+	flags := r.U8()
+	d.HasBearing, d.HasPos = flags&1 != 0, flags&2 != 0
+	d.BearingDeg, d.Pos = r.F64(), r.Point()
+	d.Score, d.Distance, d.Threshold = r.F64(), r.F64(), r.F64()
+	d.TTL = time.Duration(r.U64())
+	d.Reporter, d.Stage = r.Str(), r.Str()
+	d.Trace = readTrace(&r, ver)
+	return d, r.Err
 }
 
-// EncodeAck encodes an applied-countermeasure acknowledgement payload.
+// EncodeAck encodes an applied-countermeasure acknowledgement payload:
+// the AP name, then the directive payload behind its u16 length.
 func EncodeAck(ev AckEvent) []byte {
-	b := make([]byte, 0, 64)
-	b = append(b, eventVersion)
-	b = putStr(b, ev.AP)
-	return putStr(b, string(EncodeDirective(ev.Directive)))
+	n := directiveSize(ev.Directive)
+	b := append(make([]byte, 0, 1+2+len(ev.AP)+2+n), eventVersion)
+	b = bin.Str(b, ev.AP)
+	return appendDirective(bin.U16(b, uint16(n)), ev.Directive)
 }
 
 // DecodeAck decodes an EncodeAck payload.
 func DecodeAck(b []byte) (AckEvent, error) {
-	r, err := newReader(b)
-	if err != nil {
-		return AckEvent{}, err
+	r, _ := openPayload(b)
+	ev := AckEvent{AP: r.Str()}
+	inner := r.Bytes(int(r.U16()))
+	if r.Err != nil {
+		return AckEvent{}, r.Err
 	}
-	var ev AckEvent
-	ev.AP = r.str()
-	inner := r.str()
-	if r.err != nil {
-		return AckEvent{}, r.err
-	}
-	ev.Directive, err = DecodeDirective([]byte(inner))
+	var err error
+	ev.Directive, err = DecodeDirective(inner)
 	return ev, err
 }
 
 // EncodeRelease encodes an operator-release payload.
 func EncodeRelease(ev ReleaseEvent) []byte {
-	b := make([]byte, 0, 1+6+2+len(ev.Source)+8)
-	b = append(b, eventVersion)
-	b = append(b, ev.MAC[:]...)
-	b = putStr(b, ev.Source)
-	return binary.BigEndian.AppendUint64(b, ev.Trace)
+	b := append(make([]byte, 0, 1+6+2+len(ev.Source)+8), eventVersion)
+	b = bin.MAC(b, ev.MAC)
+	b = bin.Str(b, ev.Source)
+	return bin.U64(b, ev.Trace)
 }
 
 // DecodeRelease decodes an EncodeRelease payload.
 func DecodeRelease(b []byte) (ReleaseEvent, error) {
-	r, err := newReader(b)
-	if err != nil {
-		return ReleaseEvent{}, err
-	}
-	ev := ReleaseEvent{MAC: r.mac(), Source: r.str()}
-	ev.Trace = r.trace()
-	return ev, r.err
+	r, ver := openPayload(b)
+	ev := ReleaseEvent{MAC: r.MAC(), Source: r.Str(), Trace: readTrace(&r, ver)}
+	return ev, r.Err
 }
 
 // SkipEvent is one compaction gap: the run of elided LSNs ends at End
@@ -442,19 +315,14 @@ type SkipEvent struct {
 
 // EncodeSkip encodes a compaction-gap payload.
 func EncodeSkip(ev SkipEvent) []byte {
-	b := make([]byte, 0, 1+8)
-	b = append(b, eventVersion)
-	return binary.BigEndian.AppendUint64(b, ev.End)
+	return bin.U64(append(make([]byte, 0, 1+8), eventVersion), ev.End)
 }
 
 // DecodeSkip decodes an EncodeSkip payload.
 func DecodeSkip(b []byte) (SkipEvent, error) {
-	r, err := newReader(b)
-	if err != nil {
-		return SkipEvent{}, err
-	}
-	ev := SkipEvent{End: r.u64()}
-	return ev, r.err
+	r, _ := openPayload(b)
+	ev := SkipEvent{End: r.U64()}
+	return ev, r.Err
 }
 
 // EnrollEvent is one enrollment-table mutation. Digest is the sha256
@@ -467,23 +335,19 @@ type EnrollEvent struct {
 
 // EncodeEnroll encodes an enrollment-mutation payload.
 func EncodeEnroll(ev EnrollEvent) []byte {
-	b := make([]byte, 0, 1+2+len(ev.Name)+2+len(ev.Digest))
-	b = append(b, eventVersion)
-	b = putStr(b, ev.Name)
-	return putStr(b, string(ev.Digest))
+	b := append(make([]byte, 0, 1+2+len(ev.Name)+2+len(ev.Digest)), eventVersion)
+	b = bin.Str(b, ev.Name)
+	return append(bin.U16(b, uint16(len(ev.Digest))), ev.Digest...)
 }
 
 // DecodeEnroll decodes an EncodeEnroll payload.
 func DecodeEnroll(b []byte) (EnrollEvent, error) {
-	r, err := newReader(b)
-	if err != nil {
-		return EnrollEvent{}, err
+	r, _ := openPayload(b)
+	ev := EnrollEvent{Name: r.Str()}
+	if d := r.Bytes(int(r.U16())); len(d) > 0 {
+		ev.Digest = append([]byte(nil), d...)
 	}
-	ev := EnrollEvent{Name: r.str()}
-	if d := r.str(); d != "" {
-		ev.Digest = []byte(d)
-	}
-	return ev, r.err
+	return ev, r.Err
 }
 
 // DecodeEvent decodes a record's payload by its type, returning one of

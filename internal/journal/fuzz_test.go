@@ -39,6 +39,10 @@ func encodeEvent(ev any) ([]byte, bool) {
 		return EncodeAck(m), true
 	case ReleaseEvent:
 		return EncodeRelease(m), true
+	case SkipEvent:
+		return EncodeSkip(m), true
+	case EnrollEvent:
+		return EncodeEnroll(m), true
 	default:
 		return nil, false
 	}
@@ -64,6 +68,8 @@ func FuzzEventDecoders(f *testing.F) {
 		{RecDirective, EncodeDirective(dir)},
 		{RecAck, EncodeAck(AckEvent{AP: "ap2", Directive: dir})},
 		{RecRelease, EncodeRelease(ReleaseEvent{MAC: mac, Source: "operator"})},
+		{RecSkip, EncodeSkip(SkipEvent{End: 9})},
+		{RecEnroll, EncodeEnroll(EnrollEvent{Name: "ap1", Digest: []byte{0xde, 0xad}})},
 		{RecReport, nil},            // empty payload
 		{RecAck, []byte{0xff}},      // bad codec version
 		{RecordType(99), []byte{1}}, // unknown record type

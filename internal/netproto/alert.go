@@ -1,10 +1,9 @@
 package netproto
 
 import (
-	"encoding/binary"
-	"math"
 	"net"
 
+	"secureangle/internal/bin"
 	"secureangle/internal/defense"
 	"secureangle/internal/journal"
 	"secureangle/internal/trace"
@@ -52,46 +51,22 @@ type Alert struct {
 
 // MarshalAlert encodes an Alert message body.
 func MarshalAlert(a Alert) []byte {
-	b := []byte{TypeAlert}
-	b = writeString(b, a.APName)
-	b = append(b, a.MAC[:]...)
-	b = binary.BigEndian.AppendUint64(b, math.Float64bits(a.Distance))
-	b = writeString(b, a.Stage)
-	b = binary.BigEndian.AppendUint64(b, math.Float64bits(a.Threshold))
-	b = binary.BigEndian.AppendUint64(b, math.Float64bits(a.BearingDeg))
-	if a.HasBearing {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
-	}
-	return binary.BigEndian.AppendUint64(b, a.Trace)
+	b := bin.Str([]byte{TypeAlert}, a.APName)
+	b = bin.MAC(b, a.MAC)
+	b = bin.F64(b, a.Distance)
+	b = bin.Str(b, a.Stage)
+	b = bin.F64(b, a.Threshold)
+	b = bin.F64(b, a.BearingDeg)
+	b = bin.Bool(b, a.HasBearing)
+	return bin.U64(b, a.Trace)
 }
 
-// unmarshalAlert decodes an Alert body (after the type byte).
-func unmarshalAlert(rest []byte) (Alert, error) {
-	var a Alert
-	name, rest, err := readString(rest)
-	if err != nil {
-		return a, err
+// readAlert reads an Alert body (after the type byte).
+func readAlert(r *bin.Reader) Alert {
+	return Alert{
+		APName: r.Str(), MAC: r.MAC(), Distance: r.F64(), Stage: r.Str(),
+		Threshold: r.F64(), BearingDeg: r.F64(), HasBearing: r.Bool(), Trace: r.U64(),
 	}
-	if len(rest) < 6+8 {
-		return a, ErrBadMessage
-	}
-	a.APName = name
-	copy(a.MAC[:], rest[:6])
-	a.Distance = math.Float64frombits(binary.BigEndian.Uint64(rest[6:14]))
-	a.Stage, rest, err = readString(rest[14:])
-	if err != nil {
-		return a, err
-	}
-	if len(rest) != 17+8 {
-		return a, ErrBadMessage
-	}
-	a.Threshold = math.Float64frombits(binary.BigEndian.Uint64(rest[0:8]))
-	a.BearingDeg = math.Float64frombits(binary.BigEndian.Uint64(rest[8:16]))
-	a.HasBearing = rest[16] != 0
-	a.Trace = binary.BigEndian.Uint64(rest[17:])
-	return a, nil
 }
 
 // --- Controller-side connection registry ---

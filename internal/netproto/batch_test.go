@@ -122,3 +122,19 @@ func TestSendBatchChunksOversized(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkUnmarshalReportBatch decodes one 64-report, bearing-only
+// ReportBatch frame, the controller's per-frame ingest decode.
+func BenchmarkUnmarshalReportBatch(b *testing.B) {
+	batch := make([]Report, 64)
+	for i := range batch {
+		batch[i] = Report{APName: "ap1", MAC: wifi.Addr{2, 0, 0, 0, byte(i >> 8), byte(i)}, BearingDeg: float64(i), SeqNo: uint64(i), Trace: uint64(i + 1)}
+	}
+	body := MarshalReportBatch(batch)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Unmarshal(body); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

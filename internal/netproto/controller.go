@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"secureangle/internal/bin"
 	"secureangle/internal/defense"
 	"secureangle/internal/fusion"
 	"secureangle/internal/geom"
@@ -57,10 +58,6 @@ type Controller struct {
 	MinAPs int
 	// Logf, if set, receives diagnostic output.
 	Logf func(format string, args ...any)
-	// DecisionTimeout bounds how long a geometrically-degenerate pending
-	// decision waits for a more diverse bearing before fusing what it has
-	// (default 1s).
-	DecisionTimeout time.Duration
 	// ReadTimeout is the per-connection keepalive read deadline
 	// (default DefaultReadTimeout; negative disables deadlines).
 	ReadTimeout time.Duration
@@ -68,16 +65,6 @@ type Controller struct {
 	// geometric-dilution guard (0 = the default 15 degrees; negative
 	// disables the guard).
 	MinDiversityDeg float64
-	// PendingTTL bounds how long a report waits for corroborating
-	// bearings from other APs before it is expired (default 10s).
-	PendingTTL time.Duration
-	// MaxClients caps tracked clients, LRU-evicted beyond it (default
-	// 65536). MaxPendingPerClient caps one client's in-flight
-	// transmissions (default 8).
-	MaxClients          int
-	MaxPendingPerClient int
-	// FusionShards is the engine's lock-striping factor (default 16).
-	FusionShards int
 	// DefensePolicy tunes the defense engine's threat state machine —
 	// escalation thresholds, score decay, quarantine TTL (zero fields
 	// take the package defense defaults). Set it before traffic arrives,
@@ -101,8 +88,9 @@ type Controller struct {
 	// unchanged: Track, Threats, Quarantined, and StatusReport fan in
 	// across partitions. Because fusion/defense state is strictly
 	// per-MAC, a partitioned controller is decision-identical to the
-	// monolith; per-partition capacity caps (MaxClients etc.) apply to
-	// each partition, so the effective totals scale with N. Set it
+	// monolith; the engines' per-partition capacity caps (the fusion
+	// and defense client caps) apply to each partition, so the
+	// effective totals scale with N. Set it
 	// before traffic arrives, like the other tuning fields.
 	Partitions int
 	// Tracer receives the controller's decision-trace spans (ingest,
@@ -192,18 +180,13 @@ func NewController(fence *locate.Fence) *Controller {
 // tuning fields as they stand right now.
 func (c *Controller) fusionConfig() fusion.Config {
 	return fusion.Config{
-		Shards:              c.FusionShards,
-		MinAPs:              c.MinAPs,
-		DecisionTimeout:     c.DecisionTimeout,
-		PendingTTL:          c.PendingTTL,
-		MinDiversityDeg:     c.MinDiversityDeg,
-		MaxClients:          c.MaxClients,
-		MaxPendingPerClient: c.MaxPendingPerClient,
-		Fence:               c.Fence,
-		APCount:             c.apCount,
-		Emit:                c.emitDecision,
-		Logf:                func(format string, args ...any) { c.logf(format, args...) },
-		Clock:               c.clk.Now,
+		MinAPs:          c.MinAPs,
+		MinDiversityDeg: c.MinDiversityDeg,
+		Fence:           c.Fence,
+		APCount:         c.apCount,
+		Emit:            c.emitDecision,
+		Logf:            func(format string, args ...any) { c.logf(format, args...) },
+		Clock:           c.clk.Now,
 	}
 }
 
@@ -1088,34 +1071,25 @@ func (a *Agent) sendWithCtx(ctx context.Context, send func(write func([]byte) er
 // 8 bytes per report, is budgeted into the chunk size). Caller holds
 // a.mu.
 func (a *Agent) sendBatchLocked(rs []Report, write func([]byte) error) error {
-	if len(rs) == 0 {
-		return nil
-	}
-	const tracePer = 8
-	for start := 0; start < len(rs); {
-		// Grow the chunk until the next report would overflow the frame.
-		body := []byte{TypeReportBatch, 0, 0, 0, 0}
-		end := start
-		for ; end < len(rs); end++ {
-			next := appendReportBody(body, rs[end])
-			if len(next)+tracePer*(end-start+1) > MaxMessageSize && end > start {
+	for len(rs) > 0 {
+		// Grow the chunk until the next report would overflow the frame;
+		// a single oversized report goes alone, for WriteMessage to reject.
+		body, n := []byte{TypeReportBatch, 0, 0, 0, 0}, 0
+		for ; n < len(rs); n++ {
+			next := appendReportBody(body, rs[n])
+			if n > 0 && len(next)+8*(n+1) > MaxMessageSize {
 				break
 			}
 			body = next
-			if len(body)+tracePer*(end-start+1) > MaxMessageSize {
-				// A single oversized report: let WriteMessage reject it.
-				end++
-				break
-			}
 		}
-		for i := start; i < end; i++ {
-			body = binary.BigEndian.AppendUint64(body, rs[i].Trace)
+		for _, r := range rs[:n] {
+			body = bin.U64(body, r.Trace)
 		}
-		binary.BigEndian.PutUint32(body[1:5], uint32(end-start))
+		binary.BigEndian.PutUint32(body[1:5], uint32(n))
 		if err := write(body); err != nil {
 			return err
 		}
-		start = end
+		rs = rs[n:]
 	}
 	return nil
 }

@@ -2,11 +2,10 @@ package netproto
 
 import (
 	"encoding/binary"
-	"math"
 	"time"
 
+	"secureangle/internal/bin"
 	"secureangle/internal/defense"
-	"secureangle/internal/geom"
 	"secureangle/internal/journal"
 	"secureangle/internal/trace"
 	"secureangle/internal/wifi"
@@ -56,59 +55,28 @@ func appendDirective(b []byte, d Directive) []byte {
 		flags |= directiveFlagHasBearing
 	}
 	b = append(b, TypeDirective, flags, byte(d.Action), byte(d.From), byte(d.To))
-	b = append(b, d.MAC[:]...)
-	b = binary.BigEndian.AppendUint64(b, math.Float64bits(d.BearingDeg))
-	b = binary.BigEndian.AppendUint64(b, math.Float64bits(d.Pos.X))
-	b = binary.BigEndian.AppendUint64(b, math.Float64bits(d.Pos.Y))
-	b = binary.BigEndian.AppendUint64(b, math.Float64bits(d.Score))
-	b = binary.BigEndian.AppendUint64(b, math.Float64bits(d.Distance))
-	b = binary.BigEndian.AppendUint64(b, math.Float64bits(d.Threshold))
-	b = binary.BigEndian.AppendUint64(b, uint64(d.TTL))
-	b = writeString(b, d.Reporter)
-	b = writeString(b, d.Stage)
-	return binary.BigEndian.AppendUint64(b, d.Trace)
+	b = bin.MAC(b, d.MAC)
+	b = bin.F64(b, d.BearingDeg)
+	b = bin.Point(b, d.Pos)
+	b = bin.F64(b, d.Score)
+	b = bin.F64(b, d.Distance)
+	b = bin.F64(b, d.Threshold)
+	b = bin.U64(b, uint64(d.TTL))
+	b = bin.Str(b, d.Reporter)
+	b = bin.Str(b, d.Stage)
+	return bin.U64(b, d.Trace)
 }
 
-// directiveFixedWire is the byte length of a Directive body between the
-// flags byte and the trailing strings.
-const directiveFixedWire = 3 + 6 + 7*8
-
-func unmarshalDirective(rest []byte) (Directive, error) {
-	if len(rest) < 1+directiveFixedWire {
-		return Directive{}, ErrBadMessage
-	}
-	var d Directive
-	flags := rest[0]
-	d.HasPos = flags&directiveFlagHasPos != 0
-	d.Ack = flags&directiveFlagAck != 0
-	d.HasBearing = flags&directiveFlagHasBearing != 0
-	d.Action = defense.Action(rest[1])
-	d.From = defense.State(rest[2])
-	d.To = defense.State(rest[3])
-	copy(d.MAC[:], rest[4:10])
-	rest = rest[10:]
-	d.BearingDeg = math.Float64frombits(binary.BigEndian.Uint64(rest[0:8]))
-	d.Pos = geom.Point{
-		X: math.Float64frombits(binary.BigEndian.Uint64(rest[8:16])),
-		Y: math.Float64frombits(binary.BigEndian.Uint64(rest[16:24])),
-	}
-	d.Score = math.Float64frombits(binary.BigEndian.Uint64(rest[24:32]))
-	d.Distance = math.Float64frombits(binary.BigEndian.Uint64(rest[32:40]))
-	d.Threshold = math.Float64frombits(binary.BigEndian.Uint64(rest[40:48]))
-	d.TTL = time.Duration(binary.BigEndian.Uint64(rest[48:56]))
-	rest = rest[56:]
-	var err error
-	if d.Reporter, rest, err = readString(rest); err != nil {
-		return Directive{}, err
-	}
-	if d.Stage, rest, err = readString(rest); err != nil {
-		return Directive{}, err
-	}
-	if len(rest) != 8 {
-		return Directive{}, ErrBadMessage
-	}
-	d.Trace = binary.BigEndian.Uint64(rest)
-	return d, nil
+// readDirective reads a Directive body (after the type byte).
+func readDirective(r *bin.Reader) Directive {
+	flags := r.U8()
+	return Directive{Ack: flags&directiveFlagAck != 0, Directive: defense.Directive{
+		HasPos: flags&directiveFlagHasPos != 0, HasBearing: flags&directiveFlagHasBearing != 0,
+		Action: defense.Action(r.U8()), From: defense.State(r.U8()), To: defense.State(r.U8()),
+		MAC: r.MAC(), BearingDeg: r.F64(), Pos: r.Point(),
+		Score: r.F64(), Distance: r.F64(), Threshold: r.F64(), TTL: time.Duration(r.U64()),
+		Reporter: r.Str(), Stage: r.Str(), Trace: r.U64(),
+	}}
 }
 
 // --- Controller side ---

@@ -53,7 +53,7 @@ func TestDefenseDirectiveUnmarshalMalformed(t *testing.T) {
 	for _, b := range [][]byte{
 		{TypeDirective},
 		good[:len(good)-1],                      // truncated trailing string
-		good[:1+1+directiveFixedWire-3],         // truncated fixed fields
+		good[:1+1+(3+6+7*8)-3],                  // truncated fixed fields
 		append(append([]byte{}, good...), 0xff), // trailing junk
 	} {
 		if _, err := Unmarshal(b); err == nil {

@@ -1,6 +1,7 @@
 package netproto
 
 import (
+	"bytes"
 	"context"
 	"encoding/hex"
 	"net"
@@ -140,5 +141,70 @@ func TestV5GoldenBytes(t *testing.T) {
 		if string(again) != string(want) {
 			t.Errorf("%s: decode/encode round trip gives\n%x\nwant\n%x", tc.name, again, want)
 		}
+	}
+}
+
+// TestControllerSnapshotGoldenBytes pins the SACS framing around both
+// engine sections: engines holding one fused client and one quarantined
+// spoofer must write the literal, and the literal must restore into
+// fresh engines that write it back unchanged.
+func TestControllerSnapshotGoldenBytes(t *testing.T) {
+	const golden = "534143530001" +
+		"0000006b" + "53414653000100000001020000000001010000000000000001000000000000000140280000000000004020000000000000000000000000000000000000000000000140280000000000004020000000000000000000e8d4a510000000000000000001000000000000000100" +
+		"00000085" + "53414453000200000001020000000001020140100000000000000000000000000001000000000000000000000000000000003fe00000000000003fd0000000000000404e000000000000010000000000000000000000000000000000000000e8d4a51000000000e8d4a510000003617031000a73706f6f66636865636b0000000000000abc" +
+		"71991cee"
+	want, err := hex.DecodeString(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := time.Unix(1000, 0)
+	engines := func() (*fusion.Engine, *defense.Engine) {
+		clk := func() time.Time { return now }
+		fe, err := fusion.New(fusion.Config{
+			Fence:   &locate.Fence{Boundary: geom.Rect(0, 0, 24, 16)},
+			APCount: func() int { return 2 }, Clock: clk, TickInterval: time.Hour,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(fe.Close)
+		de, err := defense.New(defense.Config{Clock: clk, TickInterval: time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(de.Close)
+		return fe, de
+	}
+	mac := wifi.Addr{2, 0, 0, 0, 0, 1}
+	ap1, ap2 := geom.Point{X: 0, Y: 0}, geom.Point{X: 24, Y: 0}
+	target := geom.Point{X: 12, Y: 8}
+	fe, de := engines()
+	fe.Ingest(fusion.Bearing{AP: "ap1", APPos: ap1, MAC: mac, Seq: 1, Deg: geom.BearingDeg(ap1, target)})
+	fe.Ingest(fusion.Bearing{AP: "ap2", APPos: ap2, MAC: mac, Seq: 1, Deg: geom.BearingDeg(ap2, target)})
+	de.ReportSpoof(defense.SpoofVerdict{AP: "ap1", MAC: mac, Flagged: true, Distance: 0.5, Threshold: 0.25, BearingDeg: 60, HasBearing: true, Stage: "spoofcheck", Trace: 0xabc})
+	var buf bytes.Buffer
+	if err := writeControllerSnapshot(&buf, fe, de); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("writeControllerSnapshot emits\n%x\nwant\n%s", buf.Bytes(), golden)
+	}
+
+	fe2, de2 := engines()
+	if err := readControllerSnapshot(bytes.NewReader(want), fe2, de2); err != nil {
+		t.Fatal(err)
+	}
+	if ts, ok := fe2.Track(mac); !ok || ts.Pos != target {
+		t.Errorf("restored track = %+v, %v", ts, ok)
+	}
+	if st, ok := de2.State(mac); !ok || st.State != defense.StateQuarantine || st.Trace != 0xabc {
+		t.Errorf("restored threat = %+v, %v", st, ok)
+	}
+	buf.Reset()
+	if err := writeControllerSnapshot(&buf, fe2, de2); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("read/write round trip gives\n%x\nwant\n%s", buf.Bytes(), golden)
 	}
 }

@@ -27,6 +27,7 @@ import (
 	"io"
 	"time"
 
+	"secureangle/internal/bin"
 	"secureangle/internal/defense"
 	"secureangle/internal/fusion"
 	"secureangle/internal/journal"
@@ -307,22 +308,6 @@ var errSnapshotCorrupt = errors.New("netproto: corrupt controller snapshot")
 // before traffic) into one snapshot stream, CRC32C-sealed so recovery
 // can reject bit rot or a torn write before applying anything.
 func writeControllerSnapshot(w io.Writer, fe *fusion.Engine, de *defense.Engine) error {
-	buf := bytes.NewBuffer(make([]byte, 0, 4096))
-	buf.WriteString(ctrlSnapMagic)
-	var ver [2]byte
-	binary.BigEndian.PutUint16(ver[:], ctrlSnapVersion)
-	buf.Write(ver[:])
-	writeSection := func(save func(io.Writer) error) error {
-		lenAt := buf.Len()
-		buf.Write([]byte{0, 0, 0, 0})
-		if save != nil {
-			if err := save(buf); err != nil {
-				return err
-			}
-		}
-		binary.BigEndian.PutUint32(buf.Bytes()[lenAt:lenAt+4], uint32(buf.Len()-lenAt-4))
-		return nil
-	}
 	var feSave, deSave func(io.Writer) error
 	if fe != nil {
 		feSave = fe.Save
@@ -330,16 +315,18 @@ func writeControllerSnapshot(w io.Writer, fe *fusion.Engine, de *defense.Engine)
 	if de != nil {
 		deSave = de.Save
 	}
-	if err := writeSection(feSave); err != nil {
-		return err
+	buf := bytes.NewBuffer(bin.U16(append(make([]byte, 0, 4096), ctrlSnapMagic...), ctrlSnapVersion))
+	for _, save := range []func(io.Writer) error{feSave, deSave} {
+		at := buf.Len()
+		buf.Write([]byte{0, 0, 0, 0})
+		if save != nil {
+			if err := save(buf); err != nil {
+				return err
+			}
+		}
+		binary.BigEndian.PutUint32(buf.Bytes()[at:], uint32(buf.Len()-at-4))
 	}
-	if err := writeSection(deSave); err != nil {
-		return err
-	}
-	var crc [4]byte
-	binary.BigEndian.PutUint32(crc[:], crc32.Checksum(buf.Bytes(), crcTable))
-	buf.Write(crc[:])
-	_, err := w.Write(buf.Bytes())
+	_, err := w.Write(bin.U32(buf.Bytes(), crc32.Checksum(buf.Bytes(), crcTable)))
 	return err
 }
 
@@ -361,36 +348,20 @@ func readControllerSnapshot(r io.Reader, fe *fusion.Engine, de *defense.Engine) 
 	if crc32.Checksum(body, crcTable) != crc {
 		return fmt.Errorf("%w: checksum mismatch", errSnapshotCorrupt)
 	}
-	if string(body[:4]) != ctrlSnapMagic {
-		return fmt.Errorf("%w: bad magic %q", errSnapshotCorrupt, body[:4])
+	br := bin.NewReader(body)
+	if magic := br.Bytes(4); string(magic) != ctrlSnapMagic {
+		return fmt.Errorf("%w: bad magic %q", errSnapshotCorrupt, magic)
 	}
-	if v := binary.BigEndian.Uint16(body[4:6]); v != ctrlSnapVersion {
+	if v := br.U16(); v != ctrlSnapVersion {
 		return fmt.Errorf("%w: unsupported version %d", errSnapshotCorrupt, v)
 	}
-	rest := body[6:]
-	section := func() ([]byte, error) {
-		if len(rest) < 4 {
-			return nil, fmt.Errorf("%w: truncated section header", errSnapshotCorrupt)
-		}
-		n := binary.BigEndian.Uint32(rest[:4])
-		rest = rest[4:]
-		if uint64(len(rest)) < uint64(n) {
-			return nil, fmt.Errorf("%w: truncated section", errSnapshotCorrupt)
-		}
-		s := rest[:n]
-		rest = rest[n:]
-		return s, nil
+	fuBlob := br.Bytes(int(br.U32()))
+	deBlob := br.Bytes(int(br.U32()))
+	if br.Err != nil {
+		return fmt.Errorf("%w: truncated section", errSnapshotCorrupt)
 	}
-	fuBlob, err := section()
-	if err != nil {
-		return err
-	}
-	deBlob, err := section()
-	if err != nil {
-		return err
-	}
-	if len(rest) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes", errSnapshotCorrupt, len(rest))
+	if br.Len() != 0 {
+		return fmt.Errorf("%w: %d trailing bytes", errSnapshotCorrupt, br.Len())
 	}
 	// Validation passed: apply. Failures from here are fatal, not
 	// fallback-able (see errSnapshotCorrupt).

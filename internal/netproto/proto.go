@@ -23,9 +23,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"sync"
 
+	"secureangle/internal/bin"
 	"secureangle/internal/geom"
 	"secureangle/internal/signature"
 	"secureangle/internal/wifi"
@@ -115,63 +115,37 @@ var (
 	ErrBadMessage = errors.New("netproto: malformed message")
 )
 
-// writeString appends a uint16-length-prefixed string.
-func writeString(b []byte, s string) []byte {
-	b = binary.BigEndian.AppendUint16(b, uint16(len(s)))
-	return append(b, s...)
-}
-
-func readString(b []byte) (string, []byte, error) {
-	if len(b) < 2 {
-		return "", nil, ErrBadMessage
-	}
-	n := int(binary.BigEndian.Uint16(b))
-	b = b[2:]
-	if len(b) < n {
-		return "", nil, ErrBadMessage
-	}
-	return string(b[:n]), b[n:], nil
-}
-
 // MarshalHello encodes a Hello message body (without the length
 // prefix).
 func MarshalHello(h Hello) []byte {
-	b := []byte{TypeHello}
-	b = writeString(b, h.Name)
-	b = binary.BigEndian.AppendUint64(b, math.Float64bits(h.Pos.X))
-	b = binary.BigEndian.AppendUint64(b, math.Float64bits(h.Pos.Y))
-	b = binary.BigEndian.AppendUint16(b, ProtoVersion)
-	return writeString(b, h.Token)
+	b := bin.Str([]byte{TypeHello}, h.Name)
+	b = bin.Point(b, h.Pos)
+	b = bin.U16(b, ProtoVersion)
+	return bin.Str(b, h.Token)
 }
 
 // MarshalWelcome encodes a Welcome message body.
 func MarshalWelcome(w Welcome) []byte {
-	b := []byte{TypeWelcome}
-	b = binary.BigEndian.AppendUint16(b, ProtoVersion)
-	return append(b, w.Status)
+	return append(bin.U16([]byte{TypeWelcome}, ProtoVersion), w.Status)
 }
 
 // MarshalReport encodes a Report message body: the report body, then
 // its trace ID.
 func MarshalReport(r Report) []byte {
-	b := appendReportBody([]byte{TypeReport}, r)
-	return binary.BigEndian.AppendUint64(b, r.Trace)
+	return bin.U64(appendReportBody([]byte{TypeReport}, r), r.Trace)
 }
 
 // appendReportBody appends one report's self-delimiting wire form.
 func appendReportBody(b []byte, r Report) []byte {
-	b = writeString(b, r.APName)
-	b = append(b, r.MAC[:]...)
-	b = binary.BigEndian.AppendUint64(b, math.Float64bits(r.BearingDeg))
-	b = binary.BigEndian.AppendUint64(b, r.SeqNo)
-	if r.Sig != nil {
-		sig := r.Sig.Marshal()
-		b = binary.BigEndian.AppendUint32(b, uint32(len(sig)))
-		b = append(b, sig...)
-	} else {
-		b = binary.BigEndian.AppendUint32(b, 0)
+	b = bin.Str(b, r.APName)
+	b = bin.MAC(b, r.MAC)
+	b = bin.F64(b, r.BearingDeg)
+	b = bin.U64(b, r.SeqNo)
+	if r.Sig == nil {
+		return bin.U32(b, 0)
 	}
-	return b
+	sig := r.Sig.Marshal()
+	return append(bin.U32(b, uint32(len(sig))), sig...)
 }
 
 // ReportBatch is several observations shipped as one framed message — the
@@ -184,145 +158,115 @@ type ReportBatch []Report
 // order. The caller must keep the result under MaxMessageSize
 // (Agent.SendBatch chunks automatically).
 func MarshalReportBatch(rs []Report) []byte {
-	b := []byte{TypeReportBatch}
-	b = binary.BigEndian.AppendUint32(b, uint32(len(rs)))
+	b := bin.U32([]byte{TypeReportBatch}, uint32(len(rs)))
 	for _, r := range rs {
 		b = appendReportBody(b, r)
 	}
 	for _, r := range rs {
-		b = binary.BigEndian.AppendUint64(b, r.Trace)
+		b = bin.U64(b, r.Trace)
 	}
 	return b
 }
 
-// readReportBody parses one report from b, returning the remainder.
-func readReportBody(b []byte) (Report, []byte, error) {
-	var r Report
-	name, rest, err := readString(b)
-	if err != nil {
-		return r, nil, err
-	}
-	if len(rest) < 6+8+8+4 {
-		return r, nil, ErrBadMessage
-	}
-	r.APName = name
-	copy(r.MAC[:], rest[:6])
-	rest = rest[6:]
-	r.BearingDeg = math.Float64frombits(binary.BigEndian.Uint64(rest[0:8]))
-	r.SeqNo = binary.BigEndian.Uint64(rest[8:16])
-	sigLen := int(binary.BigEndian.Uint32(rest[16:20]))
-	rest = rest[20:]
-	if sigLen > 0 {
-		if len(rest) < sigLen {
-			return r, nil, ErrBadMessage
+// readReportBody reads one report body from r. Only a signature that
+// fails to decode is reported here; short reads surface in r.Err.
+func readReportBody(r *bin.Reader) (Report, error) {
+	rep := Report{APName: r.Str(), MAC: r.MAC(), BearingDeg: r.F64(), SeqNo: r.U64()}
+	if n := r.U32(); n > 0 {
+		if b := r.Bytes(int(n)); r.Err == nil {
+			sig, err := signature.Unmarshal(b)
+			if err != nil {
+				return rep, fmt.Errorf("netproto: %w", err)
+			}
+			rep.Sig = sig
 		}
-		sig, err := signature.Unmarshal(rest[:sigLen])
-		if err != nil {
-			return r, nil, fmt.Errorf("netproto: %w", err)
-		}
-		r.Sig = sig
-		rest = rest[sigLen:]
 	}
-	return r, rest, nil
+	return rep, nil
+}
+
+// readReportBatch reads a ReportBatch body: the count, the report
+// bodies, then one trace ID per report.
+func readReportBatch(r *bin.Reader) (ReportBatch, error) {
+	// Validate the count in uint64 before any int conversion: on 32-bit
+	// builds a hostile count >= 2^31 would wrap negative and slip past
+	// the bound only to panic in make. A report body is at least
+	// 2+6+8+8+4 bytes, so a genuine count can never exceed the body
+	// length it must be backed by.
+	count64 := uint64(r.U32())
+	if count64 > uint64(r.Len()/(2+6+8+8+4)) {
+		return nil, ErrBadMessage
+	}
+	batch := make(ReportBatch, count64)
+	for i := range batch {
+		var err error
+		if batch[i], err = readReportBody(r); err != nil {
+			return nil, err
+		}
+	}
+	if r.Len() != 8*len(batch) {
+		return nil, ErrBadMessage
+	}
+	for i := range batch {
+		batch[i].Trace = r.U64()
+	}
+	return batch, nil
 }
 
 // Unmarshal decodes a message body into the frame type its first byte
-// names.
+// names. Every field must be in bounds and the frame consumed exactly.
 func Unmarshal(b []byte) (any, error) {
 	if len(b) < 1 {
 		return nil, ErrBadMessage
 	}
+	r := bin.NewReader(b[1:])
+	var msg any
+	var err error
 	switch b[0] {
 	case TypeHello:
-		name, rest, err := readString(b[1:])
-		if err != nil {
-			return nil, err
-		}
-		if len(rest) < 18 || binary.BigEndian.Uint16(rest[16:18]) != ProtoVersion {
+		h := Hello{Name: r.Str(), Pos: r.Point()}
+		if r.U16() != ProtoVersion {
 			return nil, ErrBadMessage
 		}
-		token, tail, err := readString(rest[18:])
-		if err != nil || len(tail) != 0 {
-			return nil, ErrBadMessage
-		}
-		return Hello{
-			Name: name,
-			Pos: geom.Point{
-				X: math.Float64frombits(binary.BigEndian.Uint64(rest[0:8])),
-				Y: math.Float64frombits(binary.BigEndian.Uint64(rest[8:16])),
-			},
-			Token: token,
-		}, nil
+		h.Token = r.Str()
+		msg = h
 	case TypeWelcome:
-		if len(b) != 4 || binary.BigEndian.Uint16(b[1:3]) != ProtoVersion {
+		if r.U16() != ProtoVersion {
 			return nil, ErrBadMessage
 		}
-		return Welcome{Status: b[3]}, nil
+		msg = Welcome{Status: r.U8()}
 	case TypePing:
-		if len(b) != 1 {
-			return nil, ErrBadMessage
-		}
-		return Ping{}, nil
+		msg = Ping{}
 	case TypeReport:
-		r, rest, err := readReportBody(b[1:])
-		if err != nil {
-			return nil, err
-		}
-		if len(rest) != 8 {
-			return nil, ErrBadMessage
-		}
-		r.Trace = binary.BigEndian.Uint64(rest)
-		return r, nil
+		var rep Report
+		rep, err = readReportBody(&r)
+		rep.Trace = r.U64()
+		msg = rep
 	case TypeReportBatch:
-		rest := b[1:]
-		if len(rest) < 4 {
-			return nil, ErrBadMessage
-		}
-		// Validate the count in uint64 before any int conversion: on
-		// 32-bit builds a hostile count >= 2^31 would wrap negative and
-		// slip past the bound only to panic in make. A report body is at
-		// least 2+6+8+8+4 bytes, so a genuine count can never exceed the
-		// body length it must be backed by.
-		count64 := uint64(binary.BigEndian.Uint32(rest[:4]))
-		rest = rest[4:]
-		if count64 > uint64(len(rest)/(2+6+8+8+4)) {
-			return nil, ErrBadMessage
-		}
-		count := int(count64)
-		batch := make(ReportBatch, 0, count)
-		for i := 0; i < count; i++ {
-			var r Report
-			var err error
-			r, rest, err = readReportBody(rest)
-			if err != nil {
-				return nil, err
-			}
-			batch = append(batch, r)
-		}
-		if len(rest) != 8*count {
-			return nil, ErrBadMessage
-		}
-		for i := range batch {
-			batch[i].Trace = binary.BigEndian.Uint64(rest[8*i:])
-		}
-		return batch, nil
+		msg, err = readReportBatch(&r)
 	case TypeAlert:
-		return unmarshalAlert(b[1:])
+		msg = readAlert(&r)
 	case TypeQuery:
-		return unmarshalQuery(b[1:])
+		msg = readQuery(&r)
 	case TypeTrack:
-		return unmarshalTracks(b[1:])
+		msg, err = readTracks(&r)
 	case TypeDirective:
-		return unmarshalDirective(b[1:])
+		msg = readDirective(&r)
 	case TypeThreat:
-		return unmarshalThreats(b[1:])
+		msg, err = readThreats(&r)
 	case TypeSegment:
-		return unmarshalSegment(b[1:])
+		msg, err = readSegment(&r, nil)
 	case TypeSegmentAck:
-		return unmarshalSegmentAck(b[1:])
+		msg, err = readSegmentAck(&r)
 	default:
 		return nil, fmt.Errorf("netproto: unknown message type %d", b[0])
 	}
+	if err == nil && (r.Err != nil || r.Len() != 0) {
+		err = ErrBadMessage
+	}
+	if err != nil {
+		return nil, err
+	}
+	return msg, nil
 }
 
 // frameKeep is the largest buffer a write pool, session outbox or read
@@ -332,7 +276,7 @@ const frameKeep = 64 << 10
 var framePool = sync.Pool{New: func() any { return new([]byte) }}
 
 func appendFrame(b, body []byte) []byte {
-	return append(binary.BigEndian.AppendUint32(b, uint32(len(body))), body...)
+	return append(bin.U32(b, uint32(len(body))), body...)
 }
 
 // WriteMessage frames and writes one message body with one Write: the

@@ -2,14 +2,11 @@ package netproto
 
 import (
 	"context"
-	"encoding/binary"
-	"errors"
-	"math"
-	"time"
+	"fmt"
 
+	"secureangle/internal/bin"
 	"secureangle/internal/defense"
 	"secureangle/internal/fusion"
-	"secureangle/internal/geom"
 	"secureangle/internal/locate"
 	"secureangle/internal/wifi"
 )
@@ -60,85 +57,58 @@ const maxTracksPerFrame = (MaxMessageSize - 16) / trackWireSize
 // MarshalQuery encodes a Query message body. A KindTracks query is 11
 // bytes; other kinds append the kind byte.
 func MarshalQuery(q Query) []byte {
-	b := []byte{TypeQuery, 0}
-	if q.All {
-		b[1] = 1
-	}
-	b = binary.BigEndian.AppendUint32(b, q.ID)
-	b = append(b, q.MAC[:]...)
+	b := bin.Bool([]byte{TypeQuery}, q.All)
+	b = bin.U32(b, q.ID)
+	b = bin.MAC(b, q.MAC)
 	if q.Kind != KindTracks {
 		b = append(b, byte(q.Kind))
 	}
 	return b
 }
 
-func unmarshalQuery(rest []byte) (Query, error) {
-	if len(rest) != 11 && len(rest) != 12 {
-		return Query{}, ErrBadMessage
+// readQuery reads a Query body (after the type byte); the 11-byte
+// form is a KindTracks query.
+func readQuery(r *bin.Reader) Query {
+	q := Query{All: r.U8()&1 != 0, ID: r.U32(), MAC: r.MAC()}
+	if r.Len() == 1 {
+		q.Kind = QueryKind(r.U8())
 	}
-	var q Query
-	q.All = rest[0]&1 != 0
-	q.ID = binary.BigEndian.Uint32(rest[1:5])
-	copy(q.MAC[:], rest[5:11])
-	if len(rest) == 12 {
-		q.Kind = QueryKind(rest[11])
-	}
-	return q, nil
+	return q
 }
 
 // MarshalTracks encodes one Tracks message body. The caller keeps
 // len(States) within maxTracksPerFrame (the controller chunks).
 func MarshalTracks(t Tracks) []byte {
 	b := make([]byte, 0, 10+trackWireSize*len(t.States))
-	b = append(b, TypeTrack, 0)
-	if t.More {
-		b[1] = 1
-	}
-	b = binary.BigEndian.AppendUint32(b, t.ID)
-	b = binary.BigEndian.AppendUint32(b, uint32(len(t.States)))
+	b = bin.Bool(append(b, TypeTrack), t.More)
+	b = bin.U32(b, t.ID)
+	b = bin.U32(b, uint32(len(t.States)))
 	for _, ts := range t.States {
-		b = append(b, ts.MAC[:]...)
-		b = binary.BigEndian.AppendUint64(b, math.Float64bits(ts.Pos.X))
-		b = binary.BigEndian.AppendUint64(b, math.Float64bits(ts.Pos.Y))
-		b = binary.BigEndian.AppendUint64(b, math.Float64bits(ts.Vel.X))
-		b = binary.BigEndian.AppendUint64(b, math.Float64bits(ts.Vel.Y))
-		b = binary.BigEndian.AppendUint64(b, ts.Fixes)
-		b = binary.BigEndian.AppendUint64(b, ts.LastSeq)
-		b = binary.BigEndian.AppendUint64(b, uint64(ts.Updated.UnixNano()))
+		b = bin.MAC(b, ts.MAC)
+		b = bin.Point(b, ts.Pos)
+		b = bin.Point(b, ts.Vel)
+		b = bin.U64(b, ts.Fixes)
+		b = bin.U64(b, ts.LastSeq)
+		b = bin.Time(b, ts.Updated)
 		b = append(b, byte(ts.Decision))
 	}
 	return b
 }
 
-func unmarshalTracks(rest []byte) (Tracks, error) {
-	if len(rest) < 9 {
-		return Tracks{}, ErrBadMessage
-	}
-	var t Tracks
-	t.More = rest[0]&1 != 0
-	t.ID = binary.BigEndian.Uint32(rest[1:5])
-	count64 := uint64(binary.BigEndian.Uint32(rest[5:9]))
-	rest = rest[9:]
-	if count64 != uint64(len(rest))/trackWireSize || uint64(len(rest)) != count64*trackWireSize {
+// readTracks reads a Tracks body (after the type byte).
+func readTracks(r *bin.Reader) (Tracks, error) {
+	t := Tracks{More: r.U8()&1 != 0, ID: r.U32()}
+	count64 := uint64(r.U32())
+	if uint64(r.Len()) != count64*trackWireSize || count64 != uint64(r.Len())/trackWireSize {
 		return Tracks{}, ErrBadMessage
 	}
 	t.States = make([]fusion.TrackState, count64)
 	for i := range t.States {
-		ts := &t.States[i]
-		copy(ts.MAC[:], rest[:6])
-		ts.Pos = geom.Point{
-			X: math.Float64frombits(binary.BigEndian.Uint64(rest[6:14])),
-			Y: math.Float64frombits(binary.BigEndian.Uint64(rest[14:22])),
+		t.States[i] = fusion.TrackState{
+			MAC: r.MAC(), Pos: r.Point(), Vel: r.Point(),
+			Fixes: r.U64(), LastSeq: r.U64(), Updated: r.Time(),
+			Decision: locate.Decision(r.U8()),
 		}
-		ts.Vel = geom.Point{
-			X: math.Float64frombits(binary.BigEndian.Uint64(rest[22:30])),
-			Y: math.Float64frombits(binary.BigEndian.Uint64(rest[30:38])),
-		}
-		ts.Fixes = binary.BigEndian.Uint64(rest[38:46])
-		ts.LastSeq = binary.BigEndian.Uint64(rest[46:54])
-		ts.Updated = time.Unix(0, int64(binary.BigEndian.Uint64(rest[54:62])))
-		ts.Decision = locate.Decision(rest[62])
-		rest = rest[trackWireSize:]
 	}
 	return t, nil
 }
@@ -179,91 +149,47 @@ func capStr(s string) string {
 // len(States) within maxThreatsPerFrame (the controller chunks).
 func MarshalThreats(t Threats) []byte {
 	b := make([]byte, 0, 10+(threatFixedWire+16)*len(t.States))
-	b = append(b, TypeThreat, 0)
-	if t.More {
-		b[1] = 1
-	}
-	b = binary.BigEndian.AppendUint32(b, t.ID)
-	b = binary.BigEndian.AppendUint32(b, uint32(len(t.States)))
+	b = bin.Bool(append(b, TypeThreat), t.More)
+	b = bin.U32(b, t.ID)
+	b = bin.U32(b, uint32(len(t.States)))
 	for _, st := range t.States {
-		b = append(b, st.MAC[:]...)
+		b = bin.MAC(b, st.MAC)
 		b = append(b, byte(st.State), byte(st.Action))
-		b = binary.BigEndian.AppendUint64(b, math.Float64bits(st.Score))
-		b = binary.BigEndian.AppendUint64(b, st.Flags)
-		b = binary.BigEndian.AppendUint64(b, st.FenceDrops)
-		b = binary.BigEndian.AppendUint64(b, st.SpeedFlags)
-		b = binary.BigEndian.AppendUint64(b, math.Float64bits(st.LastDistance))
-		b = binary.BigEndian.AppendUint64(b, math.Float64bits(st.LastThreshold))
-		b = binary.BigEndian.AppendUint64(b, math.Float64bits(st.BearingDeg))
-		if st.HasBearing {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
-		}
-		b = binary.BigEndian.AppendUint64(b, math.Float64bits(st.Pos.X))
-		b = binary.BigEndian.AppendUint64(b, math.Float64bits(st.Pos.Y))
-		if st.HasPos {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
-		}
-		b = binary.BigEndian.AppendUint64(b, uint64(st.Since.UnixNano()))
-		b = binary.BigEndian.AppendUint64(b, uint64(st.Updated.UnixNano()))
-		b = writeString(b, capStr(st.LastAP))
-		b = writeString(b, capStr(st.Stage))
+		b = bin.F64(b, st.Score)
+		b = bin.U64(b, st.Flags)
+		b = bin.U64(b, st.FenceDrops)
+		b = bin.U64(b, st.SpeedFlags)
+		b = bin.F64(b, st.LastDistance)
+		b = bin.F64(b, st.LastThreshold)
+		b = bin.F64(b, st.BearingDeg)
+		b = bin.Bool(b, st.HasBearing)
+		b = bin.Point(b, st.Pos)
+		b = bin.Bool(b, st.HasPos)
+		b = bin.Time(b, st.Since)
+		b = bin.Time(b, st.Updated)
+		b = bin.Str(b, capStr(st.LastAP))
+		b = bin.Str(b, capStr(st.Stage))
 	}
 	return b
 }
 
-func unmarshalThreats(rest []byte) (Threats, error) {
-	if len(rest) < 9 {
-		return Threats{}, ErrBadMessage
-	}
-	var t Threats
-	t.More = rest[0]&1 != 0
-	t.ID = binary.BigEndian.Uint32(rest[1:5])
-	count64 := uint64(binary.BigEndian.Uint32(rest[5:9]))
-	rest = rest[9:]
+// readThreats reads a Threats body (after the type byte).
+func readThreats(r *bin.Reader) (Threats, error) {
+	t := Threats{More: r.U8()&1 != 0, ID: r.U32()}
+	count64 := uint64(r.U32())
 	// Each state is at least threatFixedWire + two empty strings.
-	if count64 > uint64(len(rest))/(threatFixedWire+4) {
+	if count64 > uint64(r.Len())/(threatFixedWire+4) {
 		return Threats{}, ErrBadMessage
 	}
 	t.States = make([]defense.ClientThreat, count64)
 	for i := range t.States {
-		if len(rest) < threatFixedWire {
-			return Threats{}, ErrBadMessage
+		t.States[i] = defense.ClientThreat{
+			MAC: r.MAC(), State: defense.State(r.U8()), Action: defense.Action(r.U8()),
+			Score: r.F64(), Flags: r.U64(), FenceDrops: r.U64(), SpeedFlags: r.U64(),
+			LastDistance: r.F64(), LastThreshold: r.F64(), BearingDeg: r.F64(), HasBearing: r.Bool(),
+			Pos: r.Point(), HasPos: r.Bool(), Since: r.Time(), Updated: r.Time(),
+			LastAP: r.Str(), Stage: r.Str(),
 		}
-		st := &t.States[i]
-		copy(st.MAC[:], rest[:6])
-		st.State = defense.State(rest[6])
-		st.Action = defense.Action(rest[7])
-		rest = rest[8:]
-		st.Score = math.Float64frombits(binary.BigEndian.Uint64(rest[0:8]))
-		st.Flags = binary.BigEndian.Uint64(rest[8:16])
-		st.FenceDrops = binary.BigEndian.Uint64(rest[16:24])
-		st.SpeedFlags = binary.BigEndian.Uint64(rest[24:32])
-		st.LastDistance = math.Float64frombits(binary.BigEndian.Uint64(rest[32:40]))
-		st.LastThreshold = math.Float64frombits(binary.BigEndian.Uint64(rest[40:48]))
-		st.BearingDeg = math.Float64frombits(binary.BigEndian.Uint64(rest[48:56]))
-		st.HasBearing = rest[56] != 0
-		st.Pos = geom.Point{
-			X: math.Float64frombits(binary.BigEndian.Uint64(rest[57:65])),
-			Y: math.Float64frombits(binary.BigEndian.Uint64(rest[65:73])),
-		}
-		st.HasPos = rest[73] != 0
-		st.Since = time.Unix(0, int64(binary.BigEndian.Uint64(rest[74:82])))
-		st.Updated = time.Unix(0, int64(binary.BigEndian.Uint64(rest[82:90])))
-		rest = rest[90:]
-		var err error
-		if st.LastAP, rest, err = readString(rest); err != nil {
-			return Threats{}, err
-		}
-		if st.Stage, rest, err = readString(rest); err != nil {
-			return Threats{}, err
-		}
-	}
-	if len(rest) != 0 {
-		return Threats{}, ErrBadMessage
 	}
 	return t, nil
 }
@@ -377,28 +303,7 @@ func (a *Agent) QueryTracks(ctx context.Context, q Query) ([]fusion.TrackState, 
 	// discarded, not fill the channel and stall the shared reader.
 	defer a.wantTracks.Store(false)
 	q.Kind = KindTracks
-	q.ID = a.querySeq.Add(1)
-	if err := a.Query(q); err != nil {
-		return nil, err
-	}
-	var out []fusion.TrackState
-	for {
-		select {
-		case t, ok := <-ch:
-			if !ok {
-				return nil, errors.New("netproto: connection closed awaiting Tracks")
-			}
-			if t.ID != q.ID {
-				continue // stale frame of an abandoned earlier query
-			}
-			out = append(out, t.States...)
-			if !t.More {
-				return out, nil
-			}
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
+	return queryReply(ctx, a, q, ch, "Tracks", func(t Tracks) (uint32, bool, []fusion.TrackState) { return t.ID, t.More, t.States })
 }
 
 // ThreatReplies delivers the controller's Threats frames through the
@@ -418,22 +323,31 @@ func (a *Agent) QueryThreats(ctx context.Context, q Query) ([]defense.ClientThre
 	ch := a.ThreatReplies()
 	defer a.wantThreats.Store(false) // see QueryTracks
 	q.Kind = KindThreats
+	return queryReply(ctx, a, q, ch, "Threats", func(t Threats) (uint32, bool, []defense.ClientThreat) { return t.ID, t.More, t.States })
+}
+
+// queryReply sends q under a fresh ID, then collects the states of its
+// reply frames from ch under ctx until the frame not marked More.
+// Frames with another ID are stale replies to an abandoned earlier
+// query.
+func queryReply[F, S any](ctx context.Context, a *Agent, q Query, ch <-chan F, kind string, part func(F) (uint32, bool, []S)) ([]S, error) {
 	q.ID = a.querySeq.Add(1)
 	if err := a.Query(q); err != nil {
 		return nil, err
 	}
-	var out []defense.ClientThreat
+	var out []S
 	for {
 		select {
-		case t, ok := <-ch:
+		case f, ok := <-ch:
 			if !ok {
-				return nil, errors.New("netproto: connection closed awaiting Threats")
+				return nil, fmt.Errorf("netproto: connection closed awaiting %s", kind)
 			}
-			if t.ID != q.ID {
-				continue // stale frame of an abandoned earlier query
+			fid, more, states := part(f)
+			if fid != q.ID {
+				continue
 			}
-			out = append(out, t.States...)
-			if !t.More {
+			out = append(out, states...)
+			if !more {
 				return out, nil
 			}
 		case <-ctx.Done():

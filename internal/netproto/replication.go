@@ -14,11 +14,11 @@ package netproto
 // enrollment trust root rather than growing a second one.
 
 import (
-	"encoding/binary"
 	"sort"
 	"sync/atomic"
 	"time"
 
+	"secureangle/internal/bin"
 	"secureangle/internal/journal"
 )
 
@@ -74,42 +74,31 @@ func framedSegment(s Segment) []byte {
 		size += 1 + 8 + 8 + 4 + len(r.Data)
 	}
 	b := make([]byte, 0, 4+size)
-	b = binary.BigEndian.AppendUint32(b, uint32(size))
+	b = bin.U32(b, uint32(size))
 	b = append(b, TypeSegment)
-	b = binary.BigEndian.AppendUint16(b, uint16(s.Partition))
-	b = binary.BigEndian.AppendUint16(b, uint16(s.PartCount))
-	b = binary.BigEndian.AppendUint64(b, s.LeaderLSN)
-	b = binary.BigEndian.AppendUint32(b, uint32(len(s.Records)))
+	b = bin.U16(b, uint16(s.Partition))
+	b = bin.U16(b, uint16(s.PartCount))
+	b = bin.U64(b, s.LeaderLSN)
+	b = bin.U32(b, uint32(len(s.Records)))
 	for _, r := range s.Records {
 		b = append(b, byte(r.Type))
-		b = binary.BigEndian.AppendUint64(b, r.LSN)
-		b = binary.BigEndian.AppendUint64(b, uint64(r.TS.UnixNano()))
-		b = binary.BigEndian.AppendUint32(b, uint32(len(r.Data)))
+		b = bin.U64(b, r.LSN)
+		b = bin.Time(b, r.TS)
+		b = bin.U32(b, uint32(len(r.Data)))
 		b = append(b, r.Data...)
 	}
 	return b
 }
 
-func unmarshalSegment(rest []byte) (Segment, error) {
-	return unmarshalSegmentInto(rest, nil)
-}
-
-// unmarshalSegmentInto decodes a Segment reusing recs (length reset,
-// capacity kept) as the Records backing store — the standby apply
-// loop's per-frame record-slice reuse. Record Data fields alias rest.
-func unmarshalSegmentInto(rest []byte, recs []journal.Record) (Segment, error) {
-	if len(rest) < 2+2+8+4 {
-		return Segment{}, ErrBadMessage
-	}
-	s := Segment{
-		Partition: int(binary.BigEndian.Uint16(rest[0:2])),
-		PartCount: int(binary.BigEndian.Uint16(rest[2:4])),
-		LeaderLSN: binary.BigEndian.Uint64(rest[4:12]),
-	}
-	n := binary.BigEndian.Uint32(rest[12:16])
-	rest = rest[16:]
+// readSegment reads a Segment body (after the type byte) and requires
+// it consumed exactly. It reuses recs (length reset, capacity kept) as
+// the Records backing store — the standby apply loop's per-frame
+// record-slice reuse. Record Data fields alias the frame.
+func readSegment(r *bin.Reader, recs []journal.Record) (Segment, error) {
+	s := Segment{Partition: int(r.U16()), PartCount: int(r.U16()), LeaderLSN: r.U64()}
+	n := r.U32()
 	const recFixed = 1 + 8 + 8 + 4
-	if uint64(n)*recFixed > uint64(len(rest)) {
+	if uint64(n)*recFixed > uint64(r.Len()) {
 		return Segment{}, ErrBadMessage
 	}
 	if n > 0 {
@@ -118,24 +107,15 @@ func unmarshalSegmentInto(rest []byte, recs []journal.Record) (Segment, error) {
 		}
 	}
 	for i := uint32(0); i < n; i++ {
-		if len(rest) < recFixed {
+		rec := journal.Record{Type: journal.RecordType(r.U8()), LSN: r.U64(), TS: r.Time()}
+		dl := r.U32()
+		if dl > journal.MaxRecordSize {
 			return Segment{}, ErrBadMessage
 		}
-		rec := journal.Record{
-			Type: journal.RecordType(rest[0]),
-			LSN:  binary.BigEndian.Uint64(rest[1:9]),
-			TS:   time.Unix(0, int64(binary.BigEndian.Uint64(rest[9:17]))),
-		}
-		dl := binary.BigEndian.Uint32(rest[17:21])
-		rest = rest[recFixed:]
-		if dl > journal.MaxRecordSize || uint64(dl) > uint64(len(rest)) {
-			return Segment{}, ErrBadMessage
-		}
-		rec.Data = rest[:dl:dl]
-		rest = rest[dl:]
+		rec.Data = r.Bytes(int(dl))
 		s.Records = append(s.Records, rec)
 	}
-	if len(rest) != 0 {
+	if r.Err != nil || r.Len() != 0 {
 		return Segment{}, ErrBadMessage
 	}
 	return s, nil
@@ -144,34 +124,26 @@ func unmarshalSegmentInto(rest []byte, recs []journal.Record) (Segment, error) {
 // MarshalSegmentAck encodes a SegmentAck frame.
 func MarshalSegmentAck(a SegmentAck) []byte {
 	b := make([]byte, 0, 1+2+10*len(a.Positions))
-	b = append(b, TypeSegmentAck)
-	b = binary.BigEndian.AppendUint16(b, uint16(len(a.Positions)))
+	b = bin.U16(append(b, TypeSegmentAck), uint16(len(a.Positions)))
 	for _, p := range a.Positions {
-		b = binary.BigEndian.AppendUint16(b, uint16(p.Partition))
-		b = binary.BigEndian.AppendUint64(b, p.LSN)
+		b = bin.U16(b, uint16(p.Partition))
+		b = bin.U64(b, p.LSN)
 	}
 	return b
 }
 
-func unmarshalSegmentAck(rest []byte) (SegmentAck, error) {
-	if len(rest) < 2 {
-		return SegmentAck{}, ErrBadMessage
-	}
-	n := binary.BigEndian.Uint16(rest[0:2])
-	rest = rest[2:]
-	if n > replMaxPositions || len(rest) != int(n)*10 {
+// readSegmentAck reads a SegmentAck body (after the type byte).
+func readSegmentAck(r *bin.Reader) (SegmentAck, error) {
+	n := r.U16()
+	if n > replMaxPositions || r.Len() != int(n)*10 {
 		return SegmentAck{}, ErrBadMessage
 	}
 	a := SegmentAck{}
 	if n > 0 {
-		a.Positions = make([]SegmentPos, 0, n)
+		a.Positions = make([]SegmentPos, n)
 	}
-	for i := 0; i < int(n); i++ {
-		a.Positions = append(a.Positions, SegmentPos{
-			Partition: int(binary.BigEndian.Uint16(rest[0:2])),
-			LSN:       binary.BigEndian.Uint64(rest[2:10]),
-		})
-		rest = rest[10:]
+	for i := range a.Positions {
+		a.Positions[i] = SegmentPos{Partition: int(r.U16()), LSN: r.U64()}
 	}
 	return a, nil
 }

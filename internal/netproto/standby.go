@@ -22,6 +22,7 @@ import (
 	"sync"
 	"time"
 
+	"secureangle/internal/bin"
 	"secureangle/internal/journal"
 	"secureangle/internal/locate"
 	"secureangle/internal/ops"
@@ -245,7 +246,8 @@ func (s *Standby) followOnce(ctx context.Context) error {
 			}
 			continue
 		}
-		seg, err := unmarshalSegmentInto(body[1:], recs)
+		r := bin.NewReader(body[1:])
+		seg, err := readSegment(&r, recs)
 		if err != nil {
 			return err
 		}

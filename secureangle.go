@@ -314,7 +314,7 @@ func Metrics() *MetricsRegistry { return ops.Default() }
 func WriteMetrics(w io.Writer) error { return ops.Default().WritePrometheus(w) }
 
 // NewController builds the multi-AP fusion controller for a fence.
-// Tune the exported bounds (MinDiversityDeg, PendingTTL, MaxClients,
-// MaxPendingPerClient, FusionShards, ...) before Serve; see the README
-// "Controller at scale" section for the lifecycle guarantees.
+// Tune the exported fields (MinAPs, MinDiversityDeg, DefensePolicy,
+// Partitions, ...) before Serve; the fusion engine's bounds are its
+// package defaults (see the README "Controller at scale" section).
 func NewController(fence *Fence) *Controller { return netproto.NewController(fence) }
