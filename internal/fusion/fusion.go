@@ -368,21 +368,14 @@ func (e *Engine) shardFor(mac wifi.Addr) *shard {
 }
 
 // Ingest records one bearing and fuses a decision once MinAPs distinct
-// APs have reported the same (MAC, seq) with acceptable geometry.
-// After Close it drops the bearing: the deadline sweeper is gone, so
-// accepting new pendings would leave them unexpirable.
+// APs have reported the same (MAC, seq) with acceptable geometry; the
+// decision goes to cfg.Emit. It is IngestBatch of one, on a stack
+// array: there is no separate serial path. After Close it drops the
+// bearing: the deadline sweeper is gone, so accepting new pendings
+// would leave them unexpirable.
 func (e *Engine) Ingest(b Bearing) {
-	if e.closed.Load() {
-		return
-	}
-	now := e.cfg.Clock()
-	s := e.shardFor(b.MAC)
-	s.mu.Lock()
-	d, ts, emit := e.ingestLocked(s, b, now)
-	s.mu.Unlock()
-	if emit && e.cfg.Emit != nil {
-		e.cfg.Emit(d, ts)
-	}
+	one := [1]Bearing{b}
+	e.IngestBatch(one[:], nil)
 }
 
 // batchScratch is the pooled grouping state one IngestBatch borrows:
@@ -426,8 +419,8 @@ type BatchEmit func(i int, d Decision, t TrackState, tracked bool)
 // IngestBatch records a slice of bearings, grouping them by shard so
 // each touched shard's lock is taken once per batch instead of once
 // per bearing. Within a shard, bearings are applied in input order, so
-// the decisions produced are exactly those of len(bs) serial Ingest
-// calls sharing one clock reading; they are delivered outside all
+// the decisions produced are exactly those of len(bs) one-bearing
+// batches sharing one clock reading; they are delivered outside all
 // shard locks, in input order. emit, when non-nil, receives each
 // decision with the input index of the bearing that completed it and
 // overrides cfg.Emit for the batch; with a nil emit, decisions go to

@@ -198,3 +198,20 @@ func TestFsyncAlwaysConcurrentCommitters(t *testing.T) {
 		t.Fatalf("recovered %d/%d records", len(got), goroutines*perG)
 	}
 }
+
+// TestJournalAppendBatchGrowthAmortised pins the userspace buffer's
+// amortised growth: until the buffer first reaches its flush mark, a
+// one-record AppendBatch — the shape every Append takes — must not
+// reallocate and copy the whole pending buffer.
+func TestJournalAppendBatchGrowthAmortised(t *testing.T) {
+	j := mustOpen(t, t.TempDir(), Options{Fsync: FsyncNever})
+	defer j.Close()
+	one := batchRecords(1)
+	if n := testing.AllocsPerRun(500, func() {
+		if _, err := j.AppendBatch(one); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("one-record AppendBatch: %.0f allocs, want 0", n)
+	}
+}

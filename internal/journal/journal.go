@@ -44,6 +44,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -292,27 +293,13 @@ func (j *Journal) commitWait(lsn uint64) error {
 }
 
 // Append writes one record, assigning its LSN (returned) and stamping
-// TS with the journal clock when zero. Durability follows the fsync
+// TS with the journal clock when zero. It is AppendBatch of one: there
+// is no separate single-record path. Durability follows the fsync
 // policy; the record is always at least in the userspace buffer when
 // Append returns. Under FsyncAlways, concurrent appenders coalesce on
 // the group-commit barrier and may share a single fsync.
 func (j *Journal) Append(rec Record) (uint64, error) {
-	if err := checkRecordSize(rec.Data); err != nil {
-		return 0, err
-	}
-	j.mu.Lock()
-	if j.closed {
-		j.mu.Unlock()
-		return 0, ErrClosed
-	}
-	if rec.TS.IsZero() {
-		rec.TS = j.opts.Clock()
-	}
-	rec.LSN = j.nextLSN
-	if err := j.settle(rec.LSN, j.putLocked(&rec, rec.LSN+1)); err != nil {
-		return 0, err
-	}
-	return rec.LSN, nil
+	return j.AppendBatch([]Record{rec})
 }
 
 // AppendBatch writes a batch of records with one lock acquisition, one
@@ -320,11 +307,12 @@ func (j *Journal) Append(rec Record) (uint64, error) {
 // fsync decision for the whole batch. LSNs are assigned contiguously
 // starting at the returned value; zero timestamps are stamped with one
 // clock reading shared by the batch. The on-disk byte stream is
-// identical to len(recs) serial Appends (same framing, same rotation
-// points record by record), so readers cannot tell group commits from
-// serial ones. Under FsyncAlways the whole batch rides one barrier
-// fsync, amortizing durability across its records and across
-// concurrent committers.
+// identical to len(recs) one-record batches (same framing, same
+// rotation points record by record), so readers cannot tell group
+// commits from single appends. Under FsyncAlways the whole batch rides
+// one barrier fsync, amortizing durability across its records and
+// across concurrent committers. The userspace buffer grows amortised,
+// so small batches do not copy the pending buffer on every call.
 func (j *Journal) AppendBatch(recs []Record) (uint64, error) {
 	if len(recs) == 0 {
 		return 0, nil
@@ -341,11 +329,7 @@ func (j *Journal) AppendBatch(recs []Record) (uint64, error) {
 		j.mu.Unlock()
 		return 0, ErrClosed
 	}
-	if free := cap(j.buf) - len(j.buf); free < need {
-		nb := make([]byte, len(j.buf), len(j.buf)+need)
-		copy(nb, j.buf)
-		j.buf = nb
-	}
+	j.buf = slices.Grow(j.buf, need)
 	var ts time.Time // one clock reading for the whole batch, read lazily
 	first := j.nextLSN
 	var err error

@@ -297,9 +297,9 @@ func (c *Controller) Threat(mac wifi.Addr) (defense.ClientThreat, bool) {
 }
 
 // emitDecision is the fusion engines' Emit sink, called outside shard
-// locks on every path — serial and batch ingest, crash recovery and
-// the standby's live apply. It journals the decision and fans it out
-// to every subscriber, then closes the loop: ts is the track state the
+// locks on every path — live ingest, crash recovery and the standby's
+// live apply. It journals the decision and fans it out to every
+// subscriber, then closes the loop: ts is the track state the
 // decision left, captured under the shard lock. During journal
 // recovery the decision is a re-derivation of history: it still feeds
 // the defense engine (that is how threat scores are rebuilt), but
@@ -600,6 +600,7 @@ func (c *Controller) handle(conn net.Conn) {
 			conn.SetReadDeadline(time.Now().Add(t))
 		}
 		body, err := ReadMessageBuf(br, readBuf)
+		t0 := trace.Now() // a report's StageIngest span starts here
 		if cap(body) <= frameKeep {
 			readBuf = body
 		}
@@ -662,10 +663,10 @@ func (c *Controller) handle(conn net.Conn) {
 			// Keepalive only: reading it already pushed the deadline.
 		case Report:
 			health.reports.Add(1)
-			c.ingest(m)
+			c.ingestBatch([]Report{m}, t0)
 		case ReportBatch:
 			health.reports.Add(uint64(len(m)))
-			c.ingestBatch(m)
+			c.ingestBatch(m, t0)
 		case Alert:
 			c.handleAlert(m)
 		case Query:
@@ -748,34 +749,6 @@ func (c *Controller) startSession(name string, conn net.Conn, done chan struct{}
 	return ac
 }
 
-// ingest resolves a report's AP position and hands the bearing to the
-// fusion engine, which emits a decision once MinAPs distinct APs have
-// reported the same (MAC, seq) with acceptable geometry.
-func (c *Controller) ingest(r Report) {
-	c.mu.Lock()
-	pos, ok := c.apPos[r.APName]
-	c.mu.Unlock()
-	if !ok {
-		c.unknownAP.Add(1)
-		if c.Logf != nil {
-			c.logf("controller: report from unknown AP %q dropped", r.APName)
-		}
-		return
-	}
-	// Apply before journaling: a snapshot racing this event then either
-	// sees its effect (and the event's LSN predates the capture) or the
-	// event lands in the replayed tail — double-applied at worst, never
-	// lost. The fusion seq window absorbs a re-applied report.
-	t0 := trace.Now()
-	if s := c.partsBuild(); s != nil {
-		s.Ingest(fusion.Bearing{AP: r.APName, APPos: pos, MAC: r.MAC, Seq: r.SeqNo, Deg: r.BearingDeg, Trace: r.Trace})
-	}
-	c.traceSpan(trace.StageIngest, r.Trace, r.MAC, r.APName, t0)
-	c.journalAppend(r.MAC, journal.RecReport, journal.EncodeReport(journal.ReportEvent{
-		AP: r.APName, APPos: pos, MAC: r.MAC, Seq: r.SeqNo, BearingDeg: r.BearingDeg, Trace: r.Trace,
-	}))
-}
-
 // batchIngestScratch is the pooled per-batch state of ingestBatch: the
 // resolved bearings and the encode arena + record headers each journal
 // flush reuses.
@@ -788,33 +761,37 @@ type batchIngestScratch struct {
 
 var batchIngestPool = sync.Pool{New: func() any { return &batchIngestScratch{} }}
 
-// ingestBatch is the TypeReportBatch fast path: one AP-position lookup
-// pass under one lock, one partition grouping pass (partition.Set's
-// Group), one engine batch per touched partition (fusion takes each
-// shard lock once, not once per report), and group-committed report
-// records. Per-partition journal streams are byte-identical to len(rs)
-// serial ingest calls: within a partition, the records of report i's
-// fused decision (and any directives it provokes) land before report
-// i's own record, and reports between decisions group-commit as one
-// journal batch.
-func (c *Controller) ingestBatch(rs []Report) {
+// ingestBatch is the controller's one ingest path; a TypeReport is a
+// batch of one. One registry lock resolves every report's AP position.
+// Each traced report then records its StageIngest span: the interval
+// from t0, when its frame left ReadMessageBuf, to the hand-off to
+// fusion, recorded before the engines run so the decision's Retain or
+// Sample promotes it. The bearings are grouped by partition
+// (partition.Set's Group), each touched engine takes them as one batch
+// (fusion takes each shard lock once, not once per report), and the
+// report records group-commit; within a partition, the records of
+// report i's fused decision (and any directives it provokes) land
+// before report i's own record. Reports are applied before they are
+// journaled: a snapshot racing one either sees its effect (and the
+// record's LSN predates the capture) or the record lands in the
+// replayed tail — double-applied at worst, never lost; the fusion seq
+// window absorbs a re-applied report.
+func (c *Controller) ingestBatch(rs []Report, t0 int64) {
 	if len(rs) == 0 {
-		return
-	}
-	if len(rs) == 1 {
-		c.ingest(rs[0])
 		return
 	}
 	sc := batchIngestPool.Get().(*batchIngestScratch)
 	// Resolve every report's AP position under one registry lock.
 	bearings := sc.bearings[:0]
-	unknown := 0
+	unknown, unknownName := 0, ""
 	c.mu.Lock()
 	for i := range rs {
 		r := &rs[i]
 		pos, ok := c.apPos[r.APName]
 		if !ok {
-			unknown++
+			if unknown++; unknown == 1 {
+				unknownName = r.APName
+			}
 			continue
 		}
 		bearings = append(bearings, fusion.Bearing{AP: r.APName, APPos: pos, MAC: r.MAC, Seq: r.SeqNo, Deg: r.BearingDeg, Trace: r.Trace})
@@ -823,12 +800,12 @@ func (c *Controller) ingestBatch(rs []Report) {
 	sc.bearings = bearings
 	for i := range bearings {
 		b := &bearings[i]
-		c.traceSpan(trace.StageIngest, b.Trace, b.MAC, b.AP, 0)
+		c.traceSpan(trace.StageIngest, b.Trace, b.MAC, b.AP, t0)
 	}
 	if unknown > 0 {
 		c.unknownAP.Add(uint64(unknown))
 		if c.Logf != nil {
-			c.logf("controller: %d report(s) from unknown AP(s) dropped", unknown)
+			c.logf("controller: %d report(s) from unknown AP(s) dropped, first %q", unknown, unknownName)
 		}
 	}
 	// The set is nil only after Close, which also sealed the journals.
@@ -842,9 +819,9 @@ func (c *Controller) ingestBatch(rs []Report) {
 
 // ingestRun feeds one partition's contiguous run of bearings to its
 // fusion engine as a batch and journals the run's report records in
-// group commits, interleaved so the per-partition record stream
-// matches serial ingest: reports before a decision flush as one batch
-// before that decision's records.
+// group commits, interleaved so the per-partition record stream does
+// not depend on how the reports were batched: reports before a
+// decision flush as one batch before that decision's records.
 func (c *Controller) ingestRun(set *partition.Set, p int, run []fusion.Bearing, sc *batchIngestScratch) {
 	cursor := 0
 	set.At(p).Fusion.IngestBatch(run, func(i int, d fusion.Decision, ts fusion.TrackState, _ bool) {
@@ -1013,9 +990,7 @@ func (a *Agent) writeBody(body []byte) error {
 // Send ships one report; safe for concurrent use. A configured Timeout
 // bounds the write.
 func (a *Agent) Send(r Report) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.writeBody(MarshalReport(r))
+	return a.SendContext(context.Background(), r)
 }
 
 // SendContext is Send with the context's deadline bounding the write
@@ -1035,9 +1010,7 @@ func (a *Agent) SendContext(ctx context.Context, r Report) error {
 // interleaved with other senders. A configured Timeout bounds each
 // frame's write.
 func (a *Agent) SendBatch(rs []Report) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.sendBatchLocked(rs, a.writeBody)
+	return a.SendBatchContext(context.Background(), rs)
 }
 
 // SendBatchContext is SendBatch with the context's deadline bounding

@@ -1,6 +1,7 @@
 package netproto
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"path/filepath"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"secureangle/internal/geom"
 	"secureangle/internal/journal"
 	"secureangle/internal/locate"
+	"secureangle/internal/trace"
 	"secureangle/internal/wifi"
 )
 
@@ -81,42 +83,44 @@ func journalStreams(t *testing.T, base string, parts int) []string {
 	return out
 }
 
+// ingestWorkloadStreams pins the sha256 of each partition's journal
+// stream (journalStreams) after ingestWorkload, fed one report at a
+// time through the controller's former serial ingest path, and the
+// unknown-AP drops it counted. Every batching must reproduce them.
+var ingestWorkloadStreams = [4]string{
+	"c30bd60a954d04f9f0b9cbca3233848502655ed28555ffdf897f9634a4559146",
+	"6aa46f1e4128435f8b772f77237f40560292b4670cb435e2917be963f809cf22",
+	"29052c770a728d521c42497df6891766075e1508c03f86596ef6ea302d51a8a6",
+	"67e66742d8a82f42d379c29368f227ba0741229480064e29b5a86938074e8075",
+}
+
+const ingestWorkloadUnknown = 4
+
 // TestIngestBatchJournalStreamIdentity pins the controller-level
-// identity claim of the batched fast path: for any batch sizing,
-// ingestBatch leaves every partition journal byte-identical to serial
-// per-report ingest — decisions interleaved before their completing
-// report's record, group-committed report runs indistinguishable from
-// serial appends — and drops the same unknown-AP reports.
+// identity claim of the one ingest path: for any batch sizing,
+// ingestBatch leaves every partition journal byte-identical to the
+// pinned one-report-at-a-time stream — decisions interleaved before
+// their completing report's record, group-committed report runs
+// indistinguishable from single appends — and drops the same
+// unknown-AP reports.
 func TestIngestBatchJournalStreamIdentity(t *testing.T) {
 	rs := ingestWorkload()
-
-	serial, serialDir := newIngestController(t)
-	for _, r := range rs {
-		serial.ingest(r)
-	}
-	serialUnknown := serial.unknownAP.Load()
-	serial.Close()
-	want := journalStreams(t, serialDir, 4)
-	for p, s := range want {
-		if s == "" {
-			t.Fatalf("serial workload left partition %d empty — workload does not cover the split", p)
-		}
-	}
-
 	for _, size := range []int{1, 2, 5, 64, len(rs)} {
-		batch, batchDir := newIngestController(t)
+		c, dir := newIngestController(t)
 		for start := 0; start < len(rs); start += size {
-			batch.ingestBatch(rs[start:min(start+size, len(rs))])
+			c.ingestBatch(rs[start:min(start+size, len(rs))], trace.Now())
 		}
-		if got := batch.unknownAP.Load(); got != serialUnknown {
-			t.Errorf("size %d: unknown-AP drops = %d, serial counted %d", size, got, serialUnknown)
+		if got := c.unknownAP.Load(); got != ingestWorkloadUnknown {
+			t.Errorf("size %d: unknown-AP drops = %d, want %d", size, got, ingestWorkloadUnknown)
 		}
-		batch.Close()
-		got := journalStreams(t, batchDir, 4)
-		for p := range want {
-			if got[p] != want[p] {
-				t.Errorf("size %d: partition %d journal stream diverged from serial\n got:\n%s\nwant:\n%s",
-					size, p, got[p], want[p])
+		c.Close()
+		for p, s := range journalStreams(t, dir, 4) {
+			if s == "" {
+				t.Fatalf("size %d: partition %d empty — workload does not cover the split", size, p)
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256([]byte(s))); got != ingestWorkloadStreams[p] {
+				t.Errorf("size %d: partition %d journal stream sha256 %s, want %s\n%s",
+					size, p, got, ingestWorkloadStreams[p], s)
 			}
 		}
 	}

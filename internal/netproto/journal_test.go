@@ -17,6 +17,7 @@ import (
 	"secureangle/internal/journal"
 	"secureangle/internal/locate"
 	"secureangle/internal/partition"
+	"secureangle/internal/trace"
 	"secureangle/internal/wifi"
 )
 
@@ -420,8 +421,8 @@ func TestReplayMatchesLiveTraces(t *testing.T) {
 		target := geom.Point{X: 4 + 8*float64(m), Y: 20} // outside the fence
 		for seq := uint64(1); seq <= 6; seq++ {
 			tr := uint64(m+1)<<32 | seq<<8
-			c.ingest(Report{APName: "ap1", MAC: mac, SeqNo: seq, BearingDeg: geom.BearingDeg(ap1Pos, target), Trace: tr | 1})
-			c.ingest(Report{APName: "ap2", MAC: mac, SeqNo: seq, BearingDeg: geom.BearingDeg(ap2Pos, target), Trace: tr | 2})
+			c.ingestBatch([]Report{{APName: "ap1", MAC: mac, SeqNo: seq, BearingDeg: geom.BearingDeg(ap1Pos, target), Trace: tr | 1}}, trace.Now())
+			c.ingestBatch([]Report{{APName: "ap2", MAC: mac, SeqNo: seq, BearingDeg: geom.BearingDeg(ap2Pos, target), Trace: tr | 2}}, trace.Now())
 		}
 	}
 	if got := len(c.Quarantined()); got != attackers {
@@ -490,8 +491,8 @@ func TestReplayPartitionedJournal(t *testing.T) {
 		target := geom.Point{X: 2 + 4*float64(m), Y: 20} // outside the fence
 		for seq := uint64(1); seq <= 6; seq++ {
 			tr := uint64(m+1)<<32 | seq<<8
-			c.ingest(Report{APName: "ap1", MAC: mac, SeqNo: seq, BearingDeg: geom.BearingDeg(ap1Pos, target), Trace: tr | 1})
-			c.ingest(Report{APName: "ap2", MAC: mac, SeqNo: seq, BearingDeg: geom.BearingDeg(ap2Pos, target), Trace: tr | 2})
+			c.ingestBatch([]Report{{APName: "ap1", MAC: mac, SeqNo: seq, BearingDeg: geom.BearingDeg(ap1Pos, target), Trace: tr | 1}}, trace.Now())
+			c.ingestBatch([]Report{{APName: "ap2", MAC: mac, SeqNo: seq, BearingDeg: geom.BearingDeg(ap2Pos, target), Trace: tr | 2}}, trace.Now())
 			reports += 2
 		}
 	}

@@ -11,6 +11,7 @@ import (
 	"secureangle/internal/geom"
 	"secureangle/internal/journal"
 	"secureangle/internal/locate"
+	"secureangle/internal/trace"
 	"secureangle/internal/wifi"
 )
 
@@ -317,8 +318,8 @@ func TestPartitionedDecisionIdentity(t *testing.T) {
 			if i%3 == 0 {
 				target.Y = 30 // outside the fence: a drop decision
 			}
-			c.ingest(Report{APName: "ap1", MAC: mac, SeqNo: uint64(i + 1), BearingDeg: geom.BearingDeg(ap1Pos, target)})
-			c.ingest(Report{APName: "ap2", MAC: mac, SeqNo: uint64(i + 1), BearingDeg: geom.BearingDeg(ap2Pos, target)})
+			c.ingestBatch([]Report{{APName: "ap1", MAC: mac, SeqNo: uint64(i + 1), BearingDeg: geom.BearingDeg(ap1Pos, target)}}, trace.Now())
+			c.ingestBatch([]Report{{APName: "ap2", MAC: mac, SeqNo: uint64(i + 1), BearingDeg: geom.BearingDeg(ap2Pos, target)}}, trace.Now())
 		}
 		c.handleAlert(Alert{APName: "ap1", MAC: macs[2], Distance: 0.9, Threshold: 0.12, Stage: "spoofcheck"})
 		c.handleAlert(Alert{APName: "ap2", MAC: macs[7], Distance: 0.8, Threshold: 0.12, Stage: "spoofcheck"})
@@ -396,8 +397,8 @@ func TestCloseSnapshotsEveryPartition(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		mac := wifi.Addr{byte(i * 4), byte(i * 37), byte(i * 11), 0, 0, byte(i)}
 		target := geom.Point{X: 12, Y: 8}
-		c.ingest(Report{APName: "ap1", MAC: mac, SeqNo: 1, BearingDeg: geom.BearingDeg(ap1Pos, target)})
-		c.ingest(Report{APName: "ap2", MAC: mac, SeqNo: 1, BearingDeg: geom.BearingDeg(ap2Pos, target)})
+		c.ingestBatch([]Report{{APName: "ap1", MAC: mac, SeqNo: 1, BearingDeg: geom.BearingDeg(ap1Pos, target)}}, trace.Now())
+		c.ingestBatch([]Report{{APName: "ap2", MAC: mac, SeqNo: 1, BearingDeg: geom.BearingDeg(ap2Pos, target)}}, trace.Now())
 	}
 	c.Close()
 

@@ -191,6 +191,72 @@ func TestIncidentTimelineEndToEnd(t *testing.T) {
 	}
 }
 
+// TestReportBatchIngestSpansAreIntervals pins the one StageIngest span
+// shape: every report of a ReportBatch records an interval from the
+// moment its frame was read to its hand-off to fusion, and records it
+// before the engines run, so the decision's tail sampling promotes it.
+func TestReportBatchIngestSpansAreIntervals(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	fence := &locate.Fence{Boundary: geom.Rect(0, 0, 24, 16)}
+	c := NewController(fence)
+	c.Tracer = trace.NewRecorder(ops.NewRegistry())
+	c.Tracer.SetBenignSampleRate(1)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Serve(ln)
+	defer c.Close()
+
+	ap1Pos, ap2Pos := geom.Point{X: 0, Y: 0}, geom.Point{X: 24, Y: 0}
+	ag1, err := DialContext(ctx, ln.Addr().String(), Hello{Name: "ap1", Pos: ap1Pos})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ag1.Close()
+	ag2, err := DialContext(ctx, ln.Addr().String(), Hello{Name: "ap2", Pos: ap2Pos})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ag2.Close()
+
+	target := geom.Point{X: 12, Y: 8}
+	macs := []wifi.Addr{{0x02, 0, 0, 0, 0, 1}, {0x02, 0, 0, 0, 0, 2}}
+	traces := []uint64{trace.NextID(), trace.NextID()}
+	for _, ap := range []struct {
+		ag   *Agent
+		name string
+		pos  geom.Point
+	}{{ag1, "ap1", ap1Pos}, {ag2, "ap2", ap2Pos}} {
+		batch := make([]Report, len(macs))
+		for i := range macs {
+			batch[i] = Report{APName: ap.name, MAC: macs[i], SeqNo: 1, BearingDeg: geom.BearingDeg(ap.pos, target), Trace: traces[i]}
+		}
+		if err := ap.ag.SendBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, 10*time.Second, "both decisions sampled", func() bool { return c.Tracer.RetainedCount() == len(traces) })
+
+	for _, v := range c.Tracer.Snapshot(0) {
+		var ingest []trace.Span
+		for _, sp := range v.Spans {
+			if sp.Stage == trace.StageIngest {
+				ingest = append(ingest, sp)
+			}
+		}
+		if len(ingest) != 2 {
+			t.Errorf("trace %016x: %d ingest spans, want one per AP: %+v", v.Trace, len(ingest), v.Spans)
+		}
+		for _, sp := range ingest {
+			if sp.Dur <= 0 {
+				t.Errorf("trace %016x: %s ingest span is a point (Dur %d), want an interval", v.Trace, sp.AP, sp.Dur)
+			}
+		}
+	}
+}
+
 // opsBase starts the ops HTTP endpoint for a running controller and
 // returns its base URL.
 func opsBase(t *testing.T, c *Controller) string {

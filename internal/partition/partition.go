@@ -114,7 +114,9 @@ func IndexFor(mac wifi.Addr, n int) int {
 // For returns the partition owning mac.
 func (s *Set) For(mac wifi.Addr) Part { return s.parts[s.IndexFor(mac)] }
 
-// Ingest routes a bearing to its MAC's partition.
+// Ingest routes a bearing to its MAC's partition. It stays a direct
+// route, not an IngestBatch of one: Group leaks its input, so the
+// one-element slice would escape to the heap on every bearing.
 func (s *Set) Ingest(b fusion.Bearing) { s.For(b.MAC).Fusion.Ingest(b) }
 
 // groupScratch is the pooled state one Group call borrows: the

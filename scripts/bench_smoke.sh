@@ -77,6 +77,8 @@ BEGIN {
     budget["BenchmarkReplicationCursor"] = 100          # ~20 measured; 10063 before pooling
     budget["BenchmarkJournalAppendBatch/interval"] = 4  # 0 measured (64-record batch)
     budget["BenchmarkJournalAppendBatch/always"] = 4    # 0 measured
+    budget["BenchmarkFusionIngest/sharded"] = 1     # 1 measured: the Decision.APs slice
+    budget["BenchmarkPartitionIngest/parts=1"] = 3  # 2 measured; an escaping batch-of-one slice adds 2
     budget["BenchmarkPartitionIngestBatch/parts=1"] = 16   # ~5 measured
     budget["BenchmarkPartitionIngestBatch/parts=4"] = 16
     budget["BenchmarkPartitionIngestBatch/parts=16"] = 16
