@@ -65,9 +65,13 @@ torture:
 ops-smoke:
 	sh scripts/ops_smoke.sh
 
+# The control plane (netproto and everything it imports: defense,
+# journal, partition, fusion) must not link the DSP stack.
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
+	@out=$$($(GO) list -deps ./internal/netproto | grep -E '^secureangle/internal/(signature|music|cmat|antenna|dsp)$$'); \
+	if [ -n "$$out" ]; then echo "internal/netproto links the DSP stack:"; echo "$$out"; exit 1; fi
 
 # Non-test Go lines per package and in total (root module, without the
 # nested e2ebench/ benchmark module). Informational: nothing gates on it.

@@ -96,8 +96,7 @@ func main() {
 			}
 			fmt.Printf("  %s: bearing %.1f deg\n", rep.AP, rep.BearingDeg)
 			if err := agents[i].SendContext(ctx, netproto.Report{
-				APName: rep.AP, MAC: frame.Addr2, SeqNo: seq,
-				BearingDeg: rep.BearingDeg, Sig: rep.Sig,
+				APName: rep.AP, MAC: frame.Addr2, SeqNo: seq, BearingDeg: rep.BearingDeg,
 			}); err != nil {
 				log.Fatal(err)
 			}

@@ -67,8 +67,7 @@ func TestFullStackFenceOverTCP(t *testing.T) {
 				continue
 			}
 			if err := agents[i].Send(netproto.Report{
-				APName: ap.Name, MAC: frame.Addr2, SeqNo: seq,
-				BearingDeg: rep.BearingDeg, Sig: rep.Sig,
+				APName: ap.Name, MAC: frame.Addr2, SeqNo: seq, BearingDeg: rep.BearingDeg,
 			}); err != nil {
 				return 0, err
 			}
@@ -190,8 +189,7 @@ func TestFullStackV2StreamToController(t *testing.T) {
 					continue
 				}
 				reports = append(reports, netproto.Report{
-					APName: r.Report.AP, MAC: mac, SeqNo: 1,
-					BearingDeg: r.Report.BearingDeg, Sig: r.Report.Sig,
+					APName: r.Report.AP, MAC: mac, SeqNo: 1, BearingDeg: r.Report.BearingDeg,
 				})
 			}
 		}()

@@ -1,7 +1,7 @@
 // Package bin owns the primitive byte encoding every SecureAngle binary
 // format shares: big-endian integers, float64 as its IEEE-754 bits,
 // u16-length-prefixed strings, 6-byte MAC addresses, (x, y) points and
-// unix-nanosecond times. The v5 wire frames, the journal event payloads
+// unix-nanosecond times. The wire frames, the journal event payloads
 // and the engine snapshots each keep their own layout and version byte;
 // they read and write their fields through this package.
 //

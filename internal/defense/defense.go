@@ -46,7 +46,6 @@ import (
 	"time"
 
 	"secureangle/internal/geom"
-	"secureangle/internal/signature"
 	"secureangle/internal/timingwheel"
 	"secureangle/internal/wifi"
 )
@@ -121,10 +120,9 @@ type SpoofVerdict struct {
 	Threshold float64
 	// BearingDeg is the bearing the AP observed the frame at — the
 	// null-steer fallback direction when no fused position exists.
-	// HasBearing marks it valid: verdicts relayed from peers that never
-	// measured one (v1/v2 alerts, bare SendAlert) leave it false, and
-	// the engine will not order a null-steer on direction it does not
-	// have.
+	// HasBearing marks it valid: an alert whose AP measured no bearing
+	// (a detect or estimate failure) leaves it false, and the engine
+	// will not order a null-steer on direction it does not have.
 	BearingDeg float64
 	HasBearing bool
 	// Stage, when non-empty, is the pipeline stage behind an anomalous
@@ -135,15 +133,15 @@ type SpoofVerdict struct {
 	Trace uint64
 }
 
-// Severity is the normalised threshold exceedance of a flagged verdict
-// (0 for accepts; 1.0 when the distance doubled the threshold) —
-// signature.Verdict.Severity, the one home of the formula, applied to
-// this verdict's scoring fields.
+// Severity is the normalised threshold exceedance of a flagged verdict:
+// max(0, (Distance-Threshold)/Threshold). Zero for accepts and for a
+// non-positive threshold, 1.0 when the distance doubled the threshold.
+// The engine scales spoof weights by it.
 func (v SpoofVerdict) Severity() float64 {
-	if !v.Flagged {
+	if !v.Flagged || v.Threshold <= 0 || v.Distance <= v.Threshold {
 		return 0
 	}
-	return signature.Verdict{Distance: v.Distance, Threshold: v.Threshold}.Severity()
+	return (v.Distance - v.Threshold) / v.Threshold
 }
 
 // FenceVerdict is one fused virtual-fence decision.

@@ -2,6 +2,7 @@ package defense
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -123,6 +124,26 @@ func TestDefenseSpoofEscalationAndMargin(t *testing.T) {
 	}
 	if q := e.Quarantined(); len(q) != 1 || q[0].MAC != m {
 		t.Errorf("quarantined = %+v", q)
+	}
+}
+
+// TestDefenseVerdictSeverity pins the spoof-weight scaling formula:
+// zero for accepts and a non-positive threshold,
+// (Distance-Threshold)/Threshold for flags.
+func TestDefenseVerdictSeverity(t *testing.T) {
+	for _, tc := range []struct {
+		v    SpoofVerdict
+		want float64
+	}{
+		{SpoofVerdict{Distance: 0.5, Threshold: 0.12}, 0},                 // accepted
+		{SpoofVerdict{Flagged: true, Distance: 0.1, Threshold: 0.12}, 0},  // flagged below threshold
+		{SpoofVerdict{Flagged: true, Distance: 0.24, Threshold: 0.12}, 1}, // doubled
+		{SpoofVerdict{Flagged: true, Distance: 0.15, Threshold: 0.12}, (0.15 - 0.12) / 0.12},
+		{SpoofVerdict{Flagged: true, Distance: 0.5, Threshold: 0}, 0}, // no division blow-up
+	} {
+		if got := tc.v.Severity(); math.Abs(got-tc.want) > 1e-12 {
+			t.Errorf("%+v: severity %v, want %v", tc.v, got, tc.want)
+		}
 	}
 }
 

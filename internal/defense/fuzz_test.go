@@ -47,7 +47,7 @@ func FuzzDefenseSnapshotRestore(f *testing.F) {
 	f.Add(populated.Bytes())
 	f.Add([]byte{})
 	f.Add([]byte("SADS"))
-	f.Add([]byte("SADS\x00\x01\xff\xff\xff\xff")) // huge claimed count
+	f.Add([]byte("SADS\x00\x02\xff\xff\xff\xff")) // huge claimed count
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e := fuzzDefenseEngine(t)

@@ -17,13 +17,12 @@ import (
 	"secureangle/internal/wifi"
 )
 
-// Snapshot codec framing. v2 appends the threat's last trace ID after
-// the strings, so incident-timeline causality survives a restart; v1
-// snapshots restore with a zero trace.
+// Snapshot codec framing. v2 carries the threat's last trace ID after
+// the strings, so incident-timeline causality survives a restart. It is
+// the only version Restore reads.
 const (
-	snapMagic     = "SADS" // SecureAngle Defense State
-	snapVersion   = 2
-	snapVersionV1 = 1
+	snapMagic   = "SADS" // SecureAngle Defense State
+	snapVersion = 2
 )
 
 // Save writes a versioned binary snapshot of the engine's threat state
@@ -100,29 +99,26 @@ func (e *Engine) Restore(r io.Reader) error {
 	if string(magic) != snapMagic {
 		return fmt.Errorf("defense: bad snapshot magic %q", magic)
 	}
-	if ver != snapVersion && ver != snapVersionV1 {
+	if ver != snapVersion {
 		return fmt.Errorf("defense: unsupported snapshot version %d", ver)
 	}
 	for i := uint32(0); i < count; i++ {
-		if err := e.restoreThreat(&br, ver); err != nil {
+		if err := e.restoreThreat(&br); err != nil {
 			return fmt.Errorf("defense: snapshot threat %d: %w", i, err)
 		}
 	}
 	return nil
 }
 
-// restoreThreat decodes one threat record of snapshot version ver and
-// installs it in its shard.
-func (e *Engine) restoreThreat(br *bin.Reader, ver uint16) error {
+// restoreThreat decodes one threat record and installs it in its
+// shard.
+func (e *Engine) restoreThreat(br *bin.Reader) error {
 	t := threat{
 		mac: br.MAC(), state: State(br.U8()), action: Action(br.U8()), score: br.F64(),
 		flags: br.U64(), fenceDrops: br.U64(), speedFlags: br.U64(),
 		lastDistance: br.F64(), lastThreshold: br.F64(), bearingDeg: br.F64(), hasBearing: br.Bool(),
 		pos: br.Point(), hasPos: br.Bool(), since: br.Time(), updated: br.Time(),
-		lastAP: br.Str(), stage: br.Str(),
-	}
-	if ver >= snapVersion {
-		t.lastTrace = br.U64()
+		lastAP: br.Str(), stage: br.Str(), lastTrace: br.U64(),
 	}
 	if br.Err != nil {
 		return br.Err

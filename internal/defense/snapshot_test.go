@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -94,6 +95,29 @@ func TestDefenseRestoreRejectsGarbage(t *testing.T) {
 	defer e.Close()
 	if err := e.Restore(bytes.NewReader([]byte("junk"))); err == nil {
 		t.Fatal("garbage restored without error")
+	}
+}
+
+// TestDefenseRestoreRefusesV1: a SADS v1 blob (no per-threat trace
+// ID) is refused by version, before any threat is installed.
+func TestDefenseRestoreRefusesV1(t *testing.T) {
+	a, _, _, _ := testEngine(t, Config{})
+	a.ReportSpoof(SpoofVerdict{AP: "ap1", MAC: wifi.Addr{2, 0, 0, 0, 0, 1}, Flagged: true, Distance: 0.5, Threshold: 0.25, Stage: "spoofcheck"})
+	var buf bytes.Buffer
+	if err := a.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	v2 := buf.Bytes()
+	// The v1 form: version 1 and the trailing 8-byte trace dropped.
+	v1 := append([]byte(nil), v2[:len(v2)-8]...)
+	v1[5] = 1
+	b, _, _, _ := testEngine(t, Config{})
+	err := b.Restore(bytes.NewReader(v1))
+	if err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("v1 snapshot restore err = %v, want a version-1 refusal", err)
+	}
+	if n := b.ClientCount(); n != 0 {
+		t.Errorf("refused snapshot installed %d threats", n)
 	}
 }
 

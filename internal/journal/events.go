@@ -4,8 +4,8 @@ package journal
 // codecs. Inputs (reports, alerts, releases) are what recovery and
 // replay re-apply; outputs (decisions, directives, acks) are recorded
 // for audit and for comparing a counterfactual replay against what the
-// fleet actually did. Every payload opens with a codec version byte so
-// old journals stay readable as fields are added.
+// fleet actually did. Every payload opens with a codec version byte;
+// a payload of any other version is refused, never guessed at.
 
 import (
 	"fmt"
@@ -71,14 +71,10 @@ func (t RecordType) String() string {
 	}
 }
 
-// eventVersion is the current payload codec version. Version 2 appends
-// a 64-bit trace ID to the report/alert/decision/directive/release
-// payloads (the distributed-tracing context an incident timeline joins
-// on); version-1 journals decode with a zero trace.
+// eventVersion is the one payload codec version. Version 2 ends the
+// report/alert/decision/directive/release payloads with a 64-bit trace
+// ID (the distributed-tracing context an incident timeline joins on).
 const eventVersion = 2
-
-// eventVersionV1 is the pre-trace codec; still readable.
-const eventVersionV1 = 1
 
 // ReportEvent is one bearing report as ingested: the wire Report with
 // the AP's position resolved against the registry at ingest time, so
@@ -89,8 +85,7 @@ type ReportEvent struct {
 	MAC        wifi.Addr
 	Seq        uint64
 	BearingDeg float64
-	// Trace is the packet's trace ID (0 on records written by pre-v2
-	// codecs or untraced wire sessions).
+	// Trace is the packet's trace ID (0 from untraced wire sessions).
 	Trace uint64
 }
 
@@ -112,25 +107,16 @@ type ReleaseEvent struct {
 }
 
 // openPayload checks a payload's codec version byte and returns a
-// reader over the fields after it, with the version. An empty payload
-// or an unknown version yields a reader already holding the error.
-func openPayload(b []byte) (bin.Reader, byte) {
+// reader over the fields after it. An empty payload or another version
+// yields a reader already holding the error.
+func openPayload(b []byte) bin.Reader {
 	if len(b) < 1 {
-		return bin.Reader{Err: bin.ErrShort}, 0
+		return bin.Reader{Err: bin.ErrShort}
 	}
-	if b[0] != eventVersion && b[0] != eventVersionV1 {
-		return bin.Reader{Err: fmt.Errorf("journal: unsupported event codec version %d", b[0])}, 0
+	if b[0] != eventVersion {
+		return bin.Reader{Err: fmt.Errorf("journal: unsupported event codec version %d", b[0])}
 	}
-	return bin.NewReader(b[1:]), b[0]
-}
-
-// readTrace reads the trailing trace ID a version-2 payload carries;
-// version-1 payloads decode with a zero trace.
-func readTrace(r *bin.Reader, ver byte) uint64 {
-	if ver < eventVersion {
-		return 0
-	}
-	return r.U64()
+	return bin.NewReader(b[1:])
 }
 
 // --- event codecs ---
@@ -155,8 +141,8 @@ func AppendReport(b []byte, ev ReportEvent) []byte {
 
 // DecodeReport decodes an EncodeReport payload.
 func DecodeReport(b []byte) (ReportEvent, error) {
-	r, ver := openPayload(b)
-	ev := ReportEvent{AP: r.Str(), APPos: r.Point(), MAC: r.MAC(), Seq: r.U64(), BearingDeg: r.F64(), Trace: readTrace(&r, ver)}
+	r := openPayload(b)
+	ev := ReportEvent{AP: r.Str(), APPos: r.Point(), MAC: r.MAC(), Seq: r.U64(), BearingDeg: r.F64(), Trace: r.U64()}
 	return ev, r.Err
 }
 
@@ -182,13 +168,13 @@ func EncodeAlert(v defense.SpoofVerdict) []byte {
 
 // DecodeAlert decodes an EncodeAlert payload.
 func DecodeAlert(b []byte) (defense.SpoofVerdict, error) {
-	r, ver := openPayload(b)
+	r := openPayload(b)
 	v := defense.SpoofVerdict{AP: r.Str(), MAC: r.MAC()}
 	flags := r.U8()
 	v.Flagged, v.HasBearing = flags&1 != 0, flags&2 != 0
 	v.Distance, v.Threshold, v.BearingDeg = r.F64(), r.F64(), r.F64()
 	v.Stage = r.Str()
-	v.Trace = readTrace(&r, ver)
+	v.Trace = r.U64()
 	return v, r.Err
 }
 
@@ -213,13 +199,13 @@ func EncodeDecision(d fusion.Decision) []byte {
 
 // DecodeDecision decodes an EncodeDecision payload.
 func DecodeDecision(b []byte) (fusion.Decision, error) {
-	r, ver := openPayload(b)
+	r := openPayload(b)
 	d := fusion.Decision{MAC: r.MAC(), Seq: r.U64(), Pos: r.Point(), Decision: locate.Decision(r.U8()), Forced: r.Bool()}
 	n := int(r.U8())
 	for i := 0; i < n && r.Err == nil; i++ {
 		d.APs = append(d.APs, r.Str())
 	}
-	d.Trace = readTrace(&r, ver)
+	d.Trace = r.U64()
 	return d, r.Err
 }
 
@@ -258,7 +244,7 @@ func appendDirective(b []byte, d defense.Directive) []byte {
 
 // DecodeDirective decodes an EncodeDirective payload.
 func DecodeDirective(b []byte) (defense.Directive, error) {
-	r, ver := openPayload(b)
+	r := openPayload(b)
 	d := defense.Directive{MAC: r.MAC(), Action: defense.Action(r.U8()), From: defense.State(r.U8()), To: defense.State(r.U8())}
 	flags := r.U8()
 	d.HasBearing, d.HasPos = flags&1 != 0, flags&2 != 0
@@ -266,7 +252,7 @@ func DecodeDirective(b []byte) (defense.Directive, error) {
 	d.Score, d.Distance, d.Threshold = r.F64(), r.F64(), r.F64()
 	d.TTL = time.Duration(r.U64())
 	d.Reporter, d.Stage = r.Str(), r.Str()
-	d.Trace = readTrace(&r, ver)
+	d.Trace = r.U64()
 	return d, r.Err
 }
 
@@ -281,7 +267,7 @@ func EncodeAck(ev AckEvent) []byte {
 
 // DecodeAck decodes an EncodeAck payload.
 func DecodeAck(b []byte) (AckEvent, error) {
-	r, _ := openPayload(b)
+	r := openPayload(b)
 	ev := AckEvent{AP: r.Str()}
 	inner := r.Bytes(int(r.U16()))
 	if r.Err != nil {
@@ -302,8 +288,8 @@ func EncodeRelease(ev ReleaseEvent) []byte {
 
 // DecodeRelease decodes an EncodeRelease payload.
 func DecodeRelease(b []byte) (ReleaseEvent, error) {
-	r, ver := openPayload(b)
-	ev := ReleaseEvent{MAC: r.MAC(), Source: r.Str(), Trace: readTrace(&r, ver)}
+	r := openPayload(b)
+	ev := ReleaseEvent{MAC: r.MAC(), Source: r.Str(), Trace: r.U64()}
 	return ev, r.Err
 }
 
@@ -320,7 +306,7 @@ func EncodeSkip(ev SkipEvent) []byte {
 
 // DecodeSkip decodes an EncodeSkip payload.
 func DecodeSkip(b []byte) (SkipEvent, error) {
-	r, _ := openPayload(b)
+	r := openPayload(b)
 	ev := SkipEvent{End: r.U64()}
 	return ev, r.Err
 }
@@ -342,7 +328,7 @@ func EncodeEnroll(ev EnrollEvent) []byte {
 
 // DecodeEnroll decodes an EncodeEnroll payload.
 func DecodeEnroll(b []byte) (EnrollEvent, error) {
-	r, _ := openPayload(b)
+	r := openPayload(b)
 	ev := EnrollEvent{Name: r.Str()}
 	if d := r.Bytes(int(r.U16())); len(d) > 0 {
 		ev.Digest = append([]byte(nil), d...)

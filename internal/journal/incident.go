@@ -35,8 +35,7 @@ type TimelineEntry struct {
 	// Type is the journal record type ("report", "alert", "decision",
 	// "directive", "ack", "release").
 	Type RecordType
-	// Trace is the event's trace ID (0 on v1 records and untraced
-	// sessions).
+	// Trace is the event's trace ID (0 from untraced sessions).
 	Trace uint64
 	MAC   wifi.Addr
 	// AP names the reporting/acking AP where the event has one.

@@ -18,62 +18,57 @@ import (
 // what a pre-trace build wrote.
 func asV1(b []byte) []byte {
 	v1 := append([]byte(nil), b[:len(b)-8]...)
-	v1[0] = eventVersionV1
+	v1[0] = 1
 	return v1
 }
 
-// TestEventCodecV1Compat: journals written by the pre-trace codec keep
-// decoding — every traced event reads back field-for-field with a zero
-// trace.
-func TestEventCodecV1Compat(t *testing.T) {
+// TestEventCodecV1Refused: a payload written by the pre-trace codec is
+// refused by version, never decoded with a guessed trace, and
+// ApplyRecords over a journal holding one aborts at that record.
+func TestEventCodecV1Refused(t *testing.T) {
 	mac := wifi.MustParseAddr("aa:bb:cc:dd:ee:01")
-	rep := ReportEvent{AP: "ap1", APPos: geom.Point{X: 1, Y: 2}, MAC: mac, Seq: 7, BearingDeg: 33.5, Trace: 0xdead}
-	gotR, err := DecodeReport(asV1(EncodeReport(rep)))
-	if err != nil {
-		t.Fatal(err)
+	rep := EncodeReport(ReportEvent{AP: "ap1", APPos: geom.Point{X: 1, Y: 2}, MAC: mac, Seq: 7, BearingDeg: 33.5, Trace: 0xdead})
+	alert := EncodeAlert(defense.SpoofVerdict{AP: "ap1", MAC: mac, Flagged: true, Distance: 0.9, Threshold: 0.12, BearingDeg: 60, HasBearing: true, Stage: "spoofcheck", Trace: 0xbeef})
+	v1 := []Record{
+		{Type: RecReport, Data: asV1(rep)},
+		{Type: RecAlert, Data: asV1(alert)},
+		{Type: RecDecision, Data: asV1(EncodeDecision(fusion.Decision{MAC: mac, Seq: 9, Pos: geom.Point{X: 3, Y: 4}, Decision: locate.Allow, APs: []string{"ap1", "ap2"}, Trace: 0xf00d}))},
+		{Type: RecDirective, Data: asV1(EncodeDirective(defense.Directive{MAC: mac, Action: defense.ActionQuarantine, From: defense.StateMonitor, To: defense.StateQuarantine, Score: 3.5, Reporter: "ap1", Stage: "spoofcheck", Trace: 0xcafe}))},
+		{Type: RecRelease, Data: asV1(EncodeRelease(ReleaseEvent{MAC: mac, Source: "operator", Trace: 0xfeed}))},
 	}
-	wantR := rep
-	wantR.Trace = 0
-	if gotR != wantR {
-		t.Fatalf("v1 report = %+v, want %+v", gotR, wantR)
-	}
-
-	v := defense.SpoofVerdict{AP: "ap1", MAC: mac, Flagged: true, Distance: 0.9, Threshold: 0.12, BearingDeg: 60, HasBearing: true, Stage: "spoofcheck", Trace: 0xbeef}
-	gotV, err := DecodeAlert(asV1(EncodeAlert(v)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantV := v
-	wantV.Trace = 0
-	if gotV != wantV {
-		t.Fatalf("v1 alert = %+v, want %+v", gotV, wantV)
+	for _, rec := range v1 {
+		if _, err := DecodeEvent(rec); err == nil || !strings.Contains(err.Error(), "version 1") {
+			t.Errorf("v1 %v payload: err = %v, want a version-1 refusal", rec.Type, err)
+		}
 	}
 
-	d := fusion.Decision{MAC: mac, Seq: 9, Pos: geom.Point{X: 3, Y: 4}, Decision: locate.Allow, APs: []string{"ap1", "ap2"}, Trace: 0xf00d}
-	gotD, err := DecodeDecision(asV1(EncodeDecision(d)))
+	// A journal whose second record is v1: replay applies the first and
+	// aborts at the second, naming its LSN.
+	dir := t.TempDir()
+	j, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gotD.Trace != 0 || gotD.MAC != mac || gotD.Seq != 9 || len(gotD.APs) != 2 {
-		t.Fatalf("v1 decision = %+v", gotD)
+	ts := time.Unix(1_700_000_000, 0)
+	for _, rec := range []Record{{Type: RecReport, TS: ts, Data: rep}, {Type: RecAlert, TS: ts, Data: asV1(alert)}, {Type: RecReport, TS: ts, Data: rep}} {
+		if _, err := j.Append(rec); err != nil {
+			t.Fatal(err)
+		}
 	}
-
-	dir := defense.Directive{MAC: mac, Action: defense.ActionQuarantine, From: defense.StateMonitor, To: defense.StateQuarantine, Score: 3.5, Reporter: "ap1", Stage: "spoofcheck", Trace: 0xcafe}
-	gotDir, err := DecodeDirective(asV1(EncodeDirective(dir)))
-	if err != nil {
+	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if gotDir.Trace != 0 || gotDir.MAC != mac || gotDir.Action != defense.ActionQuarantine || gotDir.Reporter != "ap1" {
-		t.Fatalf("v1 directive = %+v", gotDir)
+	var reports, alerts int
+	last, n, err := ApplyRecords(dir, 0, Hooks{
+		Clock:  new(ReplayClock),
+		Report: func(ReportEvent) { reports++ },
+		Alert:  func(defense.SpoofVerdict) { alerts++ },
+	})
+	if err == nil || !strings.Contains(err.Error(), "LSN 2:") || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("ApplyRecords err = %v, want a version-1 refusal at LSN 2", err)
 	}
-
-	rel := ReleaseEvent{MAC: mac, Source: "operator", Trace: 0xfeed}
-	gotRel, err := DecodeRelease(asV1(EncodeRelease(rel)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotRel.Trace != 0 || gotRel.MAC != mac || gotRel.Source != "operator" {
-		t.Fatalf("v1 release = %+v", gotRel)
+	if last != 1 || n != 1 || reports != 1 || alerts != 0 {
+		t.Errorf("ApplyRecords applied through LSN %d (%d records, %d reports, %d alerts), want only LSN 1", last, n, reports, alerts)
 	}
 }
 

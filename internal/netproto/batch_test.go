@@ -3,39 +3,33 @@ package netproto
 import (
 	"net"
 	"reflect"
+	"strings"
 	"testing"
 
-	"secureangle/internal/music"
-	"secureangle/internal/signature"
 	"secureangle/internal/wifi"
 )
 
-func batchTestSig(n int, scale float64) *signature.Signature {
-	grid := make([]float64, n)
-	p := make([]float64, n)
-	for i := range grid {
-		grid[i] = float64(i)
-		p[i] = scale * float64(i+1)
-	}
-	return signature.FromPseudospectrum(&music.Pseudospectrum{AnglesDeg: grid, P: p})
-}
-
+// TestReportBatchRoundTrip: every report field survives the wire, in
+// batches of several and of one (the form Agent.Send writes), with and
+// without a trace and with an empty AP name.
 func TestReportBatchRoundTrip(t *testing.T) {
 	batch := []Report{
-		{APName: "ap1", MAC: wifi.Addr{1, 2, 3, 4, 5, 6}, BearingDeg: 41.5, SeqNo: 7, Sig: batchTestSig(16, 1)},
+		{APName: "ap1", MAC: wifi.MustParseAddr("00:16:ea:50:00:05"), BearingDeg: 123.75, SeqNo: 987654321, Trace: 0xdead},
 		{APName: "ap2", MAC: wifi.Addr{9, 9, 9, 0, 0, 1}, BearingDeg: -12.25, SeqNo: 8},
-		{APName: "ap1", MAC: wifi.Addr{1, 2, 3, 4, 5, 6}, BearingDeg: 300, SeqNo: 9, Sig: batchTestSig(16, 2)},
+		{MAC: wifi.Addr{1, 2, 3, 4, 5, 6}, BearingDeg: 300, SeqNo: 9, Trace: 1},
 	}
-	msg, err := Unmarshal(MarshalReportBatch(batch))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, ok := msg.(ReportBatch)
-	if !ok {
-		t.Fatalf("decoded %T, want ReportBatch", msg)
-	}
-	if !reflect.DeepEqual([]Report(got), batch) {
-		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, batch)
+	for _, rs := range [][]Report{batch, batch[:1], batch[1:2]} {
+		msg, err := Unmarshal(MarshalReportBatch(rs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, ok := msg.(ReportBatch)
+		if !ok {
+			t.Fatalf("decoded %T, want ReportBatch", msg)
+		}
+		if !reflect.DeepEqual([]Report(got), rs) {
+			t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, rs)
+		}
 	}
 }
 
@@ -60,15 +54,15 @@ func TestReportBatchEmptyAndMalformed(t *testing.T) {
 	}
 }
 
-// TestSendBatchChunksOversized feeds SendBatch more signed reports than
-// one frame can hold and checks every report arrives, split across
-// multiple ReportBatch frames.
+// TestSendBatchChunksOversized feeds SendBatch more reports than one
+// frame can hold and checks every report arrives, split across multiple
+// ReportBatch frames.
 func TestSendBatchChunksOversized(t *testing.T) {
-	// ~23 KB per signature: 60 reports > 1 MB, forcing at least 2 frames.
-	sig := batchTestSig(1440, 1)
+	// ~23 KB per AP name: 60 reports > 1 MB, forcing at least 2 frames.
+	name := strings.Repeat("a", 23<<10)
 	var batch []Report
 	for i := 0; i < 60; i++ {
-		batch = append(batch, Report{APName: "ap1", MAC: wifi.Addr{0, 0, 0, 0, 0, byte(i)}, SeqNo: uint64(i), Sig: sig})
+		batch = append(batch, Report{APName: name, MAC: wifi.Addr{0, 0, 0, 0, 0, byte(i)}, SeqNo: uint64(i)})
 	}
 
 	client, server := net.Pipe()

@@ -661,9 +661,6 @@ func (c *Controller) handle(conn net.Conn) {
 			sess = c.startSession(apName, conn, done, health)
 		case Ping:
 			// Keepalive only: reading it already pushed the deadline.
-		case Report:
-			health.reports.Add(1)
-			c.ingestBatch([]Report{m}, t0)
 		case ReportBatch:
 			health.reports.Add(uint64(len(m)))
 			c.ingestBatch(m, t0)
@@ -761,12 +758,11 @@ type batchIngestScratch struct {
 
 var batchIngestPool = sync.Pool{New: func() any { return &batchIngestScratch{} }}
 
-// ingestBatch is the controller's one ingest path; a TypeReport is a
-// batch of one. One registry lock resolves every report's AP position.
-// Each traced report then records its StageIngest span: the interval
-// from t0, when its frame left ReadMessageBuf, to the hand-off to
-// fusion, recorded before the engines run so the decision's Retain or
-// Sample promotes it. The bearings are grouped by partition
+// ingestBatch is the controller's one ingest path. One registry lock
+// resolves every report's AP position. Each traced report then records
+// its StageIngest span: the interval from t0, when its frame left
+// ReadMessageBuf, to the hand-off to fusion, recorded before the
+// engines run so the decision's Retain or Sample promotes it. The bearings are grouped by partition
 // (partition.Set's Group), each touched engine takes them as one batch
 // (fusion takes each shard lock once, not once per report), and the
 // report records group-commit; within a partition, the records of
@@ -995,11 +991,10 @@ func (a *Agent) Send(r Report) error {
 
 // SendContext is Send with the context's deadline bounding the write
 // instead of the Agent's Timeout; an already-cancelled context fails
-// immediately, before taking the send lock.
+// immediately, before taking the send lock. The report travels as a
+// ReportBatch of one.
 func (a *Agent) SendContext(ctx context.Context, r Report) error {
-	return a.sendWithCtx(ctx, func(write func([]byte) error) error {
-		return write(MarshalReport(r))
-	})
+	return a.SendBatchContext(ctx, []Report{r})
 }
 
 // SendBatch ships a batch of reports as ReportBatch messages — the
@@ -1045,8 +1040,9 @@ func (a *Agent) sendWithCtx(ctx context.Context, send func(write func([]byte) er
 // a.mu.
 func (a *Agent) sendBatchLocked(rs []Report, write func([]byte) error) error {
 	for len(rs) > 0 {
-		// Grow the chunk until the next report would overflow the frame;
-		// a single oversized report goes alone, for WriteMessage to reject.
+		// Grow the chunk until the next report would overflow the frame.
+		// A report body is at most ~64 KB (a u16-length name), so every
+		// chunk holds at least one.
 		body, n := []byte{TypeReportBatch, 0, 0, 0, 0}, 0
 		for ; n < len(rs); n++ {
 			next := appendReportBody(body, rs[n])

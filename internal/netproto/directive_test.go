@@ -140,14 +140,14 @@ func TestDefenseQueryKindRoundTrip(t *testing.T) {
 	if got.(Query) != q {
 		t.Errorf("round trip %+v != %+v", got, q)
 	}
-	// KindTracks encodes in the legacy 11-byte form.
+	// KindTracks carries its kind byte like every other kind.
 	q.Kind = KindTracks
 	b := MarshalQuery(q)
-	if len(b) != 12 { // type byte + 11 body bytes
-		t.Errorf("tracks query wire length = %d, want legacy 12", len(b))
+	if len(b) != 13 { // type byte + 12 body bytes
+		t.Errorf("tracks query wire length = %d, want 13", len(b))
 	}
 	if got, err = Unmarshal(b); err != nil || got.(Query) != q {
-		t.Errorf("legacy round trip %+v, %v", got, err)
+		t.Errorf("tracks round trip %+v, %v", got, err)
 	}
 }
 

@@ -23,8 +23,8 @@ import (
 )
 
 // fuzzSeeds returns marshalled bodies covering every frame kind —
-// Hello, Welcome, Ping, Report, ReportBatch, Alert, Query, Tracks,
-// Threats, Directive, Segment, SegmentAck — plus malformed inputs.
+// Hello, Welcome, Ping, ReportBatch, Alert, Query, Tracks, Threats,
+// Directive, Segment, SegmentAck — plus malformed inputs.
 func fuzzSeeds() [][]byte {
 	mac := wifi.Addr{0x66, 0, 0, 0, 0, 5}
 	dir := defense.Directive{
@@ -42,10 +42,10 @@ func fuzzSeeds() [][]byte {
 		MarshalHello(Hello{Name: "", Pos: geom.Point{}}), // observer
 		MarshalHello(Hello{Name: "ap1", Pos: geom.Point{X: 1, Y: 2},
 			Token: "deadbeefdeadbeefdeadbeefdeadbeef"}), // enrolled
-		MarshalSegmentAck(SegmentAck{Positions: []SegmentPos{{Partition: 1, LSN: 9}}}), // subscribe
-		MarshalWelcome(Welcome{Status: WelcomeAuthRejected}),                           // rejection
-		MarshalReport(Report{APName: "ap1", MAC: mac, BearingDeg: 42.5, SeqNo: 7}),     // sig-less report
-		MarshalReportBatch([]Report{{APName: "a", MAC: mac, SeqNo: 1}, {APName: "b"}}), // batch
+		MarshalSegmentAck(SegmentAck{Positions: []SegmentPos{{Partition: 1, LSN: 9}}}),      // subscribe
+		MarshalWelcome(Welcome{Status: WelcomeAuthRejected}),                                // rejection
+		MarshalReportBatch([]Report{{APName: "ap1", MAC: mac, BearingDeg: 42.5, SeqNo: 7}}), // batch of one
+		MarshalReportBatch([]Report{{APName: "a", MAC: mac, SeqNo: 1}, {APName: "b"}}),      // batch
 		MarshalWelcome(Welcome{}),
 		MarshalPing(),
 		MarshalAlert(Alert{APName: "ap1", MAC: mac, Distance: 0.9, Trace: 7}),
@@ -72,8 +72,6 @@ func remarshal(msg any) ([]byte, bool) {
 		return MarshalWelcome(m), true
 	case Ping:
 		return MarshalPing(), true
-	case Report:
-		return MarshalReport(m), true
 	case ReportBatch:
 		return MarshalReportBatch(m), true
 	case Alert:

@@ -13,7 +13,6 @@ import (
 	"secureangle/internal/geom"
 	"secureangle/internal/journal"
 	"secureangle/internal/locate"
-	"secureangle/internal/signature"
 	"secureangle/internal/wifi"
 )
 
@@ -42,12 +41,12 @@ func helloOnWire(t *testing.T, h Hello, welcome []byte) []byte {
 	return body
 }
 
-// TestV5GoldenBytes pins the wire bytes of every frame type: each
-// encoder must emit its literal exactly, and each literal must decode
-// and re-encode to itself.
+// TestV5GoldenBytes (named for the wire version that introduced it)
+// pins the ProtoVersion wire bytes of every frame type: each encoder
+// must emit its literal exactly, and each literal must decode and
+// re-encode to itself.
 func TestV5GoldenBytes(t *testing.T) {
 	mac := wifi.Addr{0x66, 0, 0, 0, 0, 5}
-	sig := &signature.Signature{AnglesDeg: []float64{0, 90}, P: []float64{0.6, 0.8}}
 	dir := defense.Directive{
 		MAC: mac, Action: defense.ActionNullSteer,
 		From: defense.StateMonitor, To: defense.StateQuarantine,
@@ -56,7 +55,7 @@ func TestV5GoldenBytes(t *testing.T) {
 		Score: 5, Distance: 0.9, Threshold: 0.12, Stage: "spoofcheck",
 		TTL: 10 * time.Minute, Trace: 0xabc,
 	}
-	const welcomeOK = "05000500"
+	const welcomeOK = "05000600"
 	welcome, _ := hex.DecodeString(welcomeOK)
 	cases := []struct {
 		name string
@@ -65,29 +64,23 @@ func TestV5GoldenBytes(t *testing.T) {
 		// whose bytes the decode round trip pins.
 		enc func() []byte
 	}{
-		{"hello", "0100036170313ff0000000000000400000000000000000050003746f6b", func() []byte {
+		{"hello", "0100036170313ff0000000000000400000000000000000060003746f6b", func() []byte {
 			return helloOnWire(t, Hello{Name: "ap1", Pos: geom.Point{X: 1, Y: 2}, Token: "tok"}, welcome)
 		}},
 		{"welcome-ok", welcomeOK, nil},
-		{"welcome-rejected", "05000501", nil},
+		{"welcome-rejected", "05000601", nil},
 		{"ping", "06", MarshalPing},
-		{"report", "02000361703166000000000540454000000000000000000000000007000000001122334455667788", func() []byte {
-			return MarshalReport(Report{APName: "ap1", MAC: mac, BearingDeg: 42.5, SeqNo: 7, Trace: 0x1122334455667788})
-		}},
-		{"report-signed", "020003617031660000000005404540000000000000000000000000070000002853414e470000000200000000000000003fe333333333333340568000000000003fe999999999999a0000000000000009", func() []byte {
-			return MarshalReport(Report{APName: "ap1", MAC: mac, BearingDeg: 42.5, SeqNo: 7, Sig: sig, Trace: 9})
-		}},
-		{"report-batch", "0400000002000361703166000000000540240000000000000000000000000001000000000003617032660000000005403400000000000000000000000000010000002853414e470000000200000000000000003fe333333333333340568000000000003fe999999999999a00000000000000010000000000000002", func() []byte {
+		{"report-batch", "040000000200036170316600000000054024000000000000000000000000000100036170326600000000054034000000000000000000000000000100000000000000010000000000000002", func() []byte {
 			return MarshalReportBatch([]Report{
 				{APName: "ap1", MAC: mac, BearingDeg: 10, SeqNo: 1, Trace: 1},
-				{APName: "ap2", MAC: mac, BearingDeg: 20, SeqNo: 1, Sig: sig, Trace: 2},
+				{APName: "ap2", MAC: mac, BearingDeg: 20, SeqNo: 1, Trace: 2},
 			})
 		}},
 		{"alert", "0300036170316600000000053feccccccccccccd000a73706f6f66636865636b3fe0000000000000404e000000000000010000000000000abc", func() []byte {
 			return MarshalAlert(Alert{APName: "ap1", MAC: mac, Distance: 0.9, Stage: "spoofcheck",
 				Threshold: 0.5, BearingDeg: 60, HasBearing: true, Trace: 0xabc})
 		}},
-		{"query-tracks", "070100000009000000000000", func() []byte { return MarshalQuery(Query{All: true, ID: 9}) }},
+		{"query-tracks", "07010000000900000000000000", func() []byte { return MarshalQuery(Query{All: true, ID: 9}) }},
 		{"query-threats", "07000000000a66000000000501", func() []byte { return MarshalQuery(Query{MAC: mac, ID: 10, Kind: KindThreats}) }},
 		{"directive", "0905020102660000000005404e0000000000004008000000000000401000000000000040140000000000003feccccccccccccd3fbeb851eb851eb80000008bb2c970000003617031000a73706f6f66636865636b0000000000000abc", func() []byte { return MarshalDirective(Directive{Directive: dir}) }},
 		{"directive-ack", "0907020102660000000005404e0000000000004008000000000000401000000000000040140000000000003feccccccccccccd3fbeb851eb851eb80000008bb2c970000003617031000a73706f6f66636865636b0000000000000abc", func() []byte { return MarshalDirective(Directive{Directive: dir, Ack: true}) }},

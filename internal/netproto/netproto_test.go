@@ -10,20 +10,8 @@ import (
 
 	"secureangle/internal/geom"
 	"secureangle/internal/locate"
-	"secureangle/internal/music"
-	"secureangle/internal/signature"
 	"secureangle/internal/wifi"
 )
-
-func testSig() *signature.Signature {
-	grid := make([]float64, 360)
-	p := make([]float64, 360)
-	for i := range grid {
-		grid[i] = float64(i)
-		p[i] = float64(i%37) + 1
-	}
-	return signature.FromPseudospectrum(&music.Pseudospectrum{AnglesDeg: grid, P: p})
-}
 
 func TestHelloRoundTrip(t *testing.T) {
 	for _, h := range []Hello{
@@ -40,73 +28,49 @@ func TestHelloRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReportRoundTrip(t *testing.T) {
-	r := Report{
-		APName:     "ap1",
-		MAC:        wifi.MustParseAddr("00:16:ea:50:00:05"),
-		BearingDeg: 123.75,
-		SeqNo:      987654321,
-		Sig:        testSig(),
-	}
-	got, err := Unmarshal(MarshalReport(r))
-	if err != nil {
-		t.Fatal(err)
-	}
-	gr := got.(Report)
-	if gr.APName != r.APName || gr.MAC != r.MAC || gr.BearingDeg != r.BearingDeg || gr.SeqNo != r.SeqNo {
-		t.Errorf("fields: %+v", gr)
-	}
-	d, err := signature.Distance(gr.Sig, r.Sig)
-	if err != nil || d > 1e-12 {
-		t.Errorf("signature round trip: %v, %v", d, err)
-	}
-}
-
-func TestReportWithoutSignature(t *testing.T) {
-	r := Report{APName: "ap2", BearingDeg: 45}
-	got, err := Unmarshal(MarshalReport(r))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.(Report).Sig != nil {
-		t.Error("nil signature did not survive")
-	}
-}
-
 func TestUnmarshalMalformed(t *testing.T) {
 	hello := MarshalHello(Hello{Name: "a"})
 	helloNoToken := hello[:len(hello)-2]
 	helloV4 := append([]byte{}, hello...)
 	helloV4[len(hello)-3] = 4
-	report := MarshalReport(Report{APName: "a"})
+	helloV5 := append([]byte{}, hello...)
+	helloV5[len(hello)-3] = 5
 	batch := MarshalReportBatch([]Report{{APName: "a"}, {APName: "b"}})
 	alert := MarshalAlert(Alert{APName: "a", Stage: "spoofcheck"})
 	directive := MarshalDirective(Directive{})
+	query := MarshalQuery(Query{All: true, ID: 9})
 	cases := [][]byte{
 		nil,
-		{TypeHello},             // no name
-		{TypeHello, 0, 3, 'a'},  // short name
-		{TypeReport, 0, 1, 'x'}, // truncated body
-		// Retired pre-v5 forms.
+		{TypeHello},                              // no name
+		{TypeHello, 0, 3, 'a'},                   // short name
+		{TypeReportBatch, 0, 0, 0, 1, 0, 1, 'x'}, // truncated body
+		// Retired pre-v6 forms.
 		helloNoToken[:len(helloNoToken)-2], // no version, no token
 		helloNoToken,                       // version, no token
 		helloV4,                            // another version
+		helloV5,                            // the previous version
 		{TypeWelcome, 0, 2},                // 3-byte Welcome
 		{TypeWelcome, 0, 4, WelcomeOK},     // another version
-		report[:len(report)-8],             // trace-less Report
+		{TypeWelcome, 0, 5, WelcomeOK},     // the previous version
 		batch[:len(batch)-16],              // trace-less ReportBatch
 		alert[:len(alert)-8],               // trace-less Alert
 		alert[:len(alert)-8-17],            // stage-only Alert
 		alert[:len(alert)-8-17-2-10],       // bare Alert
 		directive[:len(directive)-8],       // trace-less Directive
+		query[:len(query)-1],               // kind-less Query
 	}
 	for i, b := range cases {
 		if _, err := Unmarshal(b); !errors.Is(err, ErrBadMessage) {
 			t.Errorf("case %d: err = %v, want ErrBadMessage", i, err)
 		}
 	}
-	if _, err := Unmarshal([]byte{99}); err == nil {
-		t.Error("unknown type accepted")
+	// Unassigned types, among them 2, the retired single-report frame
+	// (a v5 Report: name "a", MAC, bearing, seq, empty signature, trace).
+	v5Report := append([]byte{2, 0, 1, 'a'}, make([]byte, 6+8+8+4+8)...)
+	for _, b := range [][]byte{{99}, v5Report} {
+		if _, err := Unmarshal(b); err == nil {
+			t.Errorf("unknown type %d accepted", b[0])
+		}
 	}
 	// Valid hello with trailing garbage.
 	if _, err := Unmarshal(append(hello, 0xff)); err == nil {

@@ -11,8 +11,8 @@
 //	...    type-specific body
 //
 // A session opens with Hello (the AP's name, position and enrollment
-// token) answered by Welcome; the agent then streams Report and
-// ReportBatch bearings and Alert spoof flags, may send Ping, Query, and
+// token) answered by Welcome; the agent then streams ReportBatch
+// bearings and Alert spoof flags, may send Ping, Query, and
 // Directive acks or release requests, and receives Alert and Directive
 // broadcasts and Tracks/Threats query replies. A warm standby follows
 // the controller's journal with SegmentAck/Segment (replication.go).
@@ -27,14 +27,13 @@ import (
 
 	"secureangle/internal/bin"
 	"secureangle/internal/geom"
-	"secureangle/internal/signature"
 	"secureangle/internal/wifi"
 )
 
-// Message type identifiers.
+// Message type identifiers. Type 2 (the v5 single-report frame) is
+// unassigned: a report travels as a ReportBatch of one.
 const (
 	TypeHello       = 1
-	TypeReport      = 2
 	TypeReportBatch = 4
 	TypeWelcome     = 5
 	TypePing        = 6
@@ -49,11 +48,11 @@ const (
 // ProtoVersion is the one wire version this build speaks. Hello and
 // Welcome carry it, so a peer built for another version is refused at
 // the handshake rather than left to misparse later frames.
-const ProtoVersion = 5
+const ProtoVersion = 6
 
-// MaxMessageSize bounds a single message (a signature over a 0.25-degree
-// 360 grid is ~23 KB; 1 MB leaves ample margin while stopping hostile
-// length prefixes from ballooning allocations).
+// MaxMessageSize bounds a single message: large Tracks/Threats replies
+// and report batches are chunked under it, and it stops hostile length
+// prefixes from ballooning allocations.
 const MaxMessageSize = 1 << 20
 
 // Hello announces an AP to the controller; it must be a session's
@@ -101,8 +100,6 @@ type Report struct {
 	BearingDeg float64
 	// SeqNo correlates reports of the same transmission across APs.
 	SeqNo uint64
-	// Sig may be nil when only the bearing is reported.
-	Sig *signature.Signature
 	// Trace is the trace ID minted at the observing AP (zero when
 	// untraced).
 	Trace uint64
@@ -129,23 +126,13 @@ func MarshalWelcome(w Welcome) []byte {
 	return append(bin.U16([]byte{TypeWelcome}, ProtoVersion), w.Status)
 }
 
-// MarshalReport encodes a Report message body: the report body, then
-// its trace ID.
-func MarshalReport(r Report) []byte {
-	return bin.U64(appendReportBody([]byte{TypeReport}, r), r.Trace)
-}
-
-// appendReportBody appends one report's self-delimiting wire form.
+// appendReportBody appends one report's self-delimiting wire form:
+// name, MAC, bearing and sequence number.
 func appendReportBody(b []byte, r Report) []byte {
 	b = bin.Str(b, r.APName)
 	b = bin.MAC(b, r.MAC)
 	b = bin.F64(b, r.BearingDeg)
-	b = bin.U64(b, r.SeqNo)
-	if r.Sig == nil {
-		return bin.U32(b, 0)
-	}
-	sig := r.Sig.Marshal()
-	return append(bin.U32(b, uint32(len(sig))), sig...)
+	return bin.U64(b, r.SeqNo)
 }
 
 // ReportBatch is several observations shipped as one framed message — the
@@ -168,20 +155,10 @@ func MarshalReportBatch(rs []Report) []byte {
 	return b
 }
 
-// readReportBody reads one report body from r. Only a signature that
-// fails to decode is reported here; short reads surface in r.Err.
-func readReportBody(r *bin.Reader) (Report, error) {
-	rep := Report{APName: r.Str(), MAC: r.MAC(), BearingDeg: r.F64(), SeqNo: r.U64()}
-	if n := r.U32(); n > 0 {
-		if b := r.Bytes(int(n)); r.Err == nil {
-			sig, err := signature.Unmarshal(b)
-			if err != nil {
-				return rep, fmt.Errorf("netproto: %w", err)
-			}
-			rep.Sig = sig
-		}
-	}
-	return rep, nil
+// readReportBody reads one report body from r; short reads surface in
+// r.Err.
+func readReportBody(r *bin.Reader) Report {
+	return Report{APName: r.Str(), MAC: r.MAC(), BearingDeg: r.F64(), SeqNo: r.U64()}
 }
 
 // readReportBatch reads a ReportBatch body: the count, the report
@@ -190,18 +167,15 @@ func readReportBatch(r *bin.Reader) (ReportBatch, error) {
 	// Validate the count in uint64 before any int conversion: on 32-bit
 	// builds a hostile count >= 2^31 would wrap negative and slip past
 	// the bound only to panic in make. A report body is at least
-	// 2+6+8+8+4 bytes, so a genuine count can never exceed the body
+	// 2+6+8+8 bytes, so a genuine count can never exceed the body
 	// length it must be backed by.
 	count64 := uint64(r.U32())
-	if count64 > uint64(r.Len()/(2+6+8+8+4)) {
+	if count64 > uint64(r.Len()/(2+6+8+8)) {
 		return nil, ErrBadMessage
 	}
 	batch := make(ReportBatch, count64)
 	for i := range batch {
-		var err error
-		if batch[i], err = readReportBody(r); err != nil {
-			return nil, err
-		}
+		batch[i] = readReportBody(r)
 	}
 	if r.Len() != 8*len(batch) {
 		return nil, ErrBadMessage
@@ -236,11 +210,6 @@ func Unmarshal(b []byte) (any, error) {
 		msg = Welcome{Status: r.U8()}
 	case TypePing:
 		msg = Ping{}
-	case TypeReport:
-		var rep Report
-		rep, err = readReportBody(&r)
-		rep.Trace = r.U64()
-		msg = rep
 	case TypeReportBatch:
 		msg, err = readReportBatch(&r)
 	case TypeAlert:

@@ -54,26 +54,18 @@ const trackWireSize = 6 + 16 + 16 + 8 + 8 + 8 + 1
 // maxTracksPerFrame bounds a Tracks frame under MaxMessageSize.
 const maxTracksPerFrame = (MaxMessageSize - 16) / trackWireSize
 
-// MarshalQuery encodes a Query message body. A KindTracks query is 11
-// bytes; other kinds append the kind byte.
+// MarshalQuery encodes a Query message body: the All flag, ID, MAC
+// and kind byte.
 func MarshalQuery(q Query) []byte {
 	b := bin.Bool([]byte{TypeQuery}, q.All)
 	b = bin.U32(b, q.ID)
 	b = bin.MAC(b, q.MAC)
-	if q.Kind != KindTracks {
-		b = append(b, byte(q.Kind))
-	}
-	return b
+	return append(b, byte(q.Kind))
 }
 
-// readQuery reads a Query body (after the type byte); the 11-byte
-// form is a KindTracks query.
+// readQuery reads a Query body (after the type byte).
 func readQuery(r *bin.Reader) Query {
-	q := Query{All: r.U8()&1 != 0, ID: r.U32(), MAC: r.MAC()}
-	if r.Len() == 1 {
-		q.Kind = QueryKind(r.U8())
-	}
-	return q
+	return Query{All: r.U8()&1 != 0, ID: r.U32(), MAC: r.MAC(), Kind: QueryKind(r.U8())}
 }
 
 // MarshalTracks encodes one Tracks message body. The caller keeps

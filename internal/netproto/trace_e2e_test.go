@@ -20,7 +20,7 @@ import (
 )
 
 // TestIncidentTimelineEndToEnd is the PR's acceptance path: drive a
-// spoofed client through a partitioned controller over real TCP — v5
+// spoofed client through a partitioned controller over real TCP —
 // agents carrying one trace ID end to end — then hard-stop the
 // controller and reconstruct the full report → verdict → directive →
 // ack → release timeline from the journal directory alone, the way
@@ -94,7 +94,7 @@ func TestIncidentTimelineEndToEnd(t *testing.T) {
 		t.Fatalf("directive = %+v", d)
 	}
 	if d.Trace != tr {
-		t.Fatalf("directive arrived with trace %016x, want %016x (v5 wire propagation)", d.Trace, tr)
+		t.Fatalf("directive arrived with trace %016x, want %016x (wire propagation)", d.Trace, tr)
 	}
 	if err := ag2.SendDirectiveAck(d.Directive); err != nil {
 		t.Fatal(err)

@@ -180,17 +180,6 @@ type Verdict struct {
 // different threat weight downstream.
 func (v Verdict) Margin() float64 { return v.Threshold - v.Distance }
 
-// Severity is the normalised exceedance of a flagged verdict:
-// max(0, (Distance-Threshold)/Threshold). Zero for accepted packets,
-// 1.0 when the distance doubled the threshold. The defense engine
-// scales spoof weights by it.
-func (v Verdict) Severity() float64 {
-	if v.Threshold <= 0 || v.Distance <= v.Threshold {
-		return 0
-	}
-	return (v.Distance - v.Threshold) / v.Threshold
-}
-
 // Tracker maintains a client's certified signature Scl, updating it with
 // accepted observations so that slow channel drift is tracked while abrupt
 // changes are flagged (the paper: "Since Scl changes when the client or

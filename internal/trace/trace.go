@@ -1,6 +1,6 @@
 // Package trace is the decision pipeline's distributed-tracing layer.
 // Every observed packet is minted a 64-bit trace ID at the AP; the ID
-// rides the wire protocol (v5 sessions), threads through fusion ingest,
+// rides the wire protocol, threads through fusion ingest,
 // defense state transitions, directive fan-out, and ack receipt, and is
 // stamped into the journal event codecs so an incident's causal
 // timeline survives in the WAL.
@@ -116,7 +116,7 @@ func init() {
 
 // NextID mints a process-unique nonzero 64-bit trace ID: a seeded
 // counter pushed through a splitmix64 finalizer. Zero is reserved as
-// "no trace" (a report from a pre-v5 peer).
+// "no trace" (a report its sender left untraced).
 func NextID() uint64 {
 	x := mix(idState.Add(0x9e3779b97f4a7c15))
 	if x == 0 {
@@ -247,8 +247,8 @@ func (r *Recorder) stripeFor(trace uint64) *stripe {
 }
 
 // Record writes one span into the ring. Zero-alloc, a few tens of
-// nanoseconds; a zero trace ID (an untraced pre-v5 report) is dropped
-// so the ring holds only correlatable spans.
+// nanoseconds; a zero trace ID (an untraced report) is dropped so the
+// ring holds only correlatable spans.
 func (r *Recorder) Record(s Span) {
 	if s.Trace == 0 {
 		return
