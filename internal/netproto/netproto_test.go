@@ -28,6 +28,29 @@ func TestHelloRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReportRoundTrip: a single report's fields survive the wire in the
+// batch-of-one frame Agent.Send writes.
+func TestReportRoundTrip(t *testing.T) {
+	r := Report{
+		APName:     "ap1",
+		MAC:        wifi.MustParseAddr("00:16:ea:50:00:05"),
+		BearingDeg: 123.75,
+		SeqNo:      987654321,
+		Trace:      0xdead,
+	}
+	got, err := Unmarshal(MarshalReportBatch([]Report{r}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gb, ok := got.(ReportBatch)
+	if !ok || len(gb) != 1 {
+		t.Fatalf("decoded %T %v, want a ReportBatch of one", got, got)
+	}
+	if gb[0] != r {
+		t.Errorf("fields: %+v, want %+v", gb[0], r)
+	}
+}
+
 func TestUnmarshalMalformed(t *testing.T) {
 	hello := MarshalHello(Hello{Name: "a"})
 	helloNoToken := hello[:len(hello)-2]
