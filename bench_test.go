@@ -252,8 +252,13 @@ func BenchmarkSmoothingAblation(b *testing.B) {
 	b.ReportMetric(smoothErr, "deg-smoothed")
 }
 
-// BenchmarkPipelinePerPacket times the end-to-end per-packet cost of one
-// AP: channel, detection, correlation, eigendecomposition, MUSIC scan.
+// BenchmarkPipelinePerPacket times the per-packet cost of one AP on the
+// cached-capture path: ObserveTestbedFrame sends the same frame every
+// iteration, so after its first two calls the receive replays the clean
+// capture and applies live impairments instead of synthesising the
+// channel; detection, correlation, eigendecomposition and the MUSIC scan
+// run in full. internal/radio's BenchmarkReceive8Antennas/unique prices
+// the synthesis this skips.
 func BenchmarkPipelinePerPacket(b *testing.B) {
 	node := testNode(b, "bench", 1)
 	ctx := context.Background()

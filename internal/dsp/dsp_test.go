@@ -88,19 +88,128 @@ func TestFFTRoundTripArbitraryN(t *testing.T) {
 	}
 }
 
+// naiveDFT is the O(n^2) definition: sum_m x[m] exp(sign 2 pi i k m / n),
+// scaled by 1/n for the inverse (sign +1). Twiddles come from one table
+// indexed by k*m mod n, so the reference's own error stays at summation
+// rounding.
+func naiveDFT(x []complex128, inverse bool) []complex128 {
+	n := len(x)
+	sign, scale := -1.0, 1.0
+	if inverse {
+		sign, scale = 1, 1/float64(n)
+	}
+	w := make([]complex128, n)
+	for j := range w {
+		w[j] = cmplx.Rect(1, sign*2*math.Pi*float64(j)/float64(n))
+	}
+	out := make([]complex128, n)
+	for k := range out {
+		var acc complex128
+		for m, v := range x {
+			acc += v * w[(k*m)%n]
+		}
+		out[k] = acc * complex(scale, 0)
+	}
+	return out
+}
+
+// fftTol is the accuracy the transforms are held to: a max-abs error of
+// at most 1e-14 * ||x||_2 * max(1, log2 n) — the O(eps log n) relative
+// error of a Cooley-Tukey transform, ten times the worst ratio measured
+// against naiveDFT up to n = 4096 (below 8e-16, the reference's own
+// summation rounding included).
+func fftTol(x []complex128) float64 {
+	return 1e-14 * math.Sqrt(Energy(x)) * math.Max(1, math.Log2(float64(len(x))))
+}
+
 func TestFFTMatchesNaiveDFT(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for _, n := range []int{8, 13} {
+	sizes := []int{13, 1480} // Bluestein
+	for n := 1; n <= 4096; n *= 2 {
+		sizes = append(sizes, n) // odd and even log2 n
+	}
+	for _, n := range sizes {
 		x := randSignal(rng, n)
+		tol := fftTol(x)
+		if e := maxErr(FFT(x), naiveDFT(x, false)); e > tol {
+			t.Errorf("n=%d FFT vs naive DFT err %g > %g", n, e, tol)
+		}
+		if e := maxErr(IFFT(x), naiveDFT(x, true)); e > tol {
+			t.Errorf("n=%d IFFT vs naive IDFT err %g > %g", n, e, tol)
+		}
+	}
+}
+
+// TestPow2MulIFFTInto checks the fused multiply-inverse entry point
+// against the unfused path: MulIFFTInto with the 1/n folded into h equals
+// IFFTInPlace of the bin-wise product.
+func TestPow2MulIFFTInto(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	for _, n := range []int{1, 2, 4, 8, 32, 64, 2048, 4096} {
+		x, h := randSignal(rng, n), randSignal(rng, n)
 		want := make([]complex128, n)
-		for k := 0; k < n; k++ {
-			for m := 0; m < n; m++ {
-				want[k] += x[m] * cmplx.Rect(1, -2*math.Pi*float64(k*m)/float64(n))
-			}
+		hs := make([]complex128, n)
+		for k := range want {
+			want[k] = x[k] * h[k]
+			hs[k] = h[k] / complex(float64(n), 0)
 		}
-		if e := maxErr(FFT(x), want); e > 1e-9 {
-			t.Errorf("n=%d FFT vs naive DFT err %v", n, e)
+		tol := fftTol(want)
+		IFFTInPlace(want)
+		got := make([]complex128, n)
+		NewPow2(n).MulIFFTInto(got, x, hs)
+		if e := maxErr(got, want); e > tol {
+			t.Errorf("n=%d MulIFFTInto vs IFFTInPlace(x*h) err %g > %g", n, e, tol)
 		}
+	}
+}
+
+func TestPow2RejectsBadLengths(t *testing.T) {
+	for name, f := range map[string]func(){
+		"NewPow2(0)":       func() { NewPow2(0) },
+		"NewPow2(12)":      func() { NewPow2(12) },
+		"FFTInPlace(4/8)":  func() { NewPow2(8).FFTInPlace(make([]complex128, 4)) },
+		"MulIFFTInto(h=4)": func() { NewPow2(8).MulIFFTInto(make([]complex128, 8), make([]complex128, 8), make([]complex128, 4)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", name)
+				}
+			}()
+			f()
+		}()
+	}
+}
+
+// TestFFTUncachedSize runs a transform above maxCachedFFT, whose tables
+// are built per call and not retained, against the cached half size: one
+// radix-2 decimation step X[k] = E[k] + W^k O[k], X[k+n/2] = E[k] - W^k O[k]
+// over the FFTs of the even- and odd-indexed samples.
+func TestFFTUncachedSize(t *testing.T) {
+	const n = 1 << 19
+	rng := rand.New(rand.NewSource(7))
+	x := randSignal(rng, n)
+	even, odd := make([]complex128, n/2), make([]complex128, n/2)
+	for i := range even {
+		even[i], odd[i] = x[2*i], x[2*i+1]
+	}
+	FFTInPlace(even)
+	FFTInPlace(odd)
+	got := FFT(x)
+	if _, ok := radix2Cache.load(n); ok {
+		t.Errorf("tables for n=%d were cached", n)
+	}
+	var e float64
+	for k := 0; k < n/2; k++ {
+		w := cmplx.Rect(1, -2*math.Pi*float64(k)/n)
+		e = math.Max(e, cmplx.Abs(got[k]-(even[k]+w*odd[k])))
+		e = math.Max(e, cmplx.Abs(got[k+n/2]-(even[k]-w*odd[k])))
+	}
+	if tol := fftTol(x); e > tol {
+		t.Errorf("n=%d FFT vs decimated halves err %g > %g", n, e, tol)
+	}
+	if e := maxErr(IFFT(got), x); e > fftTol(x) {
+		t.Errorf("n=%d round-trip err %g", n, e)
 	}
 }
 
@@ -439,6 +548,21 @@ func BenchmarkFFT1024(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		FFT(x)
+	}
+}
+
+// BenchmarkFFTInPlace2048 times the transform channel synthesis runs
+// nine of per frame per AP: in place, 2048 points, cached tables.
+func BenchmarkFFTInPlace2048(b *testing.B) {
+	rng := rand.New(rand.NewSource(15))
+	src := randSignal(rng, 2048)
+	x := make([]complex128, len(src))
+	FFTInPlace(x) // resolve the tables before timing
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(x, src) // repeated transforms would grow x to overflow
+		FFTInPlace(x)
 	}
 }
 

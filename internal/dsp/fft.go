@@ -14,9 +14,10 @@ import (
 )
 
 // FFT returns the discrete Fourier transform of x. The input is not
-// modified. Power-of-two lengths use an iterative radix-2
-// decimation-in-time transform; other lengths fall back to Bluestein's
-// algorithm. Length 0 returns an empty slice.
+// modified. Power-of-two lengths use an iterative decimation-in-time
+// transform that runs the stages in fused radix-4 pairs (plus one radix-2
+// stage when log2 of the length is odd); other lengths fall back to
+// Bluestein's algorithm. Length 0 returns an empty slice.
 func FFT(x []complex128) []complex128 {
 	n := len(x)
 	if n == 0 {
@@ -37,11 +38,7 @@ func IFFT(x []complex128) []complex128 {
 	}
 	out := make([]complex128, n)
 	copy(out, x)
-	fftInPlace(out, true)
-	scale := complex(1/float64(n), 0)
-	for i := range out {
-		out[i] *= scale
-	}
+	IFFTInPlace(out)
 	return out
 }
 
@@ -57,9 +54,14 @@ func IFFTInPlace(x []complex128) {
 		return
 	}
 	fftInPlace(x, true)
-	scale := complex(1/float64(n), 0)
-	for i := range x {
-		x[i] *= scale
+	scaleReal(x, 1/float64(n))
+}
+
+// scaleReal multiplies x by the real factor s: two real multiplies per
+// sample where a complex factor would take four and two adds.
+func scaleReal(x []complex128, s float64) {
+	for i, v := range x {
+		x[i] = complex(real(v)*s, imag(v)*s)
 	}
 }
 
@@ -69,7 +71,7 @@ func fftInPlace(x []complex128, inverse bool) {
 		return
 	}
 	if n&(n-1) == 0 {
-		radix2(x, inverse)
+		pow2(x, inverse)
 		return
 	}
 	bluestein(x, inverse)
@@ -77,11 +79,11 @@ func fftInPlace(x []complex128, inverse bool) {
 
 // maxCachedFFT bounds the transform sizes whose tables are retained. The
 // packet pipeline uses a handful of sizes in the low thousands; anything
-// larger recomputes twiddles on the fly rather than hold megabytes live.
+// larger builds its tables per call rather than hold megabytes live.
 const maxCachedFFT = 1 << 18
 
 // maxPlanEntries bounds the number of retained per-length plans in each
-// cache (radix-2 tables, Bluestein plans). A workload whose transform
+// cache (power-of-two tables, Bluestein plans). A workload whose transform
 // lengths vary without limit — baseband length varies per frame — would
 // otherwise accumulate plans forever; on overflow the cache is dropped
 // wholesale and rebuilt from the lengths still in use, like the
@@ -116,26 +118,40 @@ func (c *planCache) store(n int, v any) any {
 	return v
 }
 
-// radix2Tables holds the precomputed machinery for one power-of-two size:
-// the bit-reversal permutation and the twiddle factors of every stage,
-// packed stage after stage (the stage with half-size h starts at h-1).
+// radix2Tables holds the precomputed machinery for one power-of-two size
+// n: the bit-reversal permutation; the twiddle factors of every radix-2
+// stage, packed stage after stage (the stage with half-size h holds
+// W_2h^k for k < h and starts at h-1); and, for each fused radix-4 pair
+// whose first stage has half-size h = 4^j, the factors W_4h^3k for k < h
+// the pair needs beyond those two stages (starting at (h-1)/3).
 type radix2Tables struct {
-	rev []int32
-	fwd []complex128
-	inv []complex128
+	rev        []int32
+	fwd, inv   []complex128
+	fwd3, inv3 []complex128
 }
 
 var radix2Cache planCache
 
+// tablesFor returns the tables for power-of-two n: cached up to
+// maxCachedFFT, built afresh above it.
 func tablesFor(n int) *radix2Tables {
+	if n > maxCachedFFT {
+		return buildTables(n)
+	}
 	if t, ok := radix2Cache.load(n); ok {
 		return t.(*radix2Tables)
 	}
+	return radix2Cache.store(n, buildTables(n)).(*radix2Tables)
+}
+
+func buildTables(n int) *radix2Tables {
 	logN := bits.TrailingZeros(uint(n))
 	t := &radix2Tables{
-		rev: make([]int32, n),
-		fwd: make([]complex128, n-1),
-		inv: make([]complex128, n-1),
+		rev:  make([]int32, n),
+		fwd:  make([]complex128, n-1),
+		inv:  make([]complex128, n-1),
+		fwd3: make([]complex128, n/3),
+		inv3: make([]complex128, n/3),
 	}
 	for i := 0; i < n; i++ {
 		t.rev[i] = int32(bits.Reverse(uint(i)) >> (bits.UintSize - logN))
@@ -148,71 +164,164 @@ func tablesFor(n int) *radix2Tables {
 			t.inv[base+k] = cmplx.Rect(1, ang)
 		}
 	}
-	return radix2Cache.store(n, t).(*radix2Tables)
-}
-
-// radix2 is an iterative Cooley-Tukey DIT FFT for power-of-two lengths.
-// Cacheable sizes use precomputed bit-reversal and twiddle tables; larger
-// sizes fall back to the recurrence form.
-func radix2(x []complex128, inverse bool) {
-	n := len(x)
-	if n <= maxCachedFFT {
-		radix2Cached(x, inverse, tablesFor(n))
-		return
-	}
-	logN := bits.TrailingZeros(uint(n))
-
-	// Bit-reversal permutation.
-	for i := 0; i < n; i++ {
-		j := int(bits.Reverse(uint(i)) >> (bits.UintSize - logN))
-		if j > i {
-			x[i], x[j] = x[j], x[i]
+	for h := 4; 4*h <= n; h *= 4 {
+		base := (h - 1) / 3
+		for k := 0; k < h; k++ {
+			ang := math.Pi * float64(3*k) / float64(2*h)
+			t.fwd3[base+k] = cmplx.Rect(1, -ang)
+			t.inv3[base+k] = cmplx.Rect(1, ang)
 		}
 	}
-
-	sign := -1.0
-	if inverse {
-		sign = 1.0
-	}
-	for size := 2; size <= n; size <<= 1 {
-		half := size >> 1
-		step := sign * 2 * math.Pi / float64(size)
-		wBase := cmplx.Rect(1, step)
-		for start := 0; start < n; start += size {
-			w := complex(1, 0)
-			for k := 0; k < half; k++ {
-				a := x[start+k]
-				b := x[start+k+half] * w
-				x[start+k] = a + b
-				x[start+k+half] = a - b
-				w *= wBase
-			}
-		}
-	}
+	return t
 }
 
-func radix2Cached(x []complex128, inverse bool, t *radix2Tables) {
-	n := len(x)
+// pow2 transforms power-of-two x in place, unnormalised.
+func pow2(x []complex128, inverse bool) { tablesFor(len(x)).inPlace(x, inverse) }
+
+// inPlace runs the bit-reversal permutation, then the butterfly stages.
+func (t *radix2Tables) inPlace(x []complex128, inverse bool) {
 	for i, j := range t.rev {
 		if int(j) > i {
 			x[i], x[j] = x[j], x[i]
 		}
 	}
-	tw := t.fwd
-	if inverse {
-		tw = t.inv
+	t.butterflies(x, inverse)
+}
+
+// butterflies runs every decimation-in-time stage over bit-reversed x.
+// Stages go in fused pairs: the pair whose first stage has half-size h
+// combines four points h apart with the three twiddles W^k, W^2k and W^3k
+// (W = W_4h) — three complex multiplies per four points per two stages,
+// where two radix-2 stages take four. The rotation by W^h = -i (forward)
+// or +i (inverse) between them is an exact swap of real and imaginary
+// parts. The first pair (h = 1, see first4) has only trivial twiddles.
+// When log2 n is odd, one radix-2 stage of half-size n/2 finishes the
+// transform.
+func (t *radix2Tables) butterflies(x []complex128, inverse bool) {
+	if len(x) < 4 {
+		t.stages(x, 1, inverse)
+		return
 	}
-	for size := 2; size <= n; size <<= 1 {
-		half := size >> 1
-		stage := tw[half-1 : 2*half-1]
-		for start := 0; start < n; start += size {
-			for k := 0; k < half; k++ {
-				a := x[start+k]
-				b := x[start+k+half] * stage[k]
-				x[start+k] = a + b
-				x[start+k+half] = a - b
-			}
+	for s := 0; s < len(x); s += 4 {
+		b := x[s : s+4 : s+4]
+		b[0], b[1], b[2], b[3] = first4(b[0], b[1], b[2], b[3], inverse)
+	}
+	t.stages(x, 4, inverse)
+}
+
+// first4 is the first fused pair of stages on four consecutive points.
+func first4(v0, v1, v2, v3 complex128, inverse bool) (y0, y1, y2, y3 complex128) {
+	a0, a1 := v0+v1, v0-v1
+	sum, d := v2+v3, v2-v3
+	r := complex(imag(d), -real(d)) // -i·d
+	if inverse {
+		r = -r
+	}
+	return a0 + sum, a1 + r, a0 - sum, a1 - r
+}
+
+// stages runs the fused pairs from first half-size h (a power of four)
+// on, then the odd radix-2 stage if one is left.
+func (t *radix2Tables) stages(x []complex128, h int, inverse bool) {
+	n := len(x)
+	tw, tw3 := t.fwd, t.fwd3
+	if inverse {
+		tw, tw3 = t.inv, t.inv3
+	}
+	for ; 4*h <= n; h *= 4 {
+		radix4Pass(x, h, tw[h-1:2*h-1], tw[2*h-1:3*h-1], tw3[(h-1)/3:(h-1)/3+h], inverse)
+	}
+	if h < n { // odd log2 n: one radix-2 stage of half-size h = n/2
+		lo, hi, w := x[:h], x[h:], tw[h-1:2*h-1]
+		hi, w = hi[:len(lo)], w[:len(lo)]
+		for k, a := range lo {
+			b := hi[k] * w[k]
+			lo[k], hi[k] = a+b, a-b
 		}
+	}
+}
+
+// radix4Pass runs one fused pair of stages over x in blocks of 4h, with
+// w1[k] = W^2k, w2[k] = W^k and w3[k] = W^3k (W = W_4h, k < h).
+func radix4Pass(x []complex128, h int, w1, w2, w3 []complex128, inverse bool) {
+	w1, w2, w3 = w1[:h], w2[:h], w3[:h]
+	for s := 0; s < len(x); s += 4 * h {
+		q0 := x[s : s+h]
+		q1 := x[s+h : s+2*h]
+		q2 := x[s+2*h : s+3*h]
+		q3 := x[s+3*h : s+4*h]
+		// y1 = a1 -/+ i·d and y3 = a1 +/- i·d: the inverse swaps where
+		// the two land.
+		o1, o3 := q1, q3
+		if inverse {
+			o1, o3 = q3, q1
+		}
+		q1, q2, q3 = q1[:len(q0)], q2[:len(q0)], q3[:len(q0)]
+		o1, o3 = o1[:len(q0)], o3[:len(q0)]
+		w1, w2, w3 := w1[:len(q0)], w2[:len(q0)], w3[:len(q0)]
+		for k, x0 := range q0 {
+			t1 := q1[k] * w1[k]
+			t2 := q2[k] * w2[k]
+			t3 := q3[k] * w3[k]
+			a0, a1 := x0+t1, x0-t1
+			sum, d := t2+t3, t2-t3
+			r := complex(imag(d), -real(d)) // -i·d
+			q0[k], q2[k] = a0+sum, a0-sum
+			o1[k], o3[k] = a1+r, a1-r
+		}
+	}
+}
+
+// Pow2 is the resolved transform of one power-of-two length: its tables
+// are looked up once, so a caller running many transforms of that length
+// (internal/radio runs one forward per frame and one inverse per antenna)
+// skips the per-call cache lookup.
+type Pow2 struct{ t *radix2Tables }
+
+// NewPow2 resolves the transform of length n, which must be a power of
+// two.
+func NewPow2(n int) Pow2 {
+	if n < 1 || n&(n-1) != 0 {
+		panic(fmt.Sprintf("dsp: NewPow2(%d): not a power of two", n))
+	}
+	return Pow2{tablesFor(n)}
+}
+
+// FFTInPlace computes the forward DFT of x in place; len(x) must be the
+// resolved length.
+func (p Pow2) FFTInPlace(x []complex128) {
+	p.check(len(x))
+	p.t.inPlace(x, false)
+}
+
+// MulIFFTInto writes into dst the unnormalised inverse DFT of the bin-wise
+// product x ⊙ h — IFFTInPlace of the product times the length, so a
+// caller folds 1/N into h once. The multiply and the first pair of stages
+// run inside the bit-reversal pass, on four products at a time, so dst is
+// written once before the remaining stages. All three slices have the
+// resolved length; dst must not overlap x or h.
+func (p Pow2) MulIFFTInto(dst, x, h []complex128) {
+	p.check(len(dst))
+	p.check(len(x))
+	p.check(len(h))
+	rev := p.t.rev
+	if len(rev) < 4 {
+		for i, j := range rev {
+			dst[i] = x[j] * h[j]
+		}
+		p.t.butterflies(dst, true)
+		return
+	}
+	for i := 0; i < len(rev); i += 4 {
+		r, b := rev[i:i+4:i+4], dst[i:i+4:i+4]
+		b[0], b[1], b[2], b[3] = first4(x[r[0]]*h[r[0]], x[r[1]]*h[r[1]], x[r[2]]*h[r[2]], x[r[3]]*h[r[3]], true)
+	}
+	p.t.stages(dst, 4, true)
+}
+
+func (p Pow2) check(n int) {
+	if n != len(p.t.rev) {
+		panic(fmt.Sprintf("dsp: length %d for a %d-point transform", n, len(p.t.rev)))
 	}
 }
 
@@ -261,14 +370,14 @@ func bluesteinKernel(chirp []complex128, n, m int) []complex128 {
 	for k := 1; k < n; k++ {
 		b[m-k] = cmplx.Conj(chirp[k])
 	}
-	radix2(b, false)
+	pow2(b, false)
 	return b
 }
 
 // bluestein computes an arbitrary-length DFT as a convolution via a larger
 // power-of-two FFT (chirp-z transform). The chirp and the kernel FFT are
 // input-independent and come from a per-length cached plan, so each call
-// costs two radix-2 transforms instead of three.
+// costs two power-of-two transforms instead of three.
 func bluestein(x []complex128, inverse bool) {
 	n := len(x)
 	var p *bluesteinPlan
@@ -289,11 +398,11 @@ func bluestein(x []complex128, inverse bool) {
 	for k := n; k < m; k++ {
 		a[k] = 0
 	}
-	radix2(a, false)
+	pow2(a, false)
 	for i := range a {
 		a[i] *= kern[i]
 	}
-	radix2(a, true)
+	pow2(a, true)
 	invM := complex(1/float64(m), 0)
 	for k := 0; k < n; k++ {
 		x[k] = a[k] * invM * chirp[k]

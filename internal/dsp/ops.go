@@ -17,17 +17,15 @@ func Convolve(a, b []complex128) []complex128 {
 	fb := make([]complex128, m)
 	copy(fa, a)
 	copy(fb, b)
-	radix2(fa, false)
-	radix2(fb, false)
+	pow2(fa, false)
+	pow2(fb, false)
 	for i := range fa {
 		fa[i] *= fb[i]
 	}
-	radix2(fa, true)
+	pow2(fa, true)
 	out := make([]complex128, n)
-	inv := complex(1/float64(m), 0)
-	for i := range out {
-		out[i] = fa[i] * inv
-	}
+	copy(out, fa)
+	scaleReal(out, 1/float64(m))
 	return out
 }
 

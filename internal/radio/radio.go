@@ -95,13 +95,16 @@ type chanKey struct {
 
 // chanResponse is the frequency-domain channel from one transmitter to
 // every antenna, valid for one environment drift epoch. The response is
-// held at the pow2 transform length m >= n so synthesis runs entirely on
-// cached-table radix-2 transforms (a non-pow2 length would go through
-// Bluestein: three times the transforms and a scratch buffer per call).
+// held at the pow2 transform length m >= n, with the transform resolved
+// once, so synthesis runs entirely on cached-table power-of-two
+// transforms (a non-pow2 length would go through Bluestein: three times
+// the transforms and a scratch buffer per call). Each bin carries the
+// inverse transform's 1/m, so synthesis never rescales.
 type chanResponse struct {
 	epoch uint64
+	fft   dsp.Pow2
 	m     int
-	h     [][]complex128 // [antenna][DFT bin], length m
+	h     [][]complex128 // [antenna][DFT bin], length m, scaled by 1/m
 }
 
 // cleanKey identifies one cached clean capture: transmitter position,
@@ -188,12 +191,13 @@ func NewFrontEnd(arr *antenna.Array, pos geom.Point, src *rng.Source, opts ...Op
 // (see PadPacket) so fractionally-delayed copies stay within the buffer.
 //
 // The multipath channel is applied in the frequency domain: one forward
-// FFT of the baseband, a multiply by the per-antenna channel response
-// (cached per transmitter position while the environment's drift epoch is
-// unchanged), and one inverse FFT per antenna — instead of a forward plus
-// inverse transform per propagation path. The result is the same linear
-// combination of fractionally-delayed path copies, just summed before the
-// inverse transform rather than after.
+// FFT of the baseband, then per antenna one pass that multiplies by the
+// channel response (cached per transmitter position while the
+// environment's drift epoch is unchanged, with the inverse transform's
+// 1/m already folded in) inside the inverse FFT's bit-reversal —
+// instead of a forward plus inverse transform per propagation path. The
+// result is the same linear combination of fractionally-delayed path
+// copies, just summed before the inverse transform rather than after.
 func (f *FrontEnd) Receive(e *env.Environment, tx geom.Point, baseband []complex128) ([][]complex128, error) {
 	return f.ReceiveArena(e, tx, baseband, nil)
 }
@@ -380,7 +384,7 @@ func (f *FrontEnd) channelResponse(e *env.Environment, tx geom.Point, n int) (*c
 		return nil, ErrBlocked
 	}
 	m := dsp.NextPow2(n)
-	r := &chanResponse{epoch: epoch, m: m, h: f.buildResponse(paths, m)}
+	r := &chanResponse{epoch: epoch, fft: dsp.NewPow2(m), m: m, h: f.buildResponse(paths, m)}
 
 	f.mu.Lock()
 	if f.chanCache == nil {
@@ -395,8 +399,9 @@ func (f *FrontEnd) channelResponse(e *env.Environment, tx geom.Point, n int) (*c
 }
 
 // buildResponse accumulates every path's delay ramp and steering phase
-// into one per-antenna frequency response at the pow2 transform length m:
-// H_a[k] = sum over paths of gain * steer_a * exp(-i 2 pi f_k delay).
+// into one per-antenna frequency response at the pow2 transform length m,
+// folding in the inverse transform's normalisation:
+// H_a[k] = (1/m) * sum over paths of gain * steer_a * exp(-i 2 pi f_k delay).
 func (f *FrontEnd) buildResponse(paths []env.Path, m int) [][]complex128 {
 	nAnt := f.Array.N()
 	h := make([][]complex128, nAnt)
@@ -418,6 +423,12 @@ func (f *FrontEnd) buildResponse(paths []env.Path, m int) [][]complex128 {
 			}
 		}
 	}
+	inv := 1 / float64(m) // a power of two: the scaling is exact
+	for _, ha := range h {
+		for k, v := range ha {
+			ha[k] = complex(real(v)*inv, imag(v)*inv)
+		}
+	}
 	return h
 }
 
@@ -425,9 +436,10 @@ func (f *FrontEnd) buildResponse(paths []env.Path, m int) [][]complex128 {
 // zero-padded to the response's pow2 length m (the transmit buffer's own
 // lead/tail padding keeps the fractionally-delayed copies inside the
 // first n samples, so truncating back to n loses nothing but the pad),
-// one forward FFT, then per antenna a bin-wise multiply and inverse FFT —
-// all radix-2 with cached tables, allocation-free given an arena. Pure
-// function of its inputs; safe for concurrent use with distinct arenas.
+// one forward FFT, then per antenna one fused pass that multiplies by the
+// (already 1/m-scaled) response while bit-reversing and runs the inverse
+// butterflies — allocation-free given an arena. Pure function of its
+// inputs; safe for concurrent use with distinct arenas.
 func (f *FrontEnd) synthesize(resp *chanResponse, baseband []complex128, ar *pool.Arena) [][]complex128 {
 	n := len(baseband)
 	m := resp.m
@@ -436,14 +448,11 @@ func (f *FrontEnd) synthesize(resp *chanResponse, baseband []complex128, ar *poo
 	for k := n; k < m; k++ {
 		spec[k] = 0
 	}
-	dsp.FFTInPlace(spec)
+	resp.fft.FFTInPlace(spec)
 	out := arenaStreams(ar, len(resp.h))
 	for a, ha := range resp.h {
 		stream := arenaComplexUninit(ar, m)
-		for k, v := range spec {
-			stream[k] = v * ha[k]
-		}
-		dsp.IFFTInPlace(stream)
+		resp.fft.MulIFFTInto(stream, spec, ha)
 		out[a] = stream[:n]
 	}
 	return out

@@ -10,13 +10,15 @@
 # Benchtime can be tuned via BENCHTIME (default 1s).
 set -eu
 
-pr="${PR:-17}"
+pr="${PR:-23}"
 out="${1:-BENCH_PR${pr}.json}"
 benchtime="${BENCHTIME:-1s}"
 tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT
 
-# The headline set: per-packet pipeline, fusion ingest, defense
+# The headline set: per-packet pipeline (cached-capture path), channel
+# synthesis (an 8-antenna receive of a frame never seen before) and the
+# 2048-point transform it runs nine of, fusion ingest, defense
 # directive, journal append + group commit (each package's hot path),
 # the ops metrics update the first four carry, partitioned ingest at
 # 1/4/16 partitions (per-report and batched), the replication cursor's
@@ -24,6 +26,10 @@ trap 'rm -f "$tmp"' EXIT
 # framing every frame goes through.
 go test -run '^$' -benchmem -benchtime "$benchtime" \
     -bench 'BenchmarkPipelinePerPacket$' . | tee -a "$tmp"
+go test -run '^$' -benchmem -benchtime "$benchtime" \
+    -bench 'BenchmarkReceive8Antennas$/^unique$' ./internal/radio | tee -a "$tmp"
+go test -run '^$' -benchmem -benchtime "$benchtime" \
+    -bench 'BenchmarkFFTInPlace2048$' ./internal/dsp | tee -a "$tmp"
 go test -run '^$' -benchmem -benchtime "$benchtime" \
     -bench 'BenchmarkFusionIngest$' ./internal/fusion | tee -a "$tmp"
 go test -run '^$' -benchmem -benchtime "$benchtime" \

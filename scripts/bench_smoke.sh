@@ -3,10 +3,12 @@
 # fixed low iteration counts and fail if any ns/op regresses more than
 # 2x against the committed baseline JSON (the newest BENCH_PR*.json in
 # the repo root, or $1 if given), or if a zero-/low-alloc fast path
-# exceeds its hard allocs/op budget (see the budget table below). The per-packet pipeline runs 100
-# iterations (~300 us/op); the sub-microsecond hot paths get enough
-# iterations to measure >= 10 ms of real work, or warmup noise would
-# dominate. Fixed counts are noisy, but a 2x bar is far above CI
+# exceeds its hard allocs/op budget (see the budget table below). The
+# per-packet pipeline runs 100 iterations (~300 us/op), as does the
+# uncached 8-antenna receive (~400 us/op, the channel-synthesis row);
+# the 2048-point FFT runs 2000 (~25 us/op); the sub-microsecond hot
+# paths get enough iterations to measure >= 10 ms of real work, or
+# warmup noise would dominate. Fixed counts are noisy, but a 2x bar is far above CI
 # jitter, so this catches real cliffs — an accidental O(n^2), a lost
 # cache, a sync.Pool that stopped pooling — without the cost or
 # flakiness of a full benchmark run.
@@ -35,6 +37,10 @@ trap 'rm -f "$tmp"' EXIT
 
 go test -run '^$' -benchmem -benchtime 100x \
     -bench 'BenchmarkPipelinePerPacket$' . | tee -a "$tmp"
+go test -run '^$' -benchmem -benchtime 100x \
+    -bench 'BenchmarkReceive8Antennas$/^unique$' ./internal/radio | tee -a "$tmp"
+go test -run '^$' -benchmem -benchtime 2000x \
+    -bench 'BenchmarkFFTInPlace2048$' ./internal/dsp | tee -a "$tmp"
 go test -run '^$' -benchmem -benchtime 20000x \
     -bench 'BenchmarkFusionIngest$' ./internal/fusion | tee -a "$tmp"
 go test -run '^$' -benchmem -benchtime 50000x \
@@ -84,6 +90,8 @@ BEGIN {
     budget["BenchmarkPartitionIngestBatch/parts=16"] = 16
     budget["BenchmarkTraceSpan"] = 0  # hard zero: the span record sits on every packet
     budget["BenchmarkWriteMessage"] = 0  # hard zero: every frame on the wire is framed here
+    budget["BenchmarkReceive8Antennas/unique"] = 0  # hard zero: channel synthesis runs on arena buffers
+    budget["BenchmarkFFTInPlace2048"] = 0  # hard zero: cached tables, in place
 }
 /^Benchmark/ {
     name = $1; sub(/-[0-9]+$/, "", name)
