@@ -31,7 +31,7 @@ stress:
 # Headline benchmarks -> BENCH_PR$(PR).json (see scripts/bench.sh; CI
 # uploads the file as an artifact and the script prints a side-by-side
 # delta against the previous PR's file). Override with `make bench PR=7`.
-PR ?= 23
+PR ?= 25
 bench:
 	PR=$(PR) sh scripts/bench.sh
 

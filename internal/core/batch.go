@@ -133,7 +133,8 @@ func (ap *AP) ProcessStreamsBatch(streamSets [][][]complex128) []BatchResult {
 
 // ProcessStreamsBatchContext runs the estimation pipeline on raw
 // per-antenna captures (each element as for ProcessStreams) concurrently
-// on the bounded worker pool. The streams are modified in place. Results
+// on the bounded worker pool. Each capture's packet window is calibrated
+// in place, as in ProcessStreams. Results
 // align with streamSets by index, and each result is identical to a
 // serial ProcessStreams call on the same capture. Cancelling ctx stops
 // dispatching; undispatched items get StageDispatch errors.

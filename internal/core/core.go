@@ -3,7 +3,7 @@
 //
 //	raw per-antenna samples
 //	  -> Schmidl-Cox packet detection (internal/detect)
-//	  -> calibration offsets applied  (internal/radio, section 2.2)
+//	  -> calibration offsets applied to the packet window (internal/radio, section 2.2)
 //	  -> packet-scale correlation matrix (internal/music, section 3)
 //	  -> MUSIC pseudospectrum        (section 2.1)
 //	  -> bearing estimate + AoA signature (sections 2.1, 2.3)
@@ -293,8 +293,9 @@ func (ap *AP) Receive(tx geom.Point, baseband []complex128) ([][]complex128, err
 
 // ProcessStreams runs the detection + estimation pipeline on raw
 // per-antenna streams captured elsewhere (e.g. replayed from an iqfile
-// recording). Calibration offsets are applied first, exactly as in the
-// live path. The streams are modified in place.
+// recording). Calibration offsets are applied exactly as in the live
+// path: to the detected packet window, in place. Samples outside that
+// window are left as captured.
 func (ap *AP) ProcessStreams(streams [][]complex128) (*Report, error) {
 	return ap.process(streams)
 }
@@ -328,8 +329,10 @@ func (ap *AP) processScratch(streams [][]complex128, sc *pipeScratch) (*Report, 
 		// full rank, so nothing downstream is meaningful.
 		return nil, ap.stageErr(StageAlign, ErrTooFewSnapshots)
 	}
-	radio.ApplyCalibration(streams, ap.offsets)
-
+	// Detection and the packet extent read stream 0 alone, whose
+	// calibration offset is 0 by construction (EstimateOffsets measures
+	// every chain relative to chain 0), so calibration waits for the
+	// packet window and rotates only the samples the covariance reads.
 	sc.dets = detect.FindArena(streams[0], ap.cfg.Detector, sc.arena, sc.dets[:0])
 	if len(sc.dets) == 0 {
 		return nil, ap.stageErr(StageDetect, ErrNotDetected)
@@ -347,6 +350,7 @@ func (ap *AP) processScratch(streams [][]complex128, sc *pipeScratch) (*Report, 
 	if !ok {
 		return nil, ap.stageErr(StageAlign, errors.New("detection window out of range"))
 	}
+	radio.ApplyCalibration(win, ap.offsets)
 	mDetectSeconds.ObserveSinceExemplar(t0, tr)
 	tEst := time.Now()
 

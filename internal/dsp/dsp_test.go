@@ -2,6 +2,7 @@ package dsp
 
 import (
 	"math"
+	"math/bits"
 	"math/cmplx"
 	"math/rand"
 	"testing"
@@ -140,9 +141,11 @@ func TestFFTMatchesNaiveDFT(t *testing.T) {
 	}
 }
 
-// TestPow2MulIFFTInto checks the fused multiply-inverse entry point
-// against the unfused path: MulIFFTInto with the 1/n folded into h equals
-// IFFTInPlace of the bin-wise product.
+// TestPow2MulIFFTInto checks the fused multiply-inverse entry point, fed
+// bit-reversed inputs, against the unfused path: with 1/n folded into h
+// it equals IFFTInPlace of the natural-order product times n — bit for
+// bit, since both run the same butterflies on the same products and
+// scaling by a power of two is exact.
 func TestPow2MulIFFTInto(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for _, n := range []int{1, 2, 4, 8, 32, 64, 2048, 4096} {
@@ -150,15 +153,45 @@ func TestPow2MulIFFTInto(t *testing.T) {
 		want := make([]complex128, n)
 		hs := make([]complex128, n)
 		for k := range want {
-			want[k] = x[k] * h[k]
 			hs[k] = h[k] / complex(float64(n), 0)
+			want[k] = x[k] * hs[k]
 		}
-		tol := fftTol(want)
 		IFFTInPlace(want)
+		scaleReal(want, float64(n))
+		p := NewPow2(n)
+		p.BitReverse(x)
+		p.BitReverse(hs)
 		got := make([]complex128, n)
-		NewPow2(n).MulIFFTInto(got, x, hs)
-		if e := maxErr(got, want); e > tol {
-			t.Errorf("n=%d MulIFFTInto vs IFFTInPlace(x*h) err %g > %g", n, e, tol)
+		p.MulIFFTInto(got, x, hs)
+		for k := range got {
+			if got[k] != want[k] {
+				t.Fatalf("n=%d bin %d: MulIFFTInto %v, n*IFFTInPlace(x*h) %v", n, k, got[k], want[k])
+			}
+		}
+	}
+}
+
+// TestPow2BitReverse checks the permutation against its definition and
+// that applying it twice restores the input.
+func TestPow2BitReverse(t *testing.T) {
+	for _, n := range []int{1, 2, 8, 2048} {
+		x := make([]complex128, n)
+		for i := range x {
+			x[i] = complex(float64(i), 0)
+		}
+		p := NewPow2(n)
+		p.BitReverse(x)
+		logN := bits.TrailingZeros(uint(n))
+		for i, v := range x {
+			if want := bits.Reverse(uint(i)) >> (bits.UintSize - logN); n > 1 && uint(real(v)) != want {
+				t.Fatalf("n=%d: x[%d] = %v, want %d", n, i, v, want)
+			}
+		}
+		p.BitReverse(x)
+		for i, v := range x {
+			if v != complex(float64(i), 0) {
+				t.Fatalf("n=%d: BitReverse twice moved x[%d] to %v", n, i, v)
+			}
 		}
 	}
 }
@@ -169,6 +202,7 @@ func TestPow2RejectsBadLengths(t *testing.T) {
 		"NewPow2(12)":      func() { NewPow2(12) },
 		"FFTInPlace(4/8)":  func() { NewPow2(8).FFTInPlace(make([]complex128, 4)) },
 		"MulIFFTInto(h=4)": func() { NewPow2(8).MulIFFTInto(make([]complex128, 8), make([]complex128, 8), make([]complex128, 4)) },
+		"BitReverse(4/8)":  func() { NewPow2(8).BitReverse(make([]complex128, 4)) },
 	} {
 		func() {
 			defer func() {

@@ -180,12 +180,17 @@ func pow2(x []complex128, inverse bool) { tablesFor(len(x)).inPlace(x, inverse) 
 
 // inPlace runs the bit-reversal permutation, then the butterfly stages.
 func (t *radix2Tables) inPlace(x []complex128, inverse bool) {
+	t.bitReverse(x)
+	t.butterflies(x, inverse)
+}
+
+// bitReverse swaps every element with its bit-reversed index.
+func (t *radix2Tables) bitReverse(x []complex128) {
 	for i, j := range t.rev {
 		if int(j) > i {
 			x[i], x[j] = x[j], x[i]
 		}
 	}
-	t.butterflies(x, inverse)
 }
 
 // butterflies runs every decimation-in-time stage over bit-reversed x.
@@ -294,27 +299,36 @@ func (p Pow2) FFTInPlace(x []complex128) {
 	p.t.inPlace(x, false)
 }
 
+// BitReverse permutes x, of the resolved length, into bit-reversed index
+// order in place — the order MulIFFTInto takes its inputs in. The
+// permutation is its own inverse.
+func (p Pow2) BitReverse(x []complex128) {
+	p.check(len(x))
+	p.t.bitReverse(x)
+}
+
 // MulIFFTInto writes into dst the unnormalised inverse DFT of the bin-wise
 // product x ⊙ h — IFFTInPlace of the product times the length, so a
-// caller folds 1/N into h once. The multiply and the first pair of stages
-// run inside the bit-reversal pass, on four products at a time, so dst is
-// written once before the remaining stages. All three slices have the
-// resolved length; dst must not overlap x or h.
+// caller folds 1/N into h once. x and h are both given in bit-reversed
+// bin order (see BitReverse), the order the decimation-in-time butterflies
+// start from, so the multiply and the first pair of stages read both
+// inputs sequentially, four bins at a time, and write dst once before the
+// remaining stages. All three slices have the resolved length; dst must
+// not overlap x or h.
 func (p Pow2) MulIFFTInto(dst, x, h []complex128) {
 	p.check(len(dst))
 	p.check(len(x))
 	p.check(len(h))
-	rev := p.t.rev
-	if len(rev) < 4 {
-		for i, j := range rev {
-			dst[i] = x[j] * h[j]
+	if len(dst) < 4 {
+		for i := range dst {
+			dst[i] = x[i] * h[i]
 		}
 		p.t.butterflies(dst, true)
 		return
 	}
-	for i := 0; i < len(rev); i += 4 {
-		r, b := rev[i:i+4:i+4], dst[i:i+4:i+4]
-		b[0], b[1], b[2], b[3] = first4(x[r[0]]*h[r[0]], x[r[1]]*h[r[1]], x[r[2]]*h[r[2]], x[r[3]]*h[r[3]], true)
+	for i := 0; i < len(dst); i += 4 {
+		b, xs, hs := dst[i:i+4:i+4], x[i:i+4:i+4], h[i:i+4:i+4]
+		b[0], b[1], b[2], b[3] = first4(xs[0]*hs[0], xs[1]*hs[1], xs[2]*hs[2], xs[3]*hs[3], true)
 	}
 	p.t.stages(dst, 4, true)
 }

@@ -80,25 +80,45 @@ func CovarianceInto(r *cmat.Matrix, streams [][]complex128) (*cmat.Matrix, error
 	r.Rows, r.Cols = m, m
 	r.Data = r.Data[:m*m]
 	inv := 1 / float64(n)
+	set := func(i, j int, re, im float64) {
+		re *= inv
+		im *= inv
+		if i == j {
+			r.Data[i*m+i] = complex(re, 0)
+			return
+		}
+		r.Data[i*m+j] = complex(re, im)
+		r.Data[j*m+i] = complex(re, -im)
+	}
 	for i := 0; i < m; i++ {
-		si := streams[i]
-		for j := i; j < m; j++ {
-			sj := streams[j]
+		si := streams[i][:n]
+		// Two entries (i, j), (i, j+1) per pass over t, each with its own
+		// accumulators summed in t order, so every entry is bitwise what
+		// a pass of its own gives; four spill registers and run slower.
+		j := i
+		for ; j+1 < m; j += 2 {
+			sj, sk := streams[j][:n], streams[j+1][:n]
+			var re0, im0, re1, im1 float64
+			for t, a := range si {
+				b, c := sj[t], sk[t]
+				// a * conj(b), a * conj(c)
+				re0 += real(a)*real(b) + imag(a)*imag(b)
+				im0 += imag(a)*real(b) - real(a)*imag(b)
+				re1 += real(a)*real(c) + imag(a)*imag(c)
+				im1 += imag(a)*real(c) - real(a)*imag(c)
+			}
+			set(i, j, re0, im0)
+			set(i, j+1, re1, im1)
+		}
+		if j < m {
+			sj := streams[j][:n]
 			var re, im float64
-			for t := 0; t < n; t++ {
-				a, b := si[t], sj[t]
-				// a * conj(b)
+			for t, a := range si {
+				b := sj[t]
 				re += real(a)*real(b) + imag(a)*imag(b)
 				im += imag(a)*real(b) - real(a)*imag(b)
 			}
-			re *= inv
-			im *= inv
-			if i == j {
-				r.Data[i*m+i] = complex(re, 0)
-				continue
-			}
-			r.Data[i*m+j] = complex(re, im)
-			r.Data[j*m+i] = complex(re, -im)
+			set(i, j, re, im)
 		}
 	}
 	return r, nil

@@ -394,6 +394,59 @@ func TestNormalizedDB(t *testing.T) {
 	}
 }
 
+// TestCovarianceIntoPairwiseBitwise checks the two-entries-per-pass
+// covariance against one pass per entry (the form it replaced), bit for
+// bit, for even and odd array sizes (so rows end both on a pair and on
+// a single entry).
+func TestCovarianceIntoPairwiseBitwise(t *testing.T) {
+	for m := 2; m <= 9; m++ {
+		arr := antenna.NewHalfWaveULA(m, antenna.DefaultCarrierHz)
+		streams := synthStreams(arr, []float64{60}, []float64{1}, 20, 301, int64(m))
+		var r cmat.Matrix
+		if _, err := CovarianceInto(&r, streams); err != nil {
+			t.Fatal(err)
+		}
+		inv := 1 / float64(len(streams[0]))
+		for i := 0; i < m; i++ {
+			for j := i; j < m; j++ {
+				var re, im float64
+				for tt := range streams[i] {
+					a, b := streams[i][tt], streams[j][tt]
+					re += real(a)*real(b) + imag(a)*imag(b)
+					im += imag(a)*real(b) - real(a)*imag(b)
+				}
+				re *= inv
+				im *= inv
+				want := complex(re, im)
+				if i == j {
+					want = complex(re, 0)
+				}
+				if got := r.At(i, j); got != want {
+					t.Fatalf("m=%d R[%d][%d] = %v, one pass per entry gives %v", m, i, j, got, want)
+				}
+				if got := r.At(j, i); got != complex(real(want), -imag(want)) && i != j {
+					t.Fatalf("m=%d R[%d][%d] = %v, not the conjugate of R[%d][%d]", m, j, i, got, i, j)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkCovarianceInto8x900 prices the per-packet covariance at a
+// typical packet extent.
+func BenchmarkCovarianceInto8x900(b *testing.B) {
+	arr := antenna.NewUCA(8, 0.047, antenna.DefaultCarrierHz)
+	streams := synthStreams(arr, []float64{60}, []float64{1}, 20, 900, 15)
+	var r cmat.Matrix
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := CovarianceInto(&r, streams); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkCovariance8x2000(b *testing.B) {
 	arr := antenna.NewHalfWaveULA(8, antenna.DefaultCarrierHz)
 	streams := synthStreams(arr, []float64{60}, []float64{1}, 20, 2000, 15)

@@ -187,6 +187,9 @@ func TestPrepareReceiveConcurrentUse(t *testing.T) {
 	if _, err := fe.ReceivePrepared(preps[0], baseband[:10]); err == nil {
 		t.Fatal("length mismatch accepted")
 	}
+	if _, err := fe.ReceivePrepared(preps[0], baseband); err == nil {
+		t.Fatal("a consumed PreparedReceive was received again")
+	}
 }
 
 var errShape = errors.New("radio test: unexpected stream shape")

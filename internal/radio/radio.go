@@ -99,12 +99,14 @@ type chanKey struct {
 // once, so synthesis runs entirely on cached-table power-of-two
 // transforms (a non-pow2 length would go through Bluestein: three times
 // the transforms and a scratch buffer per call). Each bin carries the
-// inverse transform's 1/m, so synthesis never rescales.
+// inverse transform's 1/m, so synthesis never rescales, and the bins are
+// stored in bit-reversed order, permuted once here, so synthesis reads
+// them sequentially.
 type chanResponse struct {
 	epoch uint64
 	fft   dsp.Pow2
 	m     int
-	h     [][]complex128 // [antenna][DFT bin], length m, scaled by 1/m
+	h     [][]complex128 // [antenna][bit-reversed DFT bin], length m, scaled by 1/m
 }
 
 // cleanKey identifies one cached clean capture: transmitter position,
@@ -194,7 +196,7 @@ func NewFrontEnd(arr *antenna.Array, pos geom.Point, src *rng.Source, opts ...Op
 // FFT of the baseband, then per antenna one pass that multiplies by the
 // channel response (cached per transmitter position while the
 // environment's drift epoch is unchanged, with the inverse transform's
-// 1/m already folded in) inside the inverse FFT's bit-reversal —
+// 1/m already folded in) fused into the inverse FFT's first stages —
 // instead of a forward plus inverse transform per propagation path. The
 // result is the same linear combination of fractionally-delayed path
 // copies, just summed before the inverse transform rather than after.
@@ -323,7 +325,9 @@ type PreparedReceive struct {
 // tx and forks a private noise stream for it. Calls must not overlap with
 // each other or with Receive on the same front end's noise determinism
 // boundary; in return, the ReceivePrepared calls that consume the results
-// are safe to run concurrently.
+// are safe to run concurrently. Each result is consumed once: the
+// receive hands its noise stream back for the next PrepareReceive's fork
+// to reseed.
 func (f *FrontEnd) PrepareReceive(e *env.Environment, tx geom.Point, n int) (*PreparedReceive, error) {
 	if n <= 0 {
 		return nil, errors.New("radio: empty baseband")
@@ -340,7 +344,7 @@ func (f *FrontEnd) PrepareReceive(e *env.Environment, tx geom.Point, n int) (*Pr
 
 // ReceivePrepared synthesises the per-antenna streams for one prepared
 // transmission. Safe for concurrent use across distinct PreparedReceive
-// values.
+// values; a second call on one value returns an error.
 func (f *FrontEnd) ReceivePrepared(p *PreparedReceive, baseband []complex128) ([][]complex128, error) {
 	return f.ReceivePreparedArena(p, baseband, nil)
 }
@@ -351,6 +355,9 @@ func (f *FrontEnd) ReceivePrepared(p *PreparedReceive, baseband []complex128) ([
 func (f *FrontEnd) ReceivePreparedArena(p *PreparedReceive, baseband []complex128, ar *pool.Arena) ([][]complex128, error) {
 	if len(baseband) != p.n {
 		return nil, errors.New("radio: baseband length differs from prepared length")
+	}
+	if p.noise == nil {
+		return nil, errors.New("radio: prepared receive already consumed")
 	}
 	key := cleanKey{x: p.tx.X, y: p.tx.Y, n: p.n, hash: basebandHash(baseband)}
 	f.mu.Lock()
@@ -364,6 +371,8 @@ func (f *FrontEnd) ReceivePreparedArena(p *PreparedReceive, baseband []complex12
 		f.storeClean(key, p.epoch, out)
 	}
 	f.impair(out, p.noise)
+	p.noise.Release()
+	p.noise = nil
 	return out, nil
 }
 
@@ -385,6 +394,9 @@ func (f *FrontEnd) channelResponse(e *env.Environment, tx geom.Point, n int) (*c
 	}
 	m := dsp.NextPow2(n)
 	r := &chanResponse{epoch: epoch, fft: dsp.NewPow2(m), m: m, h: f.buildResponse(paths, m)}
+	for _, ha := range r.h {
+		r.fft.BitReverse(ha)
+	}
 
 	f.mu.Lock()
 	if f.chanCache == nil {
@@ -436,10 +448,11 @@ func (f *FrontEnd) buildResponse(paths []env.Path, m int) [][]complex128 {
 // zero-padded to the response's pow2 length m (the transmit buffer's own
 // lead/tail padding keeps the fractionally-delayed copies inside the
 // first n samples, so truncating back to n loses nothing but the pad),
-// one forward FFT, then per antenna one fused pass that multiplies by the
-// (already 1/m-scaled) response while bit-reversing and runs the inverse
-// butterflies — allocation-free given an arena. Pure function of its
-// inputs; safe for concurrent use with distinct arenas.
+// one forward FFT whose spectrum is bit-reversed once, then per antenna
+// one fused pass that multiplies by the (already 1/m-scaled,
+// bit-reversed) response and runs the inverse butterflies —
+// allocation-free given an arena. Pure function of its inputs; safe for
+// concurrent use with distinct arenas.
 func (f *FrontEnd) synthesize(resp *chanResponse, baseband []complex128, ar *pool.Arena) [][]complex128 {
 	n := len(baseband)
 	m := resp.m
@@ -449,6 +462,7 @@ func (f *FrontEnd) synthesize(resp *chanResponse, baseband []complex128, ar *poo
 		spec[k] = 0
 	}
 	resp.fft.FFTInPlace(spec)
+	resp.fft.BitReverse(spec)
 	out := arenaStreams(ar, len(resp.h))
 	for a, ha := range resp.h {
 		stream := arenaComplexUninit(ar, m)
@@ -458,33 +472,61 @@ func (f *FrontEnd) synthesize(resp *chanResponse, baseband []complex128, ar *poo
 	return out
 }
 
-// impair applies the receiver impairments to clean streams in place, in
-// the fixed order the hardware imposes: per-chain downconverter phase,
-// common CFO, additive noise from src, optional quantisation.
-func (f *FrontEnd) impair(out [][]complex128, src *rng.Source) {
-	n := len(out)
-	// Mean signal power across chains sets the noise variance, unless an
-	// absolute floor is configured.
-	var sp float64
-	for a := 0; a < n; a++ {
-		sp += dsp.Power(out[a])
-	}
-	sp /= float64(n)
-	sigma2 := sp / dsp.FromDB(f.SNRdB)
-	if f.NoiseFloor > 0 {
-		sigma2 = f.NoiseFloor
-	}
+// impairChunk is how many samples impair draws the noise of at a time,
+// into a stack buffer that stays in L1.
+const impairChunk = 256
 
-	for a := 0; a < n; a++ {
-		// Downconverter phase offset (the impairment of section 2.2).
-		dsp.Scale(out[a], cmplx.Rect(1, f.PhaseOffsets[a]))
-		// Common CFO, identical on all chains (shared oscillators).
-		if f.CFOHz != 0 {
-			dsp.MixFrequencyInto(out[a], out[a], f.CFOHz, f.SampleRate, 0)
+// impair applies the receiver impairments to clean streams in place, in
+// the fixed order the hardware imposes — per-chain downconverter phase,
+// common CFO, additive noise from src, optional quantisation — in one
+// pass per antenna. Each product goes through an explicit complex128
+// conversion, which rounds it exactly as a separate pass storing it
+// would: no architecture may fuse it with the noise add into a
+// multiply-add, so the capture is the same on every GOARCH.
+func (f *FrontEnd) impair(out [][]complex128, src *rng.Source) {
+	floor := f.NoiseFloor > 0
+	sigma2, fullScale := f.NoiseFloor, 0.0
+	if !floor || f.QuantBits > 0 {
+		// Mean signal power across chains sets the noise variance, unless
+		// an absolute floor is configured, and the quantiser's range.
+		var sp float64
+		for _, x := range out {
+			sp += dsp.Power(x)
 		}
-		src.AddAWGN(out[a], sigma2)
-		if f.QuantBits > 0 {
-			quantize(out[a], f.QuantBits, 4*math.Sqrt(sp+sigma2))
+		sp /= float64(len(out))
+		if !floor {
+			sigma2 = sp / dsp.FromDB(f.SNRdB)
+		}
+		fullScale = 4 * math.Sqrt(sp+sigma2)
+	}
+	std := math.Sqrt(sigma2 / 2)
+	cfo, cfoStep := f.CFOHz != 0, 2*math.Pi*f.CFOHz/f.SampleRate
+	quant := f.QuantBits > 0 && fullScale > 0
+	var qStep float64
+	if quant {
+		qStep = fullScale / float64(int(1)<<uint(f.QuantBits-1)) // 2^(b-1) levels per sign
+	}
+	var noise [2 * impairChunk]float64
+	for a, x := range out {
+		// Downconverter phase offset (the impairment of section 2.2).
+		rot := cmplx.Rect(1, f.PhaseOffsets[a])
+		for lo := 0; lo < len(x); lo += impairChunk {
+			c := x[lo:min(lo+impairChunk, len(x))]
+			v := noise[:2*len(c)]
+			src.Normals(v)
+			for i, s := range c {
+				s = complex128(s * rot)
+				if cfo {
+					// Common CFO, identical on all chains (shared
+					// oscillators), from start phase 0.
+					s = complex128(s * cmplx.Rect(1, 0+cfoStep*float64(lo+i)))
+				}
+				s += complex(std*v[2*i], std*v[2*i+1])
+				if quant {
+					s = complex(quantize(real(s), fullScale, qStep), quantize(imag(s), fullScale, qStep))
+				}
+				c[i] = s
+			}
 		}
 	}
 }
@@ -563,20 +605,11 @@ func (f *FrontEnd) ReceiveMulti(e *env.Environment, txs []Transmission) ([][]com
 	return out, nil
 }
 
-// quantize rounds I and Q to b-bit levels over [-fullScale, fullScale].
-func quantize(x []complex128, b int, fullScale float64) {
-	if fullScale <= 0 {
-		return
-	}
-	levels := float64(int(1) << uint(b-1)) // per sign
-	step := fullScale / levels
-	q := func(v float64) float64 {
-		v = math.Max(-fullScale, math.Min(fullScale, v))
-		return math.Round(v/step) * step
-	}
-	for i := range x {
-		x[i] = complex(q(real(x[i])), q(imag(x[i])))
-	}
+// quantize rounds v to the nearest multiple of step after clipping it to
+// [-fullScale, fullScale]: one ADC rail.
+func quantize(v, fullScale, step float64) float64 {
+	v = math.Max(-fullScale, math.Min(fullScale, v))
+	return math.Round(v/step) * step
 }
 
 // PadPacket surrounds packet samples with lead/tail zeros so that packet

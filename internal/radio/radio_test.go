@@ -230,15 +230,13 @@ func TestPadPacket(t *testing.T) {
 }
 
 func TestQuantizeLevels(t *testing.T) {
-	x := []complex128{complex(0.124, -0.52), complex(3.9, 0)}
-	quantize(x, 2, 1.0) // 2-bit: step = 0.5 over [-1, 1]
-	for _, v := range x {
-		re := real(v)
-		if math.Abs(re/0.5-math.Round(re/0.5)) > 1e-12 {
-			t.Errorf("real part %v not on grid", re)
+	for _, v := range []float64{0.124, -0.52, 3.9, 0} {
+		q := quantize(v, 1.0, 0.5) // 2-bit: step = 0.5 over [-1, 1]
+		if math.Abs(q/0.5-math.Round(q/0.5)) > 1e-12 {
+			t.Errorf("quantized %v = %v, not on grid", v, q)
 		}
-		if real(v) > 1 || real(v) < -1 {
-			t.Errorf("quantized value out of range: %v", v)
+		if q > 1 || q < -1 {
+			t.Errorf("quantized value out of range: %v -> %v", v, q)
 		}
 	}
 }
@@ -265,7 +263,10 @@ func TestFullyBlockedClient(t *testing.T) {
 // it replays the clean-capture cache and prices impairment alone. "unique"
 // perturbs one lead-in sample per iteration, so every call misses that
 // cache and synthesises the channel, drawing its buffers from an arena
-// as a live AP does.
+// as a live AP does. "prepared" is the batch path at the end-to-end
+// workload's frame size — a 64-byte payload padded to 1480 samples, so
+// m = 2048 — running PrepareReceive (noise fork included) and
+// ReceivePreparedArena on a frame never seen before.
 func BenchmarkReceive8Antennas(b *testing.B) {
 	arr := antenna.NewUCA(8, 0.047, antenna.DefaultCarrierHz)
 	e := freeSpace()
@@ -296,6 +297,34 @@ func BenchmarkReceive8Antennas(b *testing.B) {
 		}
 		for i := -4; i < 0; i++ {
 			receive(i) // grow the arena to its high-water mark, resolve the channel
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			receive(i)
+		}
+	})
+	b.Run("prepared", func(b *testing.B) {
+		fe := NewFrontEnd(arr, geom.Point{}, rng.New(12), WithNoiseFloor(4e-9))
+		frame, _ := mod.BuildPacket(make([]byte, 92), ofdm.QPSK) // 64-byte payload + 28-byte MAC header and FCS
+		bb := PadPacket(frame.Samples, 300, 300)
+		if len(bb) != 1480 {
+			b.Fatalf("frame is %d samples, want 1480", len(bb))
+		}
+		ar := pool.NewArena(0, 0, 0)
+		receive := func(i int) {
+			ar.Reset()
+			bb[0] = complex(float64(i+1)*1e-9, 0) // a new frame: misses the clean-capture cache
+			p, err := fe.PrepareReceive(e, tx, len(bb))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := fe.ReceivePreparedArena(p, bb, ar); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for i := -4; i < 0; i++ {
+			receive(i) // grow the arena, resolve the channel, pool a noise state
 		}
 		b.ReportAllocs()
 		b.ResetTimer()

@@ -42,16 +42,6 @@ func TestForkIndependence(t *testing.T) {
 	}
 }
 
-func TestUniformRange(t *testing.T) {
-	s := New(2)
-	for i := 0; i < 1000; i++ {
-		v := s.Uniform(-3, 7)
-		if v < -3 || v >= 7 {
-			t.Fatalf("Uniform out of range: %v", v)
-		}
-	}
-}
-
 func TestPhaseRange(t *testing.T) {
 	s := New(3)
 	for i := 0; i < 1000; i++ {
@@ -103,37 +93,6 @@ func TestAWGNAndAddAWGN(t *testing.T) {
 	}
 	if got := p2 / 1000; math.Abs(got-4) > 0.6 {
 		t.Errorf("AddAWGN variance = %v", got)
-	}
-}
-
-func TestRayleighPositiveAndMean(t *testing.T) {
-	s := New(6)
-	const n = 100000
-	var sum float64
-	for i := 0; i < n; i++ {
-		v := s.Rayleigh(2.0)
-		if v < 0 {
-			t.Fatal("negative Rayleigh sample")
-		}
-		sum += v
-	}
-	want := 2.0 * math.Sqrt(math.Pi/2)
-	if got := sum / n; math.Abs(got-want) > 0.03 {
-		t.Errorf("Rayleigh mean = %v, want %v", got, want)
-	}
-}
-
-func TestRicianGainPower(t *testing.T) {
-	s := New(7)
-	const n = 100000
-	var pow float64
-	for i := 0; i < n; i++ {
-		g := s.RicianGain(1.0, 0.5)
-		pow += real(g)*real(g) + imag(g)*imag(g)
-	}
-	// E|g|^2 = losMag^2 + scatter2 = 1.5.
-	if got := pow / n; math.Abs(got-1.5) > 0.05 {
-		t.Errorf("Rician power = %v, want 1.5", got)
 	}
 }
 

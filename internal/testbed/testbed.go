@@ -188,9 +188,17 @@ func UplinkFrame(clientID int, seq uint16, payload []byte) *wifi.Frame {
 // distinct frames).
 const maxBasebandCacheEntries = 64
 
+// basebandEntry is one modulated frame, or the build of it in flight:
+// ready closes once bb and err are set.
+type basebandEntry struct {
+	ready chan struct{}
+	bb    []complex128
+	err   error
+}
+
 var (
 	basebandMu    sync.Mutex
-	basebandCache map[string][]complex128
+	basebandCache map[string]*basebandEntry
 
 	// keyPool holds scratch buffers for the cache key so a warm
 	// FrameBaseband call marshals the frame without allocating.
@@ -204,36 +212,36 @@ var (
 // for the channel: the transmit side of the testbed. Modulation is a pure
 // function of the frame bytes, so results are cached by content — the
 // returned slice is shared across calls and must be treated as read-only
-// (every receive path only reads the transmit buffer).
+// (every receive path only reads the transmit buffer). Concurrent callers
+// for a frame not yet cached (lockstep APs hearing one transmission)
+// share a single build and its result, error included.
 func FrameBaseband(f *wifi.Frame, mod ofdm.Modulation) ([]complex128, error) {
 	kb := keyPool.Get().(*[]byte)
 	key := append(f.AppendMarshal((*kb)[:0]), byte(mod))
+	defer func() {
+		*kb = key
+		keyPool.Put(kb)
+	}()
 	basebandMu.Lock()
-	bb, ok := basebandCache[string(key)]
+	e, ok := basebandCache[string(key)]
+	if !ok {
+		if basebandCache == nil || len(basebandCache) >= maxBasebandCacheEntries {
+			basebandCache = make(map[string]*basebandEntry)
+		}
+		e = &basebandEntry{ready: make(chan struct{})}
+		basebandCache[string(key)] = e
+	}
 	basebandMu.Unlock()
 	if ok {
-		*kb = key
-		keyPool.Put(kb)
-		return bb, nil
+		<-e.ready
+		return e.bb, e.err
 	}
 	m := ofdm.NewModulator(ofdm.DefaultParams())
-	pkt, err := m.BuildPacket(key[:len(key)-1], mod)
-	if err != nil {
-		*kb = key
-		keyPool.Put(kb)
-		return nil, err
+	if pkt, err := m.BuildPacket(key[:len(key)-1], mod); err != nil {
+		e.err = err
+	} else {
+		e.bb = radio.PadPacket(pkt.Samples, 300, 300)
 	}
-	bb = radio.PadPacket(pkt.Samples, 300, 300)
-	basebandMu.Lock()
-	if basebandCache == nil {
-		basebandCache = make(map[string][]complex128)
-	}
-	if len(basebandCache) >= maxBasebandCacheEntries {
-		clear(basebandCache)
-	}
-	basebandCache[string(key)] = bb
-	basebandMu.Unlock()
-	*kb = key
-	keyPool.Put(kb)
-	return bb, nil
+	close(e.ready)
+	return e.bb, e.err
 }

@@ -3,6 +3,7 @@ package testbed
 import (
 	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"secureangle/internal/env"
@@ -182,6 +183,36 @@ func TestFrameBaseband(t *testing.T) {
 	}
 	if len(bb) <= 600 {
 		t.Error("baseband too short")
+	}
+}
+
+// TestFrameBasebandSharedBuild releases many callers at once on a frame
+// no call has built yet: all of them must get the same backing slice,
+// i.e. one build served them all.
+func TestFrameBasebandSharedBuild(t *testing.T) {
+	f := UplinkFrame(9, 4242, []byte("shared-build"))
+	const callers = 8
+	got := make([][]complex128, callers)
+	errs := make([]error, callers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			got[i], errs[i] = FrameBaseband(f, ofdm.QPSK)
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if &got[i][0] != &got[0][0] {
+			t.Fatalf("caller %d got a baseband of its own, not the shared build", i)
+		}
 	}
 }
 

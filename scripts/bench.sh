@@ -10,15 +10,17 @@
 # Benchtime can be tuned via BENCHTIME (default 1s).
 set -eu
 
-pr="${PR:-23}"
+pr="${PR:-25}"
 out="${1:-BENCH_PR${pr}.json}"
 benchtime="${BENCHTIME:-1s}"
 tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT
 
 # The headline set: per-packet pipeline (cached-capture path), channel
-# synthesis (an 8-antenna receive of a frame never seen before) and the
-# 2048-point transform it runs nine of, fusion ingest, defense
+# synthesis (an 8-antenna receive of a frame never seen before; and
+# the prepared batch receive, noise fork included, at the end-to-end
+# workload's 1480-sample frame), the 2048-point transform it runs nine
+# of and the AWGN of one such capture, fusion ingest, defense
 # directive, journal append + group commit (each package's hot path),
 # the ops metrics update the first four carry, partitioned ingest at
 # 1/4/16 partitions (per-report and batched), the replication cursor's
@@ -27,7 +29,9 @@ trap 'rm -f "$tmp"' EXIT
 go test -run '^$' -benchmem -benchtime "$benchtime" \
     -bench 'BenchmarkPipelinePerPacket$' . | tee -a "$tmp"
 go test -run '^$' -benchmem -benchtime "$benchtime" \
-    -bench 'BenchmarkReceive8Antennas$/^unique$' ./internal/radio | tee -a "$tmp"
+    -bench 'BenchmarkReceive8Antennas$/^(unique|prepared)$' ./internal/radio | tee -a "$tmp"
+go test -run '^$' -benchmem -benchtime "$benchtime" \
+    -bench 'BenchmarkAddAWGN8x1480$' ./internal/rng | tee -a "$tmp"
 go test -run '^$' -benchmem -benchtime "$benchtime" \
     -bench 'BenchmarkFFTInPlace2048$' ./internal/dsp | tee -a "$tmp"
 go test -run '^$' -benchmem -benchtime "$benchtime" \

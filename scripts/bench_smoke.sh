@@ -4,9 +4,10 @@
 # 2x against the committed baseline JSON (the newest BENCH_PR*.json in
 # the repo root, or $1 if given), or if a zero-/low-alloc fast path
 # exceeds its hard allocs/op budget (see the budget table below). The
-# per-packet pipeline runs 100 iterations (~300 us/op), as does the
-# uncached 8-antenna receive (~400 us/op, the channel-synthesis row);
-# the 2048-point FFT runs 2000 (~25 us/op); the sub-microsecond hot
+# per-packet pipeline runs 100 iterations (~300 us/op), as do the
+# uncached 8-antenna receives (~300 and ~500 us/op, the channel-synthesis
+# rows); the AWGN of one 8x1480 capture runs 500 (~150 us/op); the
+# 2048-point FFT runs 2000 (~25 us/op); the sub-microsecond hot
 # paths get enough iterations to measure >= 10 ms of real work, or
 # warmup noise would dominate. Fixed counts are noisy, but a 2x bar is far above CI
 # jitter, so this catches real cliffs — an accidental O(n^2), a lost
@@ -38,7 +39,9 @@ trap 'rm -f "$tmp"' EXIT
 go test -run '^$' -benchmem -benchtime 100x \
     -bench 'BenchmarkPipelinePerPacket$' . | tee -a "$tmp"
 go test -run '^$' -benchmem -benchtime 100x \
-    -bench 'BenchmarkReceive8Antennas$/^unique$' ./internal/radio | tee -a "$tmp"
+    -bench 'BenchmarkReceive8Antennas$/^(unique|prepared)$' ./internal/radio | tee -a "$tmp"
+go test -run '^$' -benchmem -benchtime 500x \
+    -bench 'BenchmarkAddAWGN8x1480$' ./internal/rng | tee -a "$tmp"
 go test -run '^$' -benchmem -benchtime 2000x \
     -bench 'BenchmarkFFTInPlace2048$' ./internal/dsp | tee -a "$tmp"
 go test -run '^$' -benchmem -benchtime 20000x \
@@ -91,6 +94,8 @@ BEGIN {
     budget["BenchmarkTraceSpan"] = 0  # hard zero: the span record sits on every packet
     budget["BenchmarkWriteMessage"] = 0  # hard zero: every frame on the wire is framed here
     budget["BenchmarkReceive8Antennas/unique"] = 0  # hard zero: channel synthesis runs on arena buffers
+    budget["BenchmarkReceive8Antennas/prepared"] = 1  # 1 measured: the PreparedReceive; the noise fork is pooled
+    budget["BenchmarkAddAWGN8x1480"] = 0  # hard zero: normals drawn into a stack buffer
     budget["BenchmarkFFTInPlace2048"] = 0  # hard zero: cached tables, in place
 }
 /^Benchmark/ {
