@@ -17,8 +17,6 @@ import (
 
 	"secureangle"
 	"secureangle/internal/baseline"
-	"secureangle/internal/env"
-	"secureangle/internal/geom"
 	"secureangle/internal/ofdm"
 	"secureangle/internal/testbed"
 )
@@ -96,8 +94,8 @@ func main() {
 	// The RSS baseline against a directional-antenna attacker.
 	fmt.Println("\nRSS signalprint baseline vs a 20 dB directional antenna:")
 	environment := node.Environment()
-	victimPrint := rssAt(environment, victim.Pos)
-	attackerPrint := rssAt(environment, attackerPos.Pos)
+	victimPrint := baseline.FromPowers(testbed.RSSPowers(environment, victim.Pos))
+	attackerPrint := baseline.FromPowers(testbed.RSSPowers(environment, attackerPos.Pos))
 	atk := baseline.DirectionalAttacker{MaxGainDB: 20, ErrorDB: 1}
 	forged, err := atk.ForgePrint(victimPrint, attackerPrint)
 	if err != nil {
@@ -110,19 +108,4 @@ func main() {
 	diff, _ := baseline.Distance(victimPrint, forged)
 	fmt.Printf("  forged print accepted by RSS matcher: %v (worst per-AP diff %.1f dB)\n", match, diff)
 	fmt.Println("  -> RSS identification subverted; the AoA signature above was not.")
-}
-
-// rssAt computes the per-AP received powers for the signalprint baseline:
-// the sum of path-gain powers at each of the three AP positions.
-func rssAt(e *env.Environment, tx geom.Point) baseline.Signalprint {
-	apPositions := []geom.Point{testbed.AP1, testbed.AP2, testbed.AP3}
-	powers := make([]float64, len(apPositions))
-	for i, ap := range apPositions {
-		var p float64
-		for _, path := range e.Trace(tx, ap) {
-			p += real(path.Gain)*real(path.Gain) + imag(path.Gain)*imag(path.Gain)
-		}
-		powers[i] = p
-	}
-	return baseline.FromPowers(powers)
 }

@@ -79,16 +79,15 @@ func (ap *AP) ObserveBatch(items []BatchItem) []BatchResult {
 // in flight finish normally. The slice is always fully populated.
 //
 // The order-sensitive half of reception (ray tracing through the shared
-// environment, forking the front end's noise stream) runs serially in
-// item order, so a batch draws a deterministic set of channel and noise
-// realisations; everything downstream runs concurrently. Results align
-// with items by index. Note the per-item noise streams are forked rather
-// than drawn from the front end's sequential stream, so a batch's noise
-// differs sample-for-sample from the same transmissions pushed one at a
-// time through Observe (both are draws from the same model).
+// environment, forking each item's noise stream from the front end's)
+// runs serially in item order, so a batch draws a deterministic set of
+// channel and noise realisations — the same, bit for bit, as the
+// transmissions pushed one at a time through Observe; synthesis and
+// everything downstream run concurrently. Results align with items by
+// index.
 func (ap *AP) ObserveBatchContext(ctx context.Context, items []BatchItem) []BatchResult {
 	out := make([]BatchResult, len(items))
-	prep := make([]*radio.PreparedReceive, len(items))
+	prep := make([]radio.PreparedReceive, len(items))
 
 	ap.prepMu.Lock()
 	for i, it := range items {
@@ -96,31 +95,15 @@ func (ap *AP) ObserveBatchContext(ctx context.Context, items []BatchItem) []Batc
 			out[i].Err = ap.stageErr(StageDispatch, err)
 			continue
 		}
-		p, err := ap.FE.PrepareReceive(ap.Env, it.TX, len(it.Baseband))
-		if err != nil {
-			out[i].Err = ap.stageErr(StageReceive, err)
-			continue
-		}
-		prep[i] = p
+		prep[i], out[i].Err = ap.prepare(it.TX, it.Baseband)
 	}
 	ap.prepMu.Unlock()
 
 	runPool(len(items), ap.workers(len(items)), func(i int) {
-		if prep[i] == nil {
+		if out[i].Err != nil {
 			return
 		}
-		if err := ctx.Err(); err != nil {
-			out[i].Err = ap.stageErr(StageDispatch, err)
-			return
-		}
-		sc := ap.getScratch()
-		defer ap.putScratch(sc)
-		streams, err := ap.FE.ReceivePreparedArena(prep[i], items[i].Baseband, sc.arena)
-		if err != nil {
-			out[i].Err = ap.stageErr(StageReceive, err)
-			return
-		}
-		out[i].Report, out[i].Err = ap.processScratch(streams, sc)
+		out[i].Report, out[i].Err = ap.observePrepared(ctx, &prep[i], items[i].Baseband)
 	})
 	return out
 }

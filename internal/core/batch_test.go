@@ -132,6 +132,30 @@ func TestObserveBatchReports(t *testing.T) {
 	}
 }
 
+// TestProcessFrameBatchRecordsReceiveStage checks that the batch path
+// times its synthesis: the stage="receive" histogram gains one sample
+// per synthesised item.
+func TestProcessFrameBatchRecordsReceiveStage(t *testing.T) {
+	ap := newBatchAP(t, 2)
+	var items []FrameBatchItem
+	for _, id := range []int{2, 6, 11} {
+		c, err := testbed.ClientByID(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		items = append(items, FrameBatchItem{TX: c.Pos, Frame: testbed.UplinkFrame(id, 1, []byte("uplink")), Mod: ofdm.QPSK})
+	}
+	before := mReceiveSeconds.Count()
+	for i, r := range ap.ProcessFrameBatch(items) {
+		if r.Err != nil {
+			t.Fatalf("item %d: %v", i, r.Err)
+		}
+	}
+	if got := mReceiveSeconds.Count() - before; got != uint64(len(items)) {
+		t.Fatalf("receive histogram rose by %d over a batch of %d synthesised items", got, len(items))
+	}
+}
+
 // TestObserveBatchConcurrentCallers fires batches and frame observations
 // from many goroutines at one AP — the many-client ingest scenario — and
 // relies on -race to catch synchronisation regressions in the front end,

@@ -167,8 +167,9 @@ type AP struct {
 	// scratch pools per-packet pipeline buffers (see pipeScratch).
 	scratch sync.Pool
 
-	// prepMu serialises the order-sensitive half of batch synthesis (the
-	// front end's noise-stream forks) across concurrent batch calls.
+	// prepMu serialises the order-sensitive half of every capture (the
+	// front end's noise-stream forks) across concurrent callers, so a
+	// batch's captures fork back to back.
 	prepMu   sync.Mutex
 	registry *shardedRegistry
 	// measures is the AP's active-countermeasure table: the runtime face
@@ -262,31 +263,61 @@ func (ap *AP) Observe(tx geom.Point, baseband []complex128) (*Report, error) {
 
 // ObserveContext is Observe honouring ctx: a cancelled context stops
 // the pipeline at the next stage boundary and returns the ctx error
-// wrapped in a StageDispatch PipelineError.
+// wrapped in a StageDispatch PipelineError. One observation is a batch
+// of one: it runs the serial and concurrent halves ObserveBatchContext
+// runs per item, so N ObserveContext calls draw, bit for bit, the
+// captures one batch of the same N transmissions draws.
 func (ap *AP) ObserveContext(ctx context.Context, tx geom.Point, baseband []complex128) (*Report, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, ap.stageErr(StageDispatch, err)
+	}
+	ap.prepMu.Lock()
+	p, err := ap.prepare(tx, baseband)
+	ap.prepMu.Unlock()
+	if err != nil {
+		return nil, err
+	}
+	return ap.observePrepared(ctx, &p, baseband)
+}
+
+// prepare is the serial half of one capture: it resolves the channel
+// from tx and forks the capture's noise stream from the front end's
+// (radio.PrepareReceive). The caller holds prepMu, so the captures of
+// one batch fork back to back, in item order.
+func (ap *AP) prepare(tx geom.Point, baseband []complex128) (radio.PreparedReceive, error) {
+	p, err := ap.FE.PrepareReceive(ap.Env, tx, len(baseband))
+	if err != nil {
+		return p, ap.stageErr(StageReceive, err)
+	}
+	return p, nil
+}
+
+// observePrepared is the concurrent half of one capture: the
+// synthesis into a pooled scratch's arena, timed as the receive stage,
+// then the estimation pipeline on the same scratch. Observe, the batch
+// workers and the Stream workers all run it.
+func (ap *AP) observePrepared(ctx context.Context, p *radio.PreparedReceive, baseband []complex128) (*Report, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, ap.stageErr(StageDispatch, err)
 	}
 	sc := ap.getScratch()
 	defer ap.putScratch(sc)
 	tRecv := time.Now()
-	streams, err := ap.FE.ReceiveArena(ap.Env, tx, baseband, sc.arena)
+	streams, err := ap.FE.ReceivePreparedArena(p, baseband, sc.arena)
 	if err != nil {
 		return nil, ap.stageErr(StageReceive, err)
 	}
 	mReceiveSeconds.ObserveSince(tRecv)
-	if err := ctx.Err(); err != nil {
-		return nil, ap.stageErr(StageDispatch, err)
-	}
 	return ap.processScratch(streams, sc)
 }
 
 // Receive propagates baseband from tx to the AP's antennas and returns
 // the raw capture without running the estimation stages — the synthesis
-// half of Observe. Callers that must consume channel and noise
-// realisations in a fixed order but want the estimation fanned out (the
-// experiment sweeps) capture serially with Receive and then hand the
-// captures to ProcessStreamsBatch.
+// half of Observe, drawing the capture an Observe in its place would.
+// Callers that must consume channel and noise realisations in a fixed
+// order but want the estimation fanned out (the experiment sweeps)
+// capture serially with Receive and then hand the captures to
+// ProcessStreamsBatch.
 func (ap *AP) Receive(tx geom.Point, baseband []complex128) ([][]complex128, error) {
 	return ap.FE.Receive(ap.Env, tx, baseband)
 }
@@ -365,7 +396,7 @@ func (ap *AP) processScratch(streams [][]complex128, sc *pipeScratch) (*Report, 
 		sources int
 		snr     float64
 	)
-	switch est := ap.cfg.Estimator.(type) {
+	switch est := ap.cfg.Estimator; est {
 	case nil:
 		// Default auto-MUSIC path: one eigendecomposition per packet,
 		// shared between the manifold scan (whose MDL model order uses
@@ -382,20 +413,21 @@ func (ap *AP) processScratch(streams [][]complex128, sc *pipeScratch) (*Report, 
 		}
 		sources, snr = k, snrFromEig(eig.Values, k)
 		bearing = ap.bearingFromEig(eig, k, r, ps, sc)
-	case music.ManifoldEstimator:
-		ps, err = est.PseudospectrumOnManifold(r, ap.manifold, n)
-		if err != nil {
-			return nil, ap.stageErr(StageEstimate, err)
-		}
-		sources, snr = subspaceStats(r, n)
-		bearing = rankPeaksByPower(ps, r, ap.FE.Array)
 	default:
-		ps, err = est.Pseudospectrum(r, ap.FE.Array, ap.grid)
+		if me, ok := est.(music.ManifoldEstimator); ok {
+			ps, err = me.PseudospectrumOnManifold(r, ap.manifold, n)
+		} else {
+			ps, err = est.Pseudospectrum(r, ap.FE.Array, ap.grid)
+		}
+		if err == nil && len(ps.P) != len(ap.grid) {
+			// The peak ranking reads the manifold by grid index.
+			err = fmt.Errorf("estimator %s returned %d values for a %d-angle grid", est.Name(), len(ps.P), len(ap.grid))
+		}
 		if err != nil {
 			return nil, ap.stageErr(StageEstimate, err)
 		}
-		sources, snr = subspaceStats(r, n)
-		bearing = rankPeaksByPower(ps, r, ap.FE.Array)
+		sources, snr = subspaceStats(&sc.eig, r, n)
+		bearing = ap.rankPeaksScratch(ps, r, sc)
 	}
 
 	rep := &Report{
@@ -422,39 +454,11 @@ func (ap *AP) processScratch(streams [][]complex128, sc *pipeScratch) (*Report, 
 	return rep, nil
 }
 
-// rankPeaksByPower selects the bearing estimate from a MUSIC
-// pseudospectrum. MUSIC peak height measures subspace proximity, not
-// received power: a weak composite of distant reflections can out-peak
-// the direct path. Re-ranking the top MUSIC peaks by their Bartlett
-// (delay-and-sum) power keeps MUSIC's angular precision while selecting
-// the arrival that actually carries the most energy — which is the direct
-// path whenever one exists (section 3.1).
-func rankPeaksByPower(ps *music.Pseudospectrum, r *cmat.Matrix, arr *antenna.Array) float64 {
-	peaks := ps.Peaks(8, 12)
-	if len(peaks) <= 1 {
-		return ps.PeakBearing()
-	}
-	grid := make([]float64, len(peaks))
-	for i, p := range peaks {
-		grid[i] = p.BearingDeg
-	}
-	bart, err := (music.Bartlett{}).Pseudospectrum(r, arr, grid)
-	if err != nil {
-		return ps.PeakBearing()
-	}
-	best, bi := -1.0, 0
-	for i, v := range bart.P {
-		if v > best {
-			best, bi = v, i
-		}
-	}
-	return grid[bi]
-}
-
 // subspaceStats reports the MDL source count and an eigenvalue-based SNR
-// estimate (signal eigenvalue mass over noise eigenvalue mass).
-func subspaceStats(r *cmat.Matrix, n int) (int, float64) {
-	eig, err := cmat.HermEig(r)
+// estimate (signal eigenvalue mass over noise eigenvalue mass), using
+// the eigensolver workspace ws.
+func subspaceStats(ws *cmat.EigWorkspace, r *cmat.Matrix, n int) (int, float64) {
+	eig, err := ws.HermEig(r)
 	if err != nil {
 		return 1, 0
 	}

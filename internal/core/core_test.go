@@ -1,9 +1,12 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"testing"
 
+	"secureangle/internal/antenna"
+	"secureangle/internal/cmat"
 	"secureangle/internal/geom"
 	"secureangle/internal/music"
 	"secureangle/internal/ofdm"
@@ -203,6 +206,32 @@ func TestCustomEstimator(t *testing.T) {
 	want := testbed.GroundTruth(testbed.AP1, c5.Pos)
 	if geom.AngularDistDeg(rep.BearingDeg, want) > 8 {
 		t.Errorf("Bartlett bearing = %v, want %v", rep.BearingDeg, want)
+	}
+}
+
+// shortEstimator breaks the Estimator contract: its spectrum covers
+// only half the scan grid.
+type shortEstimator struct{}
+
+func (shortEstimator) Name() string { return "short" }
+
+func (shortEstimator) Pseudospectrum(r *cmat.Matrix, arr *antenna.Array, grid []float64) (*music.Pseudospectrum, error) {
+	return music.Bartlett{}.Pseudospectrum(r, arr, grid[:len(grid)/2])
+}
+
+// TestEstimatorGridMismatch checks that a spectrum that does not cover
+// the AP's grid fails the packet at the estimate stage.
+func TestEstimatorGridMismatch(t *testing.T) {
+	e, _ := testbed.Building()
+	cfg := DefaultConfig()
+	cfg.Estimator = shortEstimator{}
+	ap := NewAP("short-ap", testbed.NewAPFrontEnd(testbed.CircularArray(), testbed.AP1, rng.New(9)), e, cfg)
+	c5, _ := testbed.ClientByID(5)
+	bb, _ := testbed.FrameBaseband(testbed.UplinkFrame(5, 1, nil), ofdm.QPSK)
+	_, err := ap.Observe(c5.Pos, bb)
+	var pe *PipelineError
+	if !errors.As(err, &pe) || pe.Stage != StageEstimate {
+		t.Fatalf("Observe err = %v, want a StageEstimate PipelineError", err)
 	}
 }
 

@@ -68,6 +68,48 @@ func TestProcessFrameBatchGolden(t *testing.T) {
 	}
 }
 
+// TestSerialFramesMatchBatch checks that a single capture is a batch of
+// one: two identically seeded APs take the same frames — the 20 testbed
+// clients, a retransmission and the outside spoofers — one through a
+// ProcessFrame call per frame, the other through one ProcessFrameBatch,
+// and every report and error must hash equal.
+func TestSerialFramesMatchBatch(t *testing.T) {
+	e, _ := testbed.Building()
+	newAP := func() *AP {
+		cfg := DefaultConfig()
+		cfg.Workers = 2
+		return NewAP("identity", testbed.NewAPFrontEnd(testbed.CircularArray(), testbed.AP1, rng.New(31)), e, cfg)
+	}
+	var items []FrameBatchItem
+	for _, c := range testbed.Clients() {
+		items = append(items, FrameBatchItem{TX: c.Pos, Frame: testbed.UplinkFrame(c.ID, 7, []byte("identity")), Mod: ofdm.QPSK})
+	}
+	items = append(items, items[4])
+	for i, pos := range testbed.OutsidePositions() {
+		items = append(items, FrameBatchItem{TX: pos, Frame: testbed.UplinkFrame(1+3*i, 7, []byte("identity")), Mod: ofdm.QPSK})
+	}
+
+	serialAP, batchAP := newAP(), newAP()
+	batch := batchAP.ProcessFrameBatch(items)
+	for i, it := range items {
+		rep, err := serialAP.ProcessFrame(it.TX, it.Frame, it.Mod)
+		g, w := sha256.New(), sha256.New()
+		hashFrameResult(g, FrameBatchResult{Report: rep, Err: err})
+		hashFrameResult(w, batch[i])
+		if !bytes.Equal(g.Sum(nil), w.Sum(nil)) {
+			t.Errorf("item %d: ProcessFrame (%v, err %v) differs from ProcessFrameBatch (%v, err %v)",
+				i, bearingOf(rep), err, bearingOf(batch[i].Report), batch[i].Err)
+		}
+	}
+}
+
+func bearingOf(r *FrameReport) float64 {
+	if r == nil {
+		return math.NaN()
+	}
+	return r.BearingDeg
+}
+
 func hashFrameResult(h hash.Hash, r FrameBatchResult) {
 	if r.Err != nil {
 		h.Write([]byte(r.Err.Error()))

@@ -79,7 +79,7 @@ func (ap *AP) bearingFromEig(eig *cmat.EigResult, k int, r *cmat.Matrix, ps *mus
 }
 
 // bestByBartlett returns the DOA with the highest Bartlett (delay-and-
-// sum) power — the grid-free counterpart of rankPeaksByPower's re-rank.
+// sum) power — the grid-free counterpart of rankPeaksScratch's re-rank.
 func (ap *AP) bestByBartlett(doas []float64, r *cmat.Matrix, sc *pipeScratch) float64 {
 	if len(doas) == 1 {
 		return doas[0]
@@ -109,11 +109,17 @@ func bartlettPower(r *cmat.Matrix, a []complex128) float64 {
 	return math.Max(real(num)/float64(nn), 0)
 }
 
-// rankPeaksScratch is rankPeaksByPower for spectra scanned on the AP's
-// own grid: it works on grid indices so the steering vectors come from
-// the precomputed manifold and the peak bookkeeping reuses the scratch
-// index slices — the same selection (local maxima, 8 degree separation,
-// 12 dB floor, Bartlett re-rank) with nothing allocated.
+// rankPeaksScratch selects the bearing estimate from a pseudospectrum
+// scanned on the AP's grid. MUSIC peak height measures subspace
+// proximity, not received power: a weak composite of distant reflections
+// can out-peak the direct path. Re-ranking the top peaks (local maxima,
+// 8 degree separation, within 12 dB of the strongest) by their Bartlett
+// (delay-and-sum) power keeps the estimator's angular precision while
+// selecting the arrival that actually carries the most energy — the
+// direct path whenever one exists (section 3.1). It works on grid
+// indices, so the steering vectors come from the precomputed manifold
+// and the peak bookkeeping reuses the scratch index slices: nothing is
+// allocated.
 func (ap *AP) rankPeaksScratch(ps *music.Pseudospectrum, r *cmat.Matrix, sc *pipeScratch) float64 {
 	n := len(ps.P)
 	cands := sc.peaks[:0]

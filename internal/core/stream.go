@@ -39,9 +39,10 @@ type StreamResult struct {
 //	s.Close()
 //
 // The serial half of reception (channel resolution, noise-stream forks)
-// runs at Submit time in submission order, so a stream draws the same
-// deterministic channel/noise realisations as ObserveBatch over the
-// same items.
+// runs at Submit time in submission order, and the workers run the same
+// per-item body as ObserveBatch — synthesis into a pooled scratch arena,
+// then estimation — so a stream draws, bit for bit, the reports
+// ObserveBatch or a run of Observe calls draws over the same items.
 type Stream struct {
 	ap     *AP
 	ctx    context.Context
@@ -64,7 +65,7 @@ type Stream struct {
 // streamJob is one submitted transmission after its serial prepare.
 type streamJob struct {
 	seq  uint64
-	prep *radio.PreparedReceive
+	prep radio.PreparedReceive
 	bb   []complex128
 	err  error // prepare-stage failure, carried to the result slot
 }
@@ -144,13 +145,8 @@ func (s *Stream) Submit(ctx context.Context, it BatchItem) (uint64, error) {
 	// The order-sensitive half runs here, serialised by s.mu in
 	// submission order and by ap.prepMu against concurrent batch calls.
 	s.ap.prepMu.Lock()
-	prep, err := s.ap.FE.PrepareReceive(s.ap.Env, it.TX, len(it.Baseband))
+	job.prep, job.err = s.ap.prepare(it.TX, it.Baseband)
 	s.ap.prepMu.Unlock()
-	if err != nil {
-		job.err = s.ap.stageErr(StageReceive, err)
-	} else {
-		job.prep = prep
-	}
 	s.work <- job // cap(work) == cap(sem): never blocks
 	return seq, nil
 }
@@ -162,21 +158,10 @@ func (s *Stream) Results() <-chan StreamResult { return s.results }
 
 // runJob executes the concurrent half of the pipeline for one job.
 func (s *Stream) runJob(j streamJob) StreamResult {
-	r := StreamResult{Seq: j.seq}
-	if j.err != nil {
-		r.Err = j.err
-		return r
+	r := StreamResult{Seq: j.seq, Err: j.err}
+	if r.Err == nil {
+		r.Report, r.Err = s.ap.observePrepared(s.ctx, &j.prep, j.bb)
 	}
-	if err := s.ctx.Err(); err != nil {
-		r.Err = s.ap.stageErr(StageDispatch, err)
-		return r
-	}
-	streams, err := s.ap.FE.ReceivePrepared(j.prep, j.bb)
-	if err != nil {
-		r.Err = s.ap.stageErr(StageReceive, err)
-		return r
-	}
-	r.Report, r.Err = s.ap.process(streams)
 	return r
 }
 

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"secureangle/internal/baseline"
-	"secureangle/internal/env"
 	"secureangle/internal/geom"
 	"secureangle/internal/ofdm"
 	"secureangle/internal/signature"
@@ -78,7 +77,7 @@ func RunSpoof(seed int64, victimID, legitPackets int) (*SpoofResult, error) {
 
 	// RSS prints for the baseline: victim's print at the 3 AP positions.
 	e, _ := testbed.Building()
-	victimPrint := rssPrint(e, victim.Pos)
+	victimPrint := baseline.FromPowers(testbed.RSSPowers(e, victim.Pos))
 
 	// (b) Attacker from every other client position in the same room set.
 	var aoaHits, rssHits int
@@ -99,7 +98,7 @@ func RunSpoof(seed int64, victimID, legitPackets int) (*SpoofResult, error) {
 		}
 		// RSS baseline against the directional attacker.
 		atk := baseline.DirectionalAttacker{MaxGainDB: 20, ErrorDB: 1}
-		forged, err := atk.ForgePrint(victimPrint, rssPrint(e, c.Pos))
+		forged, err := atk.ForgePrint(victimPrint, baseline.FromPowers(testbed.RSSPowers(e, c.Pos)))
 		if err != nil {
 			return nil, err
 		}
@@ -122,22 +121,6 @@ func RunSpoof(seed int64, victimID, legitPackets int) (*SpoofResult, error) {
 		res.RSSDetectionRate = float64(rssHits) / float64(n)
 	}
 	return res, nil
-}
-
-// rssPrint computes the received power at each AP position from a
-// transmitter: the input to the signalprint baseline.
-func rssPrint(e *env.Environment, tx geom.Point) baseline.Signalprint {
-	apPos := []geom.Point{testbed.AP1, testbed.AP2, testbed.AP3}
-	powers := make([]float64, len(apPos))
-	for i, ap := range apPos {
-		var p float64
-		for _, path := range e.Trace(tx, ap) {
-			g := real(path.Gain)*real(path.Gain) + imag(path.Gain)*imag(path.Gain)
-			p += g
-		}
-		powers[i] = p
-	}
-	return baseline.FromPowers(powers)
 }
 
 // Render prints the spoofing-prevention comparison.

@@ -348,8 +348,8 @@ func (mod *Modulator) BuildPacket(payload []byte, m Modulation) (*Packet, error)
 	for len(bits)%perSym != 0 {
 		bits = append(bits, 0)
 	}
-	samples := mod.Preamble()
 	nsym := len(bits) / perSym
+	samples := append(make([]complex128, 0, (3+nsym)*mod.P.SymbolLen()), mod.Preamble()...)
 	for s := 0; s < nsym; s++ {
 		pts, err := MapBits(bits[s*perSym:(s+1)*perSym], m)
 		if err != nil {

@@ -160,7 +160,7 @@ func TestPrepareReceiveConcurrentUse(t *testing.T) {
 	}
 
 	const m = 8
-	preps := make([]*PreparedReceive, m)
+	preps := make([]PreparedReceive, m)
 	for i := range preps {
 		p, err := fe.PrepareReceive(e, pos, len(baseband))
 		if err != nil {
@@ -171,12 +171,12 @@ func TestPrepareReceiveConcurrentUse(t *testing.T) {
 	done := make(chan error, m)
 	for i := range preps {
 		go func(p *PreparedReceive) {
-			streams, err := fe.ReceivePrepared(p, baseband)
+			streams, err := fe.ReceivePreparedArena(p, baseband, nil)
 			if err == nil && (len(streams) != arr.N() || len(streams[0]) != len(baseband)) {
 				err = errShape
 			}
 			done <- err
-		}(preps[i])
+		}(&preps[i])
 	}
 	for i := 0; i < m; i++ {
 		if err := <-done; err != nil {
@@ -184,10 +184,10 @@ func TestPrepareReceiveConcurrentUse(t *testing.T) {
 		}
 	}
 
-	if _, err := fe.ReceivePrepared(preps[0], baseband[:10]); err == nil {
+	if _, err := fe.ReceivePreparedArena(&preps[0], baseband[:10], nil); err == nil {
 		t.Fatal("length mismatch accepted")
 	}
-	if _, err := fe.ReceivePrepared(preps[0], baseband); err == nil {
+	if _, err := fe.ReceivePreparedArena(&preps[0], baseband, nil); err == nil {
 		t.Fatal("a consumed PreparedReceive was received again")
 	}
 }

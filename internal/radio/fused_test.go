@@ -90,10 +90,11 @@ func TestImpairMatchesSeparatePasses(t *testing.T) {
 					name := fmt.Sprintf("cfo=%g/bits=%d/floor=%g/n=%d", cfo, bits, floor, n)
 					opts := []Option{WithCFO(cfo), WithQuantization(bits), WithNoiseFloor(floor)}
 					fe := NewFrontEnd(testArray(), geom.Point{}, rng.New(5), opts...)
-					clean, err := fe.cleanStreams(e, tx, bb[:n], nil)
+					resp, err := fe.channelResponse(e, tx, n)
 					if err != nil {
 						t.Fatal(err)
 					}
+					clean := fe.synthesize(resp, bb[:n], nil)
 					want := make([][]complex128, len(clean))
 					for a, s := range clean {
 						want[a] = append([]complex128(nil), s...)

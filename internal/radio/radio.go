@@ -192,6 +192,11 @@ func NewFrontEnd(arr *antenna.Array, pos geom.Point, src *rng.Source, opts ...Op
 // applied. The transmit buffer should include lead-in/lead-out padding
 // (see PadPacket) so fractionally-delayed copies stay within the buffer.
 //
+// Receive is PrepareReceive followed by ReceivePreparedArena with a nil
+// arena, so the capture draws its noise from its own fork of the front
+// end's stream: N Receive calls give, bit for bit, the captures one
+// batch of the same N transmissions prepared in the same order gives.
+//
 // The multipath channel is applied in the frequency domain: one forward
 // FFT of the baseband, then per antenna one pass that multiplies by the
 // channel response (cached per transmitter position while the
@@ -201,25 +206,11 @@ func NewFrontEnd(arr *antenna.Array, pos geom.Point, src *rng.Source, opts ...Op
 // result is the same linear combination of fractionally-delayed path
 // copies, just summed before the inverse transform rather than after.
 func (f *FrontEnd) Receive(e *env.Environment, tx geom.Point, baseband []complex128) ([][]complex128, error) {
-	return f.ReceiveArena(e, tx, baseband, nil)
-}
-
-// ReceiveArena is Receive drawing every output and scratch buffer from ar
-// (nil behaves exactly like Receive): the returned streams alias the
-// arena and are valid until its next Reset. The per-packet pipeline holds
-// one arena per worker, making the steady-state receive allocation-free.
-func (f *FrontEnd) ReceiveArena(e *env.Environment, tx geom.Point, baseband []complex128, ar *pool.Arena) ([][]complex128, error) {
-	if len(baseband) == 0 {
-		return nil, errors.New("radio: empty baseband")
-	}
-	out, err := f.cleanStreams(e, tx, baseband, ar)
+	p, err := f.PrepareReceive(e, tx, len(baseband))
 	if err != nil {
 		return nil, err
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.impair(out, f.noise)
-	return out, nil
+	return f.ReceivePreparedArena(&p, baseband, nil)
 }
 
 func arenaComplexUninit(ar *pool.Arena, n int) []complex128 {
@@ -234,29 +225,6 @@ func arenaStreams(ar *pool.Arena, n int) [][]complex128 {
 		return make([][]complex128, n)
 	}
 	return ar.Streams(n)
-}
-
-// cleanStreams returns the pre-impairment per-antenna capture for one
-// transmission: replayed from the clean-capture cache when this exact
-// (transmitter, baseband) pair was synthesised in the current drift
-// epoch, else synthesised through the pow2 frequency-domain channel (and
-// cached for the next retransmission).
-func (f *FrontEnd) cleanStreams(e *env.Environment, tx geom.Point, baseband []complex128, ar *pool.Arena) ([][]complex128, error) {
-	epoch := e.Epoch()
-	key := cleanKey{x: tx.X, y: tx.Y, n: len(baseband), hash: basebandHash(baseband)}
-	f.mu.Lock()
-	ce, ok := f.cleanCache[key]
-	f.mu.Unlock()
-	if ok && ce.epoch == epoch {
-		return f.replayClean(ce, ar), nil
-	}
-	resp, err := f.channelResponse(e, tx, len(baseband))
-	if err != nil {
-		return nil, err
-	}
-	out := f.synthesize(resp, baseband, ar)
-	f.storeClean(key, epoch, out)
-	return out, nil
 }
 
 // replayClean copies a cached clean capture into fresh (arena) buffers so
@@ -308,50 +276,54 @@ func (f *FrontEnd) admitClean(key cleanKey) bool {
 	return false
 }
 
-// PreparedReceive bundles the order-sensitive half of Receive — the
-// channel response for one (transmitter, length) pair and a noise source
-// forked from the front end's stream — so the heavy synthesis can then run
-// on any goroutine. Obtain it with PrepareReceive (serially), consume it
-// with ReceivePrepared (concurrently).
+// forkNoise draws one capture's private noise stream from the front
+// end's stream, advancing it by one draw.
+func (f *FrontEnd) forkNoise() *rng.Source {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.noise.Fork()
+}
+
+// PreparedReceive is the order-sensitive half of one capture — the
+// channel response for one (transmitter, length) pair and a noise stream
+// forked from the front end's — so the heavy synthesis can then run on
+// any goroutine. Obtain it with PrepareReceive, consume it once with
+// ReceivePreparedArena.
 type PreparedReceive struct {
 	resp  *chanResponse
 	noise *rng.Source
 	n     int
 	tx    geom.Point
-	epoch uint64
 }
 
 // PrepareReceive resolves the channel for a transmission of n samples from
-// tx and forks a private noise stream for it. Calls must not overlap with
-// each other or with Receive on the same front end's noise determinism
-// boundary; in return, the ReceivePrepared calls that consume the results
-// are safe to run concurrently. Each result is consumed once: the
-// receive hands its noise stream back for the next PrepareReceive's fork
-// to reseed.
-func (f *FrontEnd) PrepareReceive(e *env.Environment, tx geom.Point, n int) (*PreparedReceive, error) {
+// tx and forks a private noise stream for it. Captures are deterministic
+// in the order their PrepareReceive calls run: callers that need a fixed
+// set of noise realisations (a batch, a stream, a sweep) prepare serially
+// in item order, and the ReceivePreparedArena calls that consume the
+// results may then run concurrently in any order. With the channel
+// cached and a released noise state pooled it allocates nothing.
+func (f *FrontEnd) PrepareReceive(e *env.Environment, tx geom.Point, n int) (PreparedReceive, error) {
 	if n <= 0 {
-		return nil, errors.New("radio: empty baseband")
+		return PreparedReceive{}, errors.New("radio: empty baseband")
 	}
 	resp, err := f.channelResponse(e, tx, n)
 	if err != nil {
-		return nil, err
+		return PreparedReceive{}, err
 	}
-	f.mu.Lock()
-	src := f.noise.Fork()
-	f.mu.Unlock()
-	return &PreparedReceive{resp: resp, noise: src, n: n, tx: tx, epoch: resp.epoch}, nil
+	return PreparedReceive{resp: resp, noise: f.forkNoise(), n: n, tx: tx}, nil
 }
 
-// ReceivePrepared synthesises the per-antenna streams for one prepared
-// transmission. Safe for concurrent use across distinct PreparedReceive
-// values; a second call on one value returns an error.
-func (f *FrontEnd) ReceivePrepared(p *PreparedReceive, baseband []complex128) ([][]complex128, error) {
-	return f.ReceivePreparedArena(p, baseband, nil)
-}
-
-// ReceivePreparedArena is ReceivePrepared drawing output buffers from ar
-// (nil allocates); see ReceiveArena for the aliasing contract. Distinct
-// PreparedReceive values with distinct arenas are safe concurrently.
+// ReceivePreparedArena synthesises the per-antenna streams for one
+// prepared transmission, drawing every output and scratch buffer from ar
+// (nil allocates): the returned streams alias the arena and are valid
+// until its next Reset. The clean (pre-impairment) capture is replayed
+// from the clean-capture cache when this exact (transmitter, baseband)
+// pair was synthesised in the same drift epoch; the replay impairs to
+// the same capture a fresh synthesis would. Distinct PreparedReceive
+// values with distinct arenas are safe concurrently; a second call on
+// one value returns an error, since the receive hands its noise stream
+// back for a later fork to reseed.
 func (f *FrontEnd) ReceivePreparedArena(p *PreparedReceive, baseband []complex128, ar *pool.Arena) ([][]complex128, error) {
 	if len(baseband) != p.n {
 		return nil, errors.New("radio: baseband length differs from prepared length")
@@ -359,16 +331,17 @@ func (f *FrontEnd) ReceivePreparedArena(p *PreparedReceive, baseband []complex12
 	if p.noise == nil {
 		return nil, errors.New("radio: prepared receive already consumed")
 	}
+	epoch := p.resp.epoch
 	key := cleanKey{x: p.tx.X, y: p.tx.Y, n: p.n, hash: basebandHash(baseband)}
 	f.mu.Lock()
 	ce, ok := f.cleanCache[key]
 	f.mu.Unlock()
 	var out [][]complex128
-	if ok && ce.epoch == p.epoch {
+	if ok && ce.epoch == epoch {
 		out = f.replayClean(ce, ar)
 	} else {
 		out = f.synthesize(p.resp, baseband, ar)
-		f.storeClean(key, p.epoch, out)
+		f.storeClean(key, epoch, out)
 	}
 	f.impair(out, p.noise)
 	p.noise.Release()
@@ -547,8 +520,9 @@ type Transmission struct {
 // interference scenario section 3 of the paper worries about ("background
 // noise and interference from other senders"). The capture window spans
 // the longest transmission; each transmitter's signal propagates through
-// its own multipath channel and the superposition arrives at every
-// antenna.
+// its own multipath channel (synthesised as Receive synthesises one), the
+// superposition arrives at every antenna, and the impairments apply once,
+// with noise from a fork of the front end's stream.
 func (f *FrontEnd) ReceiveMulti(e *env.Environment, txs []Transmission) ([][]complex128, error) {
 	if len(txs) == 0 {
 		return nil, errors.New("radio: no transmissions")
@@ -565,43 +539,35 @@ func (f *FrontEnd) ReceiveMulti(e *env.Environment, txs []Transmission) ([][]com
 			winLen = n
 		}
 	}
-	n := f.Array.N()
-	out := make([][]complex128, n)
-	for a := 0; a < n; a++ {
+	out := make([][]complex128, f.Array.N())
+	for a := range out {
 		out[a] = make([]complex128, winLen)
 	}
 
 	heard := false
 	for _, tx := range txs {
-		paths := e.Trace(tx.Pos, f.Pos)
-		if len(paths) == 0 {
+		resp, err := f.channelResponse(e, tx.Pos, len(tx.Baseband))
+		if err != nil {
 			continue // this transmitter is fully blocked
 		}
 		heard = true
-		amp := complex(math.Sqrt(math.Max(tx.Power, 0)), 0)
+		amp := math.Sqrt(math.Max(tx.Power, 0))
 		if tx.Power == 0 {
 			amp = 1
 		}
-		for _, p := range paths {
-			delayed := dsp.FractionalDelay(tx.Baseband, p.Delay, f.SampleRate)
-			dsp.Scale(delayed, p.Gain*amp)
-			steer := f.Array.Steering(p.BearingDeg)
-			for a := 0; a < n; a++ {
-				s := steer[a]
-				dst := out[a][tx.SampleOffset:]
-				for i, v := range delayed {
-					dst[i] += v * s
-				}
+		for a, s := range f.synthesize(resp, tx.Baseband, nil) {
+			dst := out[a][tx.SampleOffset:]
+			for i, v := range s {
+				dst[i] += complex(real(v)*amp, imag(v)*amp)
 			}
 		}
 	}
 	if !heard {
 		return nil, fmt.Errorf("%w (all transmitters)", ErrBlocked)
 	}
-
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.impair(out, f.noise)
+	src := f.forkNoise()
+	f.impair(out, src)
+	src.Release()
 	return out, nil
 }
 

@@ -262,11 +262,11 @@ func TestFullyBlockedClient(t *testing.T) {
 // sends the same baseband every iteration, so after its first two calls
 // it replays the clean-capture cache and prices impairment alone. "unique"
 // perturbs one lead-in sample per iteration, so every call misses that
-// cache and synthesises the channel, drawing its buffers from an arena
-// as a live AP does. "prepared" is the batch path at the end-to-end
+// cache and synthesises the channel through PrepareReceive (noise fork
+// included) and ReceivePreparedArena, drawing its buffers from an arena
+// as a live AP does. "prepared" is the same path at the end-to-end
 // workload's frame size — a 64-byte payload padded to 1480 samples, so
-// m = 2048 — running PrepareReceive (noise fork included) and
-// ReceivePreparedArena on a frame never seen before.
+// m = 2048 — under an absolute noise floor.
 func BenchmarkReceive8Antennas(b *testing.B) {
 	arr := antenna.NewUCA(8, 0.047, antenna.DefaultCarrierHz)
 	e := freeSpace()
@@ -291,7 +291,11 @@ func BenchmarkReceive8Antennas(b *testing.B) {
 		receive := func(i int) {
 			ar.Reset()
 			bb[0] = complex(float64(i+1)*1e-9, 0) // a new frame: misses the clean-capture cache
-			if _, err := fe.ReceiveArena(e, tx, bb, ar); err != nil {
+			p, err := fe.PrepareReceive(e, tx, len(bb))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := fe.ReceivePreparedArena(&p, bb, ar); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -319,7 +323,7 @@ func BenchmarkReceive8Antennas(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := fe.ReceivePreparedArena(p, bb, ar); err != nil {
+			if _, err := fe.ReceivePreparedArena(&p, bb, ar); err != nil {
 				b.Fatal(err)
 			}
 		}

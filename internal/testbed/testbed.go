@@ -156,6 +156,20 @@ func LinearArray() *antenna.Array {
 	return antenna.NewHalfWaveULA(8, antenna.DefaultCarrierHz)
 }
 
+// RSSPowers returns the linear received power of a transmitter at tx at
+// each of AP1, AP2 and AP3 — the sum of its path-gain powers — the input
+// of the RSS signalprint baseline (baseline.FromPowers).
+func RSSPowers(e *env.Environment, tx geom.Point) []float64 {
+	aps := []geom.Point{AP1, AP2, AP3}
+	powers := make([]float64, len(aps))
+	for i, ap := range aps {
+		for _, path := range e.Trace(tx, ap) {
+			powers[i] += real(path.Gain)*real(path.Gain) + imag(path.Gain)*imag(path.Gain)
+		}
+	}
+	return powers
+}
+
 // NewAPFrontEnd builds a calibratable front end at pos with testbed noise
 // settings.
 func NewAPFrontEnd(arr *antenna.Array, pos geom.Point, src *rng.Source) *radio.FrontEnd {

@@ -6,8 +6,9 @@
 # exceeds its hard allocs/op budget (see the budget table below). The
 # per-packet pipeline runs 100 iterations (~300 us/op), as do the
 # uncached 8-antenna receives (~300 and ~500 us/op, the channel-synthesis
-# rows); the AWGN of one 8x1480 capture runs 500 (~150 us/op); the
-# 2048-point FFT runs 2000 (~25 us/op); the sub-microsecond hot
+# rows) and a 16-frame Stream batch (~4 ms/op; only its alloc budget
+# gates, and 100 batches amortise its warm-up allocations); the AWGN of
+# one 8x1480 capture runs 500 (~150 us/op); the 2048-point FFT runs 2000 (~25 us/op); the sub-microsecond hot
 # paths get enough iterations to measure >= 10 ms of real work, or
 # warmup noise would dominate. Fixed counts are noisy, but a 2x bar is far above CI
 # jitter, so this catches real cliffs — an accidental O(n^2), a lost
@@ -40,6 +41,8 @@ go test -run '^$' -benchmem -benchtime 100x \
     -bench 'BenchmarkPipelinePerPacket$' . | tee -a "$tmp"
 go test -run '^$' -benchmem -benchtime 100x \
     -bench 'BenchmarkReceive8Antennas$/^(unique|prepared)$' ./internal/radio | tee -a "$tmp"
+go test -run '^$' -benchmem -benchtime 100x \
+    -bench 'BenchmarkStreamIngest$/^batch=16$/^stream$' . | tee -a "$tmp"
 go test -run '^$' -benchmem -benchtime 500x \
     -bench 'BenchmarkAddAWGN8x1480$' ./internal/rng | tee -a "$tmp"
 go test -run '^$' -benchmem -benchtime 2000x \
@@ -94,7 +97,8 @@ BEGIN {
     budget["BenchmarkTraceSpan"] = 0  # hard zero: the span record sits on every packet
     budget["BenchmarkWriteMessage"] = 0  # hard zero: every frame on the wire is framed here
     budget["BenchmarkReceive8Antennas/unique"] = 0  # hard zero: channel synthesis runs on arena buffers
-    budget["BenchmarkReceive8Antennas/prepared"] = 1  # 1 measured: the PreparedReceive; the noise fork is pooled
+    budget["BenchmarkReceive8Antennas/prepared"] = 0  # hard zero: PreparedReceive is a value; the noise fork is pooled
+    budget["BenchmarkStreamIngest/batch=16/stream"] = 160  # ~100 measured (16 reports); 263 when workers synthesised without an arena
     budget["BenchmarkAddAWGN8x1480"] = 0  # hard zero: normals drawn into a stack buffer
     budget["BenchmarkFFTInPlace2048"] = 0  # hard zero: cached tables, in place
 }
