@@ -354,7 +354,7 @@ func TestShardedRegistryMatchesSingleMutex(t *testing.T) {
 		}
 		if step%50 == 0 {
 			probe := randomSig()
-			got, err := rankByDistance(sharded.snapshot(), probe)
+			got, err := sharded.rank(probe)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -430,6 +430,14 @@ func TestShardedRegistryConcurrent(t *testing.T) {
 					enrolls[i%16]++
 					mu.Unlock()
 				}
+				if i%50 == 49 {
+					// Identify reads trackers in place while other
+					// goroutines update them.
+					if _, err := reg.rank(sigs[g]); err != nil {
+						t.Errorf("rank: %v", err)
+						return
+					}
+				}
 			}
 		}(g)
 	}
@@ -439,7 +447,7 @@ func TestShardedRegistryConcurrent(t *testing.T) {
 			t.Fatalf("MAC %d enrolled %d times", mac, n)
 		}
 	}
-	if _, err := rankByDistance(reg.snapshot(), sigs[0]); err != nil {
+	if _, err := reg.rank(sigs[0]); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -619,6 +619,10 @@ func (ap *AP) spoofCheck(rep *Report, mac wifi.Addr) (*FrameReport, error) {
 }
 
 // Enroll registers (or replaces) a certified signature for a MAC address.
+// The registry keeps sig by reference and copies its spectrum only when
+// an accepted observation first updates it, so one signature enrolled
+// under many addresses is stored once. The caller must not modify sig
+// afterwards.
 func (ap *AP) Enroll(mac wifi.Addr, sig *signature.Signature) {
 	ap.registry.enroll(mac, sig, ap.cfg.Policy)
 }
@@ -628,7 +632,9 @@ func (ap *AP) Known(mac wifi.Addr) bool {
 	return ap.registry.known(mac)
 }
 
-// StoredSignature returns the current certified signature for a MAC.
+// StoredSignature returns the current certified signature for a MAC: a
+// fresh spectrum the caller may keep. Its AnglesDeg is the AP's own
+// steering grid, not a copy; the caller must not write it.
 func (ap *AP) StoredSignature(mac wifi.Addr) (*signature.Signature, bool) {
 	return ap.registry.stored(mac)
 }
@@ -639,5 +645,5 @@ func (ap *AP) StoredSignature(mac wifi.Addr) (*signature.Signature, bool) {
 // known client the transmitter's physical signature actually resembles
 // (often the attacker's own enrolled station).
 func (ap *AP) Identify(obs *signature.Signature) ([]Identification, error) {
-	return rankByDistance(ap.registry.snapshot(), obs)
+	return ap.registry.rank(obs)
 }

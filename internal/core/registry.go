@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"bytes"
+	"slices"
 	"sync"
 
 	"secureangle/internal/signature"
@@ -60,7 +61,8 @@ func (r *shardedRegistry) observe(mac wifi.Addr, sig *signature.Signature, polic
 	return v, false, err
 }
 
-// enroll registers (or replaces) a certified signature.
+// enroll registers (or replaces) a certified signature, keeping sig by
+// reference (see signature.NewTracker).
 func (r *shardedRegistry) enroll(mac wifi.Addr, sig *signature.Signature, policy signature.MatchPolicy) {
 	s := r.shardFor(mac)
 	s.mu.Lock()
@@ -89,21 +91,38 @@ func (r *shardedRegistry) stored(mac wifi.Addr) (*signature.Signature, bool) {
 	return tr.Stored(), true
 }
 
-// snapshot returns every enrolled (MAC, certified signature) pair. Each
-// shard is locked in turn, so the result is a consistent view per shard
-// but not across shards — the same guarantee registry iteration under one
+// rank scores every enrolled MAC's certified signature against obs,
+// each under its shard lock and without copying the signature, and
+// returns the candidates ascending by distance (ties by MAC). Each shard
+// is locked in turn, so the result is a consistent view per shard but
+// not across shards — the same guarantee registry iteration under one
 // mutex gave callers that interleave with concurrent enrolls.
-func (r *shardedRegistry) snapshot() []Identification {
+func (r *shardedRegistry) rank(obs *signature.Signature) ([]Identification, error) {
 	var out []Identification
 	for i := range r.shards {
 		s := &r.shards[i]
 		s.mu.Lock()
 		for mac, tr := range s.m {
-			out = append(out, Identification{MAC: mac, sig: tr.Stored()})
+			d, err := tr.Distance(obs)
+			if err != nil {
+				s.mu.Unlock()
+				return nil, err
+			}
+			out = append(out, Identification{MAC: mac, Distance: d})
 		}
 		s.mu.Unlock()
 	}
-	return out
+	// A MAC's colon-hex String orders as its bytes do.
+	slices.SortFunc(out, func(a, b Identification) int {
+		if a.Distance != b.Distance {
+			if a.Distance < b.Distance {
+				return -1
+			}
+			return 1
+		}
+		return bytes.Compare(a.MAC[:], b.MAC[:])
+	})
+	return out, nil
 }
 
 // Identification is one ranked registry candidate for an observed
@@ -111,25 +130,4 @@ func (r *shardedRegistry) snapshot() []Identification {
 type Identification struct {
 	MAC      wifi.Addr
 	Distance float64
-
-	sig *signature.Signature
-}
-
-// rankByDistance scores every candidate against obs and sorts ascending.
-func rankByDistance(cands []Identification, obs *signature.Signature) ([]Identification, error) {
-	for i := range cands {
-		d, err := signature.Distance(cands[i].sig, obs)
-		if err != nil {
-			return nil, err
-		}
-		cands[i].Distance = d
-		cands[i].sig = nil
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].Distance != cands[j].Distance {
-			return cands[i].Distance < cands[j].Distance
-		}
-		return cands[i].MAC.String() < cands[j].MAC.String()
-	})
-	return cands, nil
 }

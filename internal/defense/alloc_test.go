@@ -47,3 +47,19 @@ func TestReportPathAllocs(t *testing.T) {
 		t.Errorf("steady-state report path: %.1f allocs, want 0", best)
 	}
 }
+
+// TestSweepAllocs pins a sweep with no transition due at zero
+// allocations: each shard gathers and sorts its MACs in a reused buffer.
+func TestSweepAllocs(t *testing.T) {
+	e, now := sweepEngine(t, 450)
+	e.Sweep(now)
+	if got := e.Stats().Quarantines; got != 450 {
+		t.Fatalf("quarantines = %d, want 450", got)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { e.Sweep(now) }); allocs != 0 {
+		t.Errorf("sweep: %v allocs, want 0", allocs)
+	}
+	if got := e.Stats().Releases; got != 0 {
+		t.Errorf("steady sweeps released %d clients", got)
+	}
+}

@@ -62,3 +62,35 @@ func BenchmarkDefenseDirectiveParallel(b *testing.B) {
 		}
 	})
 }
+
+// sweepEngine is an engine on a frozen clock holding n quarantined
+// clients that a sweep at that instant leaves in place: the steady state
+// of the 50 ms ticker between transitions.
+func sweepEngine(tb testing.TB, n int) (*Engine, time.Time) {
+	now := time.Unix(1_700_000_000, 0)
+	e := MustNew(Config{
+		TickInterval: time.Hour, // Sweep is driven by hand
+		Emit:         func(Directive) {},
+		Clock:        func() time.Time { return now },
+	})
+	tb.Cleanup(e.Close)
+	for i := 0; i < n; i++ {
+		e.ReportSpoof(SpoofVerdict{
+			AP: "ap1", MAC: wifi.Addr{0x02, 0, 0, 0, byte(i >> 8), byte(i)}, Flagged: true,
+			Distance: 0.5, Threshold: 0.12,
+		})
+	}
+	return e, now
+}
+
+// BenchmarkDefenseSweep measures one ticker sweep over 450 live threats
+// with no transition due: every shard's MACs gathered and sorted.
+func BenchmarkDefenseSweep(b *testing.B) {
+	e, now := sweepEngine(b, 450)
+	e.Sweep(now)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Sweep(now)
+	}
+}

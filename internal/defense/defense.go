@@ -40,7 +40,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -812,13 +812,12 @@ func (e *Engine) Sweep(now time.Time) {
 		// which of two same-tick transitions emits its directive first,
 		// and replay (internal/journal) requires the sequence to be
 		// deterministic.
-		macs := make([]wifi.Addr, 0, len(s.threats))
+		macs := s.sweepMACs[:0]
 		for mac := range s.threats {
 			macs = append(macs, mac)
 		}
-		sort.Slice(macs, func(i, j int) bool {
-			return bytes.Compare(macs[i][:], macs[j][:]) < 0
-		})
+		slices.SortFunc(macs, func(a, b wifi.Addr) int { return bytes.Compare(a[:], b[:]) })
+		s.sweepMACs = macs
 		for _, mac := range macs {
 			th := s.threats[mac]
 			th.decayTo(now, p.HalfLife)
@@ -936,6 +935,10 @@ type dshard struct {
 	emitMu sync.Mutex
 	// Intrusive LRU over threats; head = most recently updated.
 	lruHead, lruTail *threat
+	// sweepMACs is Sweep's reused buffer of the shard's MACs (under mu).
+	// It keeps the shard's peak threat count as capacity, which the
+	// maxClients cap bounds: at most maxClients MACs, 6 bytes each.
+	sweepMACs []wifi.Addr
 }
 
 // unlockAndEmit releases the state lock and emits ds under the shard's

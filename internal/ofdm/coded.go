@@ -24,7 +24,7 @@ func (mod *Modulator) BuildCodedPacket(payload []byte, m Modulation) (*Packet, e
 	wifi.NewScrambler(scramblerSeed).Apply(bits)
 	coded := fec.Encode(bits)
 
-	ncbps := len(mod.P.DataCarriers()) * m.BitsPerSymbol()
+	ncbps := len(mod.lay.data) * m.BitsPerSymbol()
 	for len(coded)%ncbps != 0 {
 		coded = append(coded, 0)
 	}
@@ -32,7 +32,6 @@ func (mod *Modulator) BuildCodedPacket(payload []byte, m Modulation) (*Packet, e
 	if err != nil {
 		return nil, err
 	}
-	samples := mod.Preamble()
 	nsym := len(coded) / ncbps
 	txBits := make([]byte, 0, len(coded))
 	for s := 0; s < nsym; s++ {
@@ -41,17 +40,8 @@ func (mod *Modulator) BuildCodedPacket(payload []byte, m Modulation) (*Packet, e
 			return nil, err
 		}
 		txBits = append(txBits, symBits...)
-		pts, err := MapBits(symBits, m)
-		if err != nil {
-			return nil, err
-		}
-		sym, err := mod.ModulateSymbol(pts)
-		if err != nil {
-			return nil, err
-		}
-		samples = append(samples, sym...)
 	}
-	return &Packet{Samples: samples, NSymbols: nsym, Mod: m, PayloadBits: txBits}, nil
+	return &Packet{Samples: mod.modulate(txBits, m), NSymbols: nsym, Mod: m, PayloadBits: txBits}, nil
 }
 
 // ErrCodedLength reports a coded payload whose length cannot be decoded.

@@ -175,10 +175,18 @@ func MapBits(bits []byte, m Modulation) ([]complex128, error) {
 	if len(bits)%bps != 0 {
 		return nil, fmt.Errorf("ofdm: %d bits not divisible by %d", len(bits), bps)
 	}
+	out := make([]complex128, len(bits)/bps)
+	mapInto(out, bits, m)
+	return out, nil
+}
+
+// mapInto maps bits onto len(dst) constellation points, BitsPerSymbol
+// bits each.
+func mapInto(dst []complex128, bits []byte, m Modulation) {
+	bps := m.BitsPerSymbol()
 	norm := normFactor(m)
-	out := make([]complex128, 0, len(bits)/bps)
-	for i := 0; i < len(bits); i += bps {
-		chunk := bits[i : i+bps]
+	for j := range dst {
+		chunk := bits[j*bps : (j+1)*bps]
 		var re, im float64
 		switch m {
 		case BPSK:
@@ -189,9 +197,8 @@ func MapBits(bits []byte, m Modulation) ([]complex128, error) {
 			re = mapPAM(chunk[:half])
 			im = mapPAM(chunk[half:])
 		}
-		out = append(out, complex(re/norm, im/norm))
+		dst[j] = complex(re/norm, im/norm)
 	}
-	return out, nil
 }
 
 // DemapSymbols hard-decides constellation points back to bits.
@@ -215,14 +222,16 @@ func DemapSymbols(syms []complex128, m Modulation) []byte {
 }
 
 // BytesToBits expands bytes to one-bit-per-byte (MSB first).
-func BytesToBits(b []byte) []byte {
-	out := make([]byte, 0, len(b)*8)
+func BytesToBits(b []byte) []byte { return appendBits(make([]byte, 0, len(b)*8), b) }
+
+// appendBits appends b to dst one bit per byte, MSB first.
+func appendBits(dst, b []byte) []byte {
 	for _, v := range b {
 		for i := 7; i >= 0; i-- {
-			out = append(out, (v>>uint(i))&1)
+			dst = append(dst, (v>>uint(i))&1)
 		}
 	}
-	return out
+	return dst
 }
 
 // BitsToBytes packs bits (MSB first) into bytes; len(bits) must be a
@@ -241,13 +250,40 @@ func BitsToBytes(bits []byte) ([]byte, error) {
 	return out, nil
 }
 
-// Modulator builds OFDM waveforms.
+// Modulator builds OFDM waveforms. Make one with NewModulator and do
+// not change P afterwards: the modulator resolves P's layout once.
 type Modulator struct {
 	P Params
+	// lay is P's layout, resolved by NewModulator.
+	lay *layout
 }
 
-// NewModulator returns a modulator with the given numerology.
-func NewModulator(p Params) *Modulator { return &Modulator{P: p} }
+// layout is what every packet of one numerology shares: the preamble
+// and the data and pilot carrier bins.
+type layout struct {
+	preamble     []complex128
+	data, pilots []int
+}
+
+// NewModulator returns a modulator with the given numerology, its
+// preamble and carrier lists resolved once for every packet it builds.
+func NewModulator(p Params) *Modulator {
+	mod := &Modulator{P: p}
+	mod.lay = mod.resolve()
+	return mod
+}
+
+// resolve builds P's layout: two short-training OFDM symbols (each 80
+// samples with CP, halves identical within the 64-sample core) followed
+// by one long-training symbol, and the carrier bins.
+func (mod *Modulator) resolve() *layout {
+	symLen := mod.P.SymbolLen()
+	pre := make([]complex128, 3*symLen)
+	mod.symbolFromFreq(pre[:symLen], mod.shortTrainingFreq())
+	copy(pre[symLen:], pre[:symLen])
+	mod.symbolFromFreq(pre[2*symLen:], mod.longTrainingFreq())
+	return &layout{preamble: pre, data: mod.P.DataCarriers(), pilots: mod.P.PilotCarriers()}
+}
 
 // shortTrainingFreq puts QPSK energy on every 4th subcarrier (802.11a STF
 // layout), making the 64-sample time symbol consist of four identical
@@ -285,50 +321,59 @@ func (mod *Modulator) longTrainingFreq() []complex128 {
 	return f
 }
 
-// Preamble returns the packet preamble: two short-training OFDM symbols
-// (each 80 samples with CP, halves identical within the 64-sample core)
-// followed by one long-training symbol. Total 240 samples.
+// Preamble returns (a copy of) the packet preamble: two short-training
+// OFDM symbols (each 80 samples with CP, halves identical within the
+// 64-sample core) followed by one long-training symbol. Total 240
+// samples.
 func (mod *Modulator) Preamble() []complex128 {
-	stf := mod.symbolFromFreq(mod.shortTrainingFreq())
-	ltf := mod.symbolFromFreq(mod.longTrainingFreq())
-	out := make([]complex128, 0, 2*len(stf)+len(ltf))
-	out = append(out, stf...)
-	out = append(out, stf...)
-	out = append(out, ltf...)
-	return out
+	return append([]complex128(nil), mod.lay.preamble...)
 }
 
 // LongTrainingRef returns the frequency-domain LTF reference for channel
 // estimation.
 func (mod *Modulator) LongTrainingRef() []complex128 { return mod.longTrainingFreq() }
 
-// symbolFromFreq converts one frequency-domain symbol to time domain and
-// prepends the cyclic prefix.
-func (mod *Modulator) symbolFromFreq(f []complex128) []complex128 {
-	t := dsp.IFFT(f)
+// symbolFromFreq writes the time-domain form of the frequency-domain
+// symbol f, cyclic prefix first, into dst (SymbolLen samples).
+func (mod *Modulator) symbolFromFreq(dst, f []complex128) {
+	copy(dst[mod.P.CP:], f)
+	mod.timeDomain(dst)
+}
+
+// timeDomain turns the frequency-domain symbol held in dst[CP:] into
+// time domain in place and fills the cyclic prefix dst[:CP] from its
+// tail.
+func (mod *Modulator) timeDomain(dst []complex128) {
+	t := dst[mod.P.CP:]
+	dsp.IFFTInPlace(t)
 	// Scale so symbol power is independent of FFT size convention.
 	dsp.Scale(t, complex(math.Sqrt(float64(mod.P.NFFT)), 0))
-	out := make([]complex128, 0, mod.P.CP+mod.P.NFFT)
-	out = append(out, t[mod.P.NFFT-mod.P.CP:]...)
-	out = append(out, t...)
-	return out
+	copy(dst[:mod.P.CP], t[mod.P.NFFT-mod.P.CP:])
+}
+
+// dataSymbol writes the data OFDM symbol carrying pts (one point per
+// data carrier) into dst (SymbolLen samples, zero on entry): the points
+// and the pilots on their carriers, then the time-domain transform.
+func (mod *Modulator) dataSymbol(dst, pts []complex128) {
+	f := dst[mod.P.CP:]
+	for i, k := range mod.lay.data {
+		f[k] = pts[i]
+	}
+	for i, k := range mod.lay.pilots {
+		f[k] = pilotValues[i]
+	}
+	mod.timeDomain(dst)
 }
 
 // ModulateSymbol builds one data OFDM symbol from exactly
 // len(DataCarriers()) constellation points.
 func (mod *Modulator) ModulateSymbol(data []complex128) ([]complex128, error) {
-	dc := mod.P.DataCarriers()
-	if len(data) != len(dc) {
-		return nil, fmt.Errorf("ofdm: symbol needs %d points, got %d", len(dc), len(data))
+	if len(data) != len(mod.lay.data) {
+		return nil, fmt.Errorf("ofdm: symbol needs %d points, got %d", len(mod.lay.data), len(data))
 	}
-	f := make([]complex128, mod.P.NFFT)
-	for i, k := range dc {
-		f[k] = data[i]
-	}
-	for i, k := range mod.P.PilotCarriers() {
-		f[k] = pilotValues[i]
-	}
-	return mod.symbolFromFreq(f), nil
+	out := make([]complex128, mod.P.SymbolLen())
+	mod.dataSymbol(out, data)
+	return out, nil
 }
 
 // Packet is a fully-built OFDM packet.
@@ -343,25 +388,29 @@ type Packet struct {
 // BuildPacket maps payload bytes onto OFDM data symbols (zero-padding the
 // final symbol) and concatenates preamble + data symbols.
 func (mod *Modulator) BuildPacket(payload []byte, m Modulation) (*Packet, error) {
-	bits := BytesToBits(payload)
-	perSym := len(mod.P.DataCarriers()) * m.BitsPerSymbol()
-	for len(bits)%perSym != 0 {
-		bits = append(bits, 0)
-	}
+	perSym := len(mod.lay.data) * m.BitsPerSymbol()
+	nsym := (8*len(payload) + perSym - 1) / perSym
+	// The padding bits are the zeros past the payload's.
+	bits := appendBits(make([]byte, 0, nsym*perSym), payload)[:nsym*perSym]
+	return &Packet{Samples: mod.modulate(bits, m), NSymbols: nsym, Mod: m, PayloadBits: bits}, nil
+}
+
+// modulate returns a packet's samples: the preamble, then one data
+// symbol per len(lay.data)*BitsPerSymbol bits of bits (a whole number
+// of symbols), each modulated in place in the packet's own slice.
+func (mod *Modulator) modulate(bits []byte, m Modulation) []complex128 {
+	lay := mod.lay
+	symLen := mod.P.SymbolLen()
+	perSym := len(lay.data) * m.BitsPerSymbol()
 	nsym := len(bits) / perSym
-	samples := append(make([]complex128, 0, (3+nsym)*mod.P.SymbolLen()), mod.Preamble()...)
+	samples := make([]complex128, len(lay.preamble)+nsym*symLen)
+	copy(samples, lay.preamble)
+	pts := make([]complex128, len(lay.data))
 	for s := 0; s < nsym; s++ {
-		pts, err := MapBits(bits[s*perSym:(s+1)*perSym], m)
-		if err != nil {
-			return nil, err
-		}
-		sym, err := mod.ModulateSymbol(pts)
-		if err != nil {
-			return nil, err
-		}
-		samples = append(samples, sym...)
+		mapInto(pts, bits[s*perSym:(s+1)*perSym], m)
+		mod.dataSymbol(samples[len(lay.preamble)+s*symLen:][:symLen], pts)
 	}
-	return &Packet{Samples: samples, NSymbols: nsym, Mod: m, PayloadBits: bits}, nil
+	return samples
 }
 
 // Demodulator recovers bits from a received packet (single antenna).

@@ -17,6 +17,13 @@ import (
 // Signature is an AoA signature: the normalised pseudospectrum of a client
 // as seen by one AP. The combined direct-path and reflection-path AoAs
 // form the unique signature for each client (section 1).
+//
+// A Signature is a value: nothing changes it once its constructor
+// (FromPseudospectrum, Unmarshal) returns, except a Tracker's private
+// copy, which no caller ever sees. Clones, trackers and AP
+// registries hold signatures by reference and share what they never
+// write, so a caller must not modify P or AnglesDeg of a signature it
+// has handed on.
 type Signature struct {
 	// AnglesDeg is the bearing grid; all signatures compared against each
 	// other must share it.
@@ -54,10 +61,12 @@ func (s *Signature) normalize() {
 	}
 }
 
-// Clone returns a deep copy.
+// Clone returns a copy with its own P. AnglesDeg is shared with s, as
+// FromPseudospectrum shares it with the pseudospectrum: no signature
+// ever writes its grid, and a caller must not write the clone's.
 func (s *Signature) Clone() *Signature {
 	return &Signature{
-		AnglesDeg: append([]float64(nil), s.AnglesDeg...),
+		AnglesDeg: s.AnglesDeg,
 		P:         append([]float64(nil), s.P...),
 	}
 }
@@ -189,21 +198,37 @@ type Tracker struct {
 	// Alpha is the EWMA weight of a new accepted observation.
 	Alpha float64
 
+	// stored is the certified signature. Until the first accepted
+	// update it is the enrollment signature itself, shared by reference
+	// (copy-on-write); owned reports that the tracker has copied it and
+	// may update it in place.
 	stored *Signature
+	owned  bool
 	// consecutive flags, for diagnostics/hysteresis by callers
 	flagRun int
 }
 
-// NewTracker starts a tracker from the training-stage signature.
+// NewTracker starts a tracker from the training-stage signature. It keeps
+// initial by reference and copies its spectrum only on the first
+// accepted update, so any number of trackers enrolled from one signature
+// share it until they drift apart. The caller must not modify initial
+// afterwards (see Signature).
 func NewTracker(initial *Signature, policy MatchPolicy, alpha float64) *Tracker {
 	if alpha <= 0 || alpha > 1 {
 		alpha = 0.25
 	}
-	return &Tracker{Policy: policy, Alpha: alpha, stored: initial.Clone()}
+	return &Tracker{Policy: policy, Alpha: alpha, stored: initial}
 }
 
-// Stored returns (a copy of) the current certified signature.
+// Stored returns the current certified signature: a fresh P the caller
+// may keep and modify. AnglesDeg is not copied: it is the tracker's own
+// bearing grid (an AP's steering grid), shared by every signature on
+// it, and the caller must not write it.
 func (t *Tracker) Stored() *Signature { return t.stored.Clone() }
+
+// Distance returns the cosine distance of obs to the certified
+// signature without copying it (the tracker is not updated).
+func (t *Tracker) Distance(obs *Signature) (float64, error) { return Distance(t.stored, obs) }
 
 // FlagRun returns the current count of consecutive flagged observations.
 func (t *Tracker) FlagRun() int { return t.flagRun }
@@ -234,6 +259,9 @@ func (t *Tracker) ObserveVerdict(obs *Signature) (Verdict, error) {
 		return v, nil
 	}
 	t.flagRun = 0
+	if !t.owned {
+		t.stored, t.owned = t.stored.Clone(), true
+	}
 	for i := range t.stored.P {
 		t.stored.P[i] = (1-t.Alpha)*t.stored.P[i] + t.Alpha*obs.P[i]
 	}

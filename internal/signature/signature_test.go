@@ -299,3 +299,67 @@ func TestDefenseVerdictGridMismatchFlags(t *testing.T) {
 		t.Fatalf("grid mismatch verdict = %+v, err %v", v, err)
 	}
 }
+
+// TestTrackerCopyOnWrite pins the by-reference contract: two trackers
+// enrolled from one signature share it until an accepted update, which
+// copies P into the updating tracker alone; a flagged observation copies
+// nothing. The updated profile is the EWMA the tracker always computed,
+// bit for bit.
+func TestTrackerCopyOnWrite(t *testing.T) {
+	g := grid360()
+	src := FromPseudospectrum(gauss(g, []float64{100, 160}, []float64{4, 6}, []float64{1, 0.3}))
+	want := append([]float64(nil), src.P...)
+	a := NewTracker(src, DefaultPolicy(), 0.3)
+	b := NewTracker(src, DefaultPolicy(), 0.3)
+
+	sameBits := func(what string, got []float64) {
+		t.Helper()
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: P[%d] = %v, want %v", what, i, got[i], want[i])
+			}
+		}
+	}
+
+	// A flagged observation leaves b on the shared signature, allocating
+	// nothing.
+	attacker := FromPseudospectrum(gauss(g, []float64{260, 30}, []float64{4, 6}, []float64{1, 0.3}))
+	if allocs := testing.AllocsPerRun(10, func() {
+		if v, err := b.ObserveVerdict(attacker); err != nil || v.Decision != Flag {
+			t.Fatalf("attacker: %+v, %v", v, err)
+		}
+	}); allocs != 0 {
+		t.Errorf("flagged observation: %v allocs, want 0", allocs)
+	}
+	if b.stored != src {
+		t.Error("flagged observation copied the shared signature")
+	}
+
+	// Accepted updates to a copy P once and then update a's copy in place.
+	ref := append([]float64(nil), src.P...)
+	for step := 1; step <= 5; step++ {
+		obs := FromPseudospectrum(gauss(g, []float64{100, 160 + float64(step)}, []float64{4, 6}, []float64{1, 0.3}))
+		if v, err := a.ObserveVerdict(obs); err != nil || v.Decision != Accept {
+			t.Fatalf("step %d: %+v, %v", step, v, err)
+		}
+		ewma := &Signature{AnglesDeg: g, P: ref}
+		for i := range ref {
+			ref[i] = (1-a.Alpha)*ref[i] + a.Alpha*obs.P[i]
+		}
+		ewma.normalize()
+	}
+	if a.stored == src || &a.stored.P[0] == &src.P[0] {
+		t.Fatal("accepted update wrote through the shared signature")
+	}
+	if &a.stored.AnglesDeg[0] != &src.AnglesDeg[0] {
+		t.Error("copy-on-write copied the bearing grid")
+	}
+	sameBits("source after a's updates", src.P)
+	sameBits("b after a's updates", b.Stored().P)
+	got := a.Stored().P
+	for i := range ref {
+		if math.Float64bits(got[i]) != math.Float64bits(ref[i]) {
+			t.Fatalf("a: P[%d] = %v, want EWMA %v", i, got[i], ref[i])
+		}
+	}
+}

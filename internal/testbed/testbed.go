@@ -220,6 +220,11 @@ var (
 		b := make([]byte, 0, 1<<10)
 		return &b
 	}}
+
+	// modulator builds every testbed frame: its preamble and carrier
+	// lists are resolved once, and BuildPacket only reads them, so
+	// concurrent builds share it.
+	modulator = ofdm.NewModulator(ofdm.DefaultParams())
 )
 
 // FrameBaseband turns a MAC frame into padded OFDM baseband samples ready
@@ -250,8 +255,7 @@ func FrameBaseband(f *wifi.Frame, mod ofdm.Modulation) ([]complex128, error) {
 		<-e.ready
 		return e.bb, e.err
 	}
-	m := ofdm.NewModulator(ofdm.DefaultParams())
-	if pkt, err := m.BuildPacket(key[:len(key)-1], mod); err != nil {
+	if pkt, err := modulator.BuildPacket(key[:len(key)-1], mod); err != nil {
 		e.err = err
 	} else {
 		e.bb = radio.PadPacket(pkt.Samples, 300, 300)

@@ -239,11 +239,15 @@ func (n *Node) CountermeasureFor(mac MAC) (Countermeasure, bool) {
 	return n.ap.CountermeasureFor(mac)
 }
 
-// Enroll registers (or replaces) a certified signature for a MAC.
+// Enroll registers (or replaces) a certified signature for a MAC. The
+// node keeps sig by reference (one signature enrolled under many
+// addresses is stored once); the caller must not modify it afterwards.
 func (n *Node) Enroll(mac MAC, sig *Signature) { n.ap.Enroll(mac, sig) }
 
 // Known reports whether a MAC has a certified signature.
 func (n *Node) Known(mac MAC) bool { return n.ap.Known(mac) }
 
-// StoredSignature returns the current certified signature for a MAC.
+// StoredSignature returns the current certified signature for a MAC: a
+// fresh spectrum the caller may keep. Its AnglesDeg is the node's own
+// steering grid, not a copy; the caller must not write it.
 func (n *Node) StoredSignature(mac MAC) (*Signature, bool) { return n.ap.StoredSignature(mac) }
