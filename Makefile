@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race stress bench bench-smoke fuzz lint loc ops-smoke torture
+.PHONY: build test race stress bench bench-smoke fuzz lint loc ops-smoke torture examples
 
 build:
 	$(GO) build ./...
@@ -15,6 +15,11 @@ test: build
 
 race: build
 	$(GO) test -race ./...
+
+# Run every program under examples/; the first one that exits non-zero
+# fails the target. Each is a short narrative over the public surface.
+examples:
+	@for d in examples/*/; do d=$${d%/}; echo "== $$d"; $(GO) run ./$$d || exit 1; done
 
 # The stress trio CI runs: wire protocol, fusion/defense engines, and
 # the flight recorder (journal + replay + crash recovery), each 3x

@@ -18,7 +18,7 @@ func TestPacketPathAllocs(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("sync.Pool drops Puts under the race detector; alloc counts are unstable")
 	}
-	node := testNode(t, "alloc", 1)
+	ap := testAP(t, "alloc", 1)
 	ctx := context.Background()
 	client, err := Client(5)
 	if err != nil {
@@ -27,7 +27,7 @@ func TestPacketPathAllocs(t *testing.T) {
 	// Warm every cache and pool: baseband modulation, clean-capture
 	// replay, scratch arena growth, sync.Pool population.
 	for i := 0; i < 5; i++ {
-		if _, err := node.ObserveTestbedFrame(ctx, client.ID, client.Pos); err != nil {
+		if _, err := observeTestbedFrame(ctx, ap, client); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -37,7 +37,7 @@ func TestPacketPathAllocs(t *testing.T) {
 	best := math.Inf(1)
 	for attempt := 0; attempt < 3 && best > 10; attempt++ {
 		allocs := testing.AllocsPerRun(100, func() {
-			if _, err := node.ObserveTestbedFrame(ctx, client.ID, client.Pos); err != nil {
+			if _, err := observeTestbedFrame(ctx, ap, client); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -45,6 +45,6 @@ func TestPacketPathAllocs(t *testing.T) {
 	}
 	// Measured 5 on the overhaul; 10 is the issue's acceptance ceiling.
 	if best > 10 {
-		t.Errorf("ObserveTestbedFrame steady state: %.1f allocs/op, want <= 10", best)
+		t.Errorf("testbed frame observe steady state: %.1f allocs/op, want <= 10", best)
 	}
 }

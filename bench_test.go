@@ -253,14 +253,14 @@ func BenchmarkSmoothingAblation(b *testing.B) {
 }
 
 // BenchmarkPipelinePerPacket times the per-packet cost of one AP on the
-// cached-capture path: ObserveTestbedFrame sends the same frame every
-// iteration, so after its first two calls the receive replays the clean
+// cached-capture path: every iteration sends the same testbed frame,
+// so after its first two calls the receive replays the clean
 // capture and applies live impairments instead of synthesising the
 // channel; detection, correlation, eigendecomposition and the MUSIC scan
 // run in full. internal/radio's BenchmarkReceive8Antennas/unique prices
 // the synthesis this skips.
 func BenchmarkPipelinePerPacket(b *testing.B) {
-	node := testNode(b, "bench", 1)
+	ap := testAP(b, "bench", 1)
 	ctx := context.Background()
 	client, err := Client(5)
 	if err != nil {
@@ -269,7 +269,7 @@ func BenchmarkPipelinePerPacket(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := node.ObserveTestbedFrame(ctx, client.ID, client.Pos); err != nil {
+		if _, err := observeTestbedFrame(ctx, ap, client); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -310,7 +310,7 @@ func BenchmarkObserveBatch(b *testing.B) {
 		items := makeItems(batch)
 
 		b.Run(fmt.Sprintf("batch=%d/serial", batch), func(b *testing.B) {
-			ap := testNode(b, "bench", 1).AP()
+			ap := testAP(b, "bench", 1)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -324,7 +324,7 @@ func BenchmarkObserveBatch(b *testing.B) {
 
 		b.Run(fmt.Sprintf("batch=%d/pooled", batch), func(b *testing.B) {
 			// Workers = 0: the pool follows GOMAXPROCS (the -cpu sweep).
-			ap := testNode(b, "bench", 1).AP()
+			ap := testAP(b, "bench", 1)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -339,7 +339,7 @@ func BenchmarkObserveBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkStreamIngest compares the v2 streaming handle against
+// BenchmarkStreamIngest compares the AP's streaming handle against
 // per-call Observe at several batch sizes. The "observe" rows push
 // each batch through one-at-a-time ctx-aware Observe calls; the
 // "stream" rows submit the batch to an open Stream and wait for all of
@@ -369,15 +369,12 @@ func BenchmarkStreamIngest(b *testing.B) {
 		items := makeItems(batch)
 
 		b.Run(fmt.Sprintf("batch=%d/observe", batch), func(b *testing.B) {
-			node, err := New(WithName("bench"), WithSeed(1))
-			if err != nil {
-				b.Fatal(err)
-			}
+			ap := testAP(b, "bench", 1)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for _, it := range items {
-					if _, err := node.Observe(ctx, it.TX, it.Baseband); err != nil {
+					if _, err := ap.ObserveContext(ctx, it.TX, it.Baseband); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -385,11 +382,7 @@ func BenchmarkStreamIngest(b *testing.B) {
 		})
 
 		b.Run(fmt.Sprintf("batch=%d/stream", batch), func(b *testing.B) {
-			node, err := New(WithName("bench"), WithSeed(1))
-			if err != nil {
-				b.Fatal(err)
-			}
-			s := node.Stream(ctx, batch)
+			s := testAP(b, "bench", 1).Stream(ctx, batch)
 			defer s.Close()
 			acks := make(chan struct{}, batch)
 			go func() {

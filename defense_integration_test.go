@@ -42,13 +42,13 @@ func TestDefenseClosedLoopEndToEnd(t *testing.T) {
 	controller.Serve(ln)
 	defer controller.Close()
 
-	// Two full pipeline nodes with v2 agent sessions.
+	// Two full pipeline APs, each with its own agent session.
 	positions := []Point{AP1, AP2}
-	nodes := make([]*Node, len(positions))
+	aps := make([]*AP, len(positions))
 	agents := make([]*netproto.Agent, len(positions))
 	for i, pos := range positions {
 		name := fmt.Sprintf("ap%d", i+1)
-		nodes[i], err = New(WithName(name), WithPosition(pos), WithSeed(int64(700+i)))
+		aps[i], err = New(WithName(name), WithPosition(pos), WithSeed(int64(700+i)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,9 +73,9 @@ func TestDefenseClosedLoopEndToEnd(t *testing.T) {
 
 	// Train the victim's signature at both APs (and give each AP a
 	// serve bearing from accepted traffic).
-	for i, n := range nodes {
+	for i, ap := range aps {
 		for seq := uint16(1); seq <= 2; seq++ {
-			fr, err := n.ProcessFrame(ctx, victim.Pos, testbed.UplinkFrame(victim.ID, seq, nil), ofdm.QPSK)
+			fr, err := ap.ProcessFrameContext(ctx, victim.Pos, testbed.UplinkFrame(victim.ID, seq, nil), ofdm.QPSK)
 			if err != nil {
 				t.Fatalf("ap%d train: %v", i+1, err)
 			}
@@ -87,7 +87,7 @@ func TestDefenseClosedLoopEndToEnd(t *testing.T) {
 
 	// The spoof at AP-1: the attacker transmits with the victim's MAC
 	// from across the room. AP-1's scored verdict rides the alert wire.
-	spoof, err := nodes[0].ProcessFrame(ctx, attacker.Pos, testbed.UplinkFrame(victim.ID, 100, []byte("injected")), ofdm.QPSK)
+	spoof, err := aps[0].ProcessFrameContext(ctx, attacker.Pos, testbed.UplinkFrame(victim.ID, 100, []byte("injected")), ofdm.QPSK)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestDefenseClosedLoopEndToEnd(t *testing.T) {
 		if d.Stage != "spoofcheck" || d.Distance != spoof.Distance {
 			t.Errorf("directive evidence = %+v", d)
 		}
-		cm, err = nodes[1].ApplyDirective(d.Directive)
+		cm, err = aps[1].ApplyDirective(d.Directive)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,7 +132,7 @@ func TestDefenseClosedLoopEndToEnd(t *testing.T) {
 	// The applied weights place a deep spatial null on the flagged
 	// bearing while keeping the serve direction hot (beamform.Gain is
 	// the physical check: transmit array gain at each bearing).
-	arr2 := nodes[1].AP().FE.Array
+	arr2 := aps[1].FE.Array
 	if g := beamform.Gain(arr2, cm.Weights, cm.NullBearingDeg); g > 1e-10 {
 		t.Errorf("gain at flagged bearing %.1f = %g, want suppressed to ~0", cm.NullBearingDeg, g)
 	}
@@ -142,7 +142,7 @@ func TestDefenseClosedLoopEndToEnd(t *testing.T) {
 
 	// While quarantined, the victim MAC's frames at AP-2 are stamped
 	// for dropping.
-	fr, err := nodes[1].ProcessFrame(ctx, victim.Pos, testbed.UplinkFrame(victim.ID, 101, nil), ofdm.QPSK)
+	fr, err := aps[1].ProcessFrameContext(ctx, victim.Pos, testbed.UplinkFrame(victim.ID, 101, nil), ofdm.QPSK)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,16 +169,16 @@ func TestDefenseClosedLoopEndToEnd(t *testing.T) {
 		if d.Action != ActionAllow || d.Reporter != "decay" {
 			t.Fatalf("expected decay release, got %+v", d)
 		}
-		if _, err := nodes[1].ApplyDirective(d.Directive); err != nil {
+		if _, err := aps[1].ApplyDirective(d.Directive); err != nil {
 			t.Fatal(err)
 		}
 	case <-time.After(20 * time.Second):
 		t.Fatal("quarantine never decayed to release")
 	}
-	if _, ok := nodes[1].CountermeasureFor(mac); ok {
+	if _, ok := aps[1].CountermeasureFor(mac); ok {
 		t.Error("countermeasure survived the release")
 	}
-	fr, err = nodes[1].ProcessFrame(ctx, victim.Pos, testbed.UplinkFrame(victim.ID, 102, nil), ofdm.QPSK)
+	fr, err = aps[1].ProcessFrameContext(ctx, victim.Pos, testbed.UplinkFrame(victim.ID, 102, nil), ofdm.QPSK)
 	if err != nil {
 		t.Fatal(err)
 	}

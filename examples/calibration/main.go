@@ -1,9 +1,9 @@
-// Calibration: demonstrates why the section 2.2 procedure is necessary,
-// on the v2 Node facade. A node built with deferred calibration refuses
-// observations with the typed ErrNotCalibrated (the service posture:
-// come up, register, calibrate on command); estimating on the raw
-// capture with the offsets uncorrected breaks bearing estimation, and
-// node.Calibrate restores it.
+// Calibration: demonstrates why the section 2.2 procedure is necessary.
+// An AP built with deferred calibration refuses observations with the
+// typed ErrNotCalibrated (the service posture: come up, register,
+// calibrate on command); estimating on the raw capture with the
+// offsets uncorrected breaks bearing estimation, and ap.Calibrate
+// restores it.
 //
 //	go run ./examples/calibration
 package main
@@ -25,10 +25,12 @@ import (
 func main() {
 	ctx := context.Background()
 	// Deferred calibration: the constructor skips the section 2.2 pass.
-	node, err := secureangle.New(
+	cfg := secureangle.DefaultConfig()
+	cfg.DeferCalibration = true
+	ap, err := secureangle.New(
 		secureangle.WithName("ap1"),
 		secureangle.WithSeed(7),
-		secureangle.WithDeferredCalibration(),
+		secureangle.WithConfig(cfg),
 	)
 	if err != nil {
 		log.Fatal(err)
@@ -48,14 +50,14 @@ func main() {
 
 	// Before calibration the pipeline refuses with a typed error —
 	// errors.Is against the sentinel, the v2 error taxonomy.
-	if _, err := node.Observe(ctx, client.Pos, baseband); !errors.Is(err, secureangle.ErrNotCalibrated) {
+	if _, err := ap.ObserveContext(ctx, client.Pos, baseband); !errors.Is(err, secureangle.ErrNotCalibrated) {
 		log.Fatalf("expected ErrNotCalibrated, got %v", err)
 	}
 	fmt.Println("uncalibrated node refuses observations: ErrNotCalibrated")
 
 	// Capture the raw streams once, so the calibrated and uncalibrated
 	// estimates see the same packet.
-	raw, err := node.AP().Receive(client.Pos, baseband)
+	raw, err := ap.Receive(client.Pos, baseband)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -67,13 +69,13 @@ func main() {
 	// What the refusal prevents: estimating on the capture with the
 	// per-chain downconverter phases uncorrected scrambles the steering
 	// model and the bearing lands far from the truth.
-	rawBearing := estimate(rawCopy, node.AP().Grid())
+	rawBearing := estimate(rawCopy, ap.Grid())
 
 	// Section 2.2: switch the inputs to the reference source, measure
 	// the relative offsets, switch back, subtract.
-	node.Calibrate()
+	ap.Calibrate()
 	fmt.Println("node.Calibrate() ran the section 2.2 reference-tone procedure")
-	rep, err := node.AP().ProcessStreams(raw)
+	rep, err := ap.ProcessStreams(raw)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -85,13 +87,13 @@ func main() {
 		rep.BearingDeg, geom.AngularDistDeg(rep.BearingDeg, truth))
 
 	fmt.Println("\nper-chain offsets recovered (radians, relative to chain 1):")
-	for i, o := range node.AP().Offsets() {
+	for i, o := range ap.Offsets() {
 		fmt.Printf("  chain %d: %+.4f\n", i+1, o)
 	}
 }
 
 // estimate runs detection + MUSIC directly on raw streams, bypassing
-// the AP's calibration — the broken path the Node API refuses to take.
+// the AP's calibration — the broken path the AP refuses to take.
 func estimate(set [][]complex128, grid []float64) float64 {
 	dets := detect.Find(set[0], detect.DefaultConfig())
 	if len(dets) == 0 {

@@ -1,7 +1,7 @@
 // Quickstart: the smallest end-to-end SecureAngle use — one access point,
-// one client, one packet, one bearing — on the v2 Node API: a long-lived
-// node built with functional options, context threaded through the
-// pipeline, and typed errors.
+// one client, one packet, one bearing: a long-lived AP built with
+// functional options, context threaded through the pipeline, and typed
+// errors.
 //
 //	go run ./examples/quickstart
 package main
@@ -22,7 +22,7 @@ func main() {
 	// An AP with the paper's octagonal circular array in the Figure 4
 	// office. New runs the section 2.2 phase calibration automatically;
 	// every unset option takes the paper-testbed default.
-	node, err := secureangle.New(
+	ap, err := secureangle.New(
 		secureangle.WithName("ap1"),
 		secureangle.WithPosition(secureangle.AP1),
 		secureangle.WithSeed(42),
@@ -31,7 +31,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Client 5 sends one 802.11-style uplink data frame. The node
+	// Client 5 sends one 802.11-style uplink data frame. The AP
 	// receives it through the simulated channel and runs the full
 	// pipeline: Schmidl-Cox detection, calibration, packet-scale
 	// correlation, MUSIC.
@@ -39,7 +39,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	report, err := node.ObserveTestbedFrame(ctx, client.ID, client.Pos)
+	item, err := secureangle.TestbedBatchItem(client, 1)
+	if err != nil {
+		log.Fatal(err)
+	}
+	report, err := ap.ObserveContext(ctx, item.TX, item.Baseband)
 	switch {
 	case errors.Is(err, secureangle.ErrNotDetected):
 		log.Fatal("no packet detected — SNR below the detection cliff")
@@ -67,7 +71,7 @@ func main() {
 	// The same pipeline as an always-on service: the streaming handle
 	// accepts transmissions with backpressure and delivers results in
 	// submission order.
-	stream := node.Stream(ctx, 8)
+	stream := ap.Stream(ctx, 8)
 	go func() {
 		for id := 1; id <= 5; id++ {
 			c, err := secureangle.Client(id)

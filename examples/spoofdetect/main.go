@@ -1,6 +1,6 @@
-// Spoofdetect: the section 2.3.2 application, on the v2 Node facade.
-// The AP trains on a legitimate client's AoA signature, keeps accepting
-// that client through normal channel noise, and flags an attacker who
+// Spoofdetect: the section 2.3.2 application. The AP trains on a
+// legitimate client's AoA signature, keeps accepting that client
+// through normal channel noise, and flags an attacker who
 // transmits with the victim's MAC address from a different location —
 // including an attacker whose directional antenna defeats the RSS
 // signalprint baseline. The scored verdicts show the margin of every
@@ -23,7 +23,7 @@ import (
 
 func main() {
 	ctx := context.Background()
-	node, err := secureangle.New(secureangle.WithName("ap1"), secureangle.WithSeed(11))
+	ap, err := secureangle.New(secureangle.WithName("ap1"), secureangle.WithSeed(11))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func main() {
 	// Training stage: the first frame from this MAC enrolls its
 	// signature Scl.
 	train := testbed.UplinkFrame(victim.ID, 0, []byte("association"))
-	if _, err := node.ProcessFrame(ctx, victim.Pos, train, ofdm.QPSK); err != nil {
+	if _, err := ap.ProcessFrameContext(ctx, victim.Pos, train, ofdm.QPSK); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("trained signature for %s (client %d at %v)\n\n",
@@ -51,7 +51,7 @@ func main() {
 	fmt.Println("legitimate traffic:")
 	for seq := uint16(1); seq <= 5; seq++ {
 		f := testbed.UplinkFrame(victim.ID, seq, []byte("normal data"))
-		fr, err := node.ProcessFrame(ctx, victim.Pos, f, ofdm.QPSK)
+		fr, err := ap.ProcessFrameContext(ctx, victim.Pos, f, ofdm.QPSK)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -63,7 +63,7 @@ func main() {
 	fmt.Println("\nattacker spoofing the victim's MAC from across the room:")
 	for seq := uint16(100); seq < 103; seq++ {
 		f := testbed.UplinkFrame(victim.ID, seq, []byte("injected"))
-		fr, err := node.ProcessFrame(ctx, attackerPos.Pos, f, ofdm.QPSK)
+		fr, err := ap.ProcessFrameContext(ctx, attackerPos.Pos, f, ofdm.QPSK)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -74,15 +74,15 @@ func main() {
 	// Who was it really? Rank the registry by signature distance: the
 	// attack frames' physical signature matches the attacker's own
 	// enrolled station.
-	if _, err := node.ProcessFrame(ctx, attackerPos.Pos, testbed.UplinkFrame(attackerPos.ID, 1, nil), ofdm.QPSK); err != nil {
+	if _, err := ap.ProcessFrameContext(ctx, attackerPos.Pos, testbed.UplinkFrame(attackerPos.ID, 1, nil), ofdm.QPSK); err != nil {
 		log.Fatal(err)
 	}
 	lastSpoof := testbed.UplinkFrame(victim.ID, 200, []byte("injected"))
-	fr, err := node.ProcessFrame(ctx, attackerPos.Pos, lastSpoof, ofdm.QPSK)
+	fr, err := ap.ProcessFrameContext(ctx, attackerPos.Pos, lastSpoof, ofdm.QPSK)
 	if err != nil {
 		log.Fatal(err)
 	}
-	ids, err := node.AP().Identify(fr.Sig)
+	ids, err := ap.Identify(fr.Sig)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -93,9 +93,8 @@ func main() {
 
 	// The RSS baseline against a directional-antenna attacker.
 	fmt.Println("\nRSS signalprint baseline vs a 20 dB directional antenna:")
-	environment := node.Environment()
-	victimPrint := baseline.FromPowers(testbed.RSSPowers(environment, victim.Pos))
-	attackerPrint := baseline.FromPowers(testbed.RSSPowers(environment, attackerPos.Pos))
+	victimPrint := baseline.FromPowers(testbed.RSSPowers(ap.Env, victim.Pos))
+	attackerPrint := baseline.FromPowers(testbed.RSSPowers(ap.Env, attackerPos.Pos))
 	atk := baseline.DirectionalAttacker{MaxGainDB: 20, ErrorDB: 1}
 	forged, err := atk.ForgePrint(victimPrint, attackerPrint)
 	if err != nil {

@@ -1,7 +1,7 @@
-// Virtualfence: the section 2.3.1 application end to end, on the v2
-// Node facade. Three nodes each run the full physical-layer pipeline on
-// every transmission, stream their direct-path bearings to a fusion
-// controller over loopback TCP, and the controller triangulates and
+// Virtualfence: the section 2.3.1 application end to end. Three APs
+// each run the full physical-layer pipeline on every transmission,
+// stream their direct-path bearings to a fusion controller over
+// loopback TCP, and the controller triangulates and
 // applies the building-boundary fence: inside clients are allowed, an
 // outside intruder's frames are dropped — and with the defense engine
 // in the loop, repeated drops escalate the intruder into quarantine,
@@ -47,14 +47,14 @@ func main() {
 	defer controller.Unsubscribe(decisions)
 	fmt.Printf("fence controller on %s\n\n", ln.Addr())
 
-	// Three full nodes (array + calibration + MUSIC pipeline) on the v2
-	// constructor, each with its own agent session to the controller.
+	// Three full APs (array + calibration + MUSIC pipeline), each with
+	// its own agent session to the controller.
 	apPositions := []secureangle.Point{secureangle.AP1, secureangle.AP2, secureangle.AP3}
-	nodes := make([]*secureangle.Node, len(apPositions))
+	aps := make([]*secureangle.AP, len(apPositions))
 	agents := make([]*netproto.Agent, len(apPositions))
 	for i, pos := range apPositions {
 		name := fmt.Sprintf("ap%d", i+1)
-		nodes[i], err = secureangle.New(
+		aps[i], err = secureangle.New(
 			secureangle.WithName(name),
 			secureangle.WithPosition(pos),
 			secureangle.WithSeed(int64(100+i)),
@@ -76,7 +76,7 @@ func main() {
 	// ap1 listens for defense directives — the countermeasure loop.
 	directives := agents[0].Directives()
 
-	// transmit pushes one frame through every node's pipeline and ships
+	// transmit pushes one frame through every AP's pipeline and ships
 	// the resulting bearing reports to the controller.
 	var seq uint64
 	transmit := func(label string, clientID int, pos secureangle.Point) {
@@ -88,8 +88,8 @@ func main() {
 			log.Fatal(err)
 		}
 		heard := 0
-		for i, n := range nodes {
-			rep, err := n.Observe(ctx, pos, baseband)
+		for i, ap := range aps {
+			rep, err := ap.ObserveContext(ctx, pos, baseband)
 			if err != nil {
 				fmt.Printf("  ap%d: cannot hear the client (%v)\n", i+1, err)
 				continue
@@ -129,7 +129,7 @@ func main() {
 	case d := <-directives:
 		fmt.Printf("defense: %s directive for %s (score %.2f) — every AP now drops its frames\n",
 			d.Action, d.MAC, d.Score)
-		if cm, err := nodes[0].ApplyDirective(d.Directive); err == nil {
+		if cm, err := aps[0].ApplyDirective(d.Directive); err == nil {
 			fmt.Printf("defense: ap1 applied countermeasure %s\n", cm.Action)
 		}
 	case <-time.After(5 * time.Second):

@@ -122,7 +122,7 @@ func TestFullStackFenceOverTCP(t *testing.T) {
 }
 
 // TestFullStackV2StreamToController drives the v2 service path end to
-// end: a Node's streaming handle feeds per-packet reports to a v2
+// end: an AP's streaming handle feeds per-packet reports to a v2
 // controller session (DialContext + SendBatchContext + Subscribe), and
 // a spoof-flag PipelineError's stage crosses the wire on the alert
 // path and lands in the controller's quarantine.
@@ -144,17 +144,17 @@ func TestFullStackV2StreamToController(t *testing.T) {
 	sub := controller.Subscribe(16)
 	defer controller.Unsubscribe(sub)
 
-	// Two v2 nodes, each with its own agent session.
+	// Two APs, each with its own agent session.
 	positions := []Point{AP1, AP2}
-	nodes := make([]*Node, len(positions))
+	aps := make([]*AP, len(positions))
 	agents := make([]*netproto.Agent, len(positions))
 	for i, pos := range positions {
 		name := fmt.Sprintf("ap%d", i+1)
-		n, err := New(WithName(name), WithPosition(pos), WithSeed(int64(500+i)), WithWorkers(2))
+		ap, err := New(WithName(name), WithPosition(pos), WithSeed(int64(500+i)), withWorkers(2))
 		if err != nil {
 			t.Fatal(err)
 		}
-		nodes[i] = n
+		aps[i] = ap
 		a, err := netproto.DialContext(ctx, ln.Addr().String(), netproto.Hello{Name: name, Pos: pos})
 		if err != nil {
 			t.Fatal(err)
@@ -163,7 +163,7 @@ func TestFullStackV2StreamToController(t *testing.T) {
 		agents[i] = a
 	}
 
-	// One transmission through each node's stream; reports ship as a
+	// One transmission through each AP's stream; reports ship as a
 	// deadline-bounded batch.
 	client, err := Client(5)
 	if err != nil {
@@ -174,8 +174,8 @@ func TestFullStackV2StreamToController(t *testing.T) {
 		t.Fatal(err)
 	}
 	mac := testbed.ClientMAC(5)
-	for i, n := range nodes {
-		s := n.Stream(ctx, 4)
+	for i, ap := range aps {
+		s := ap.Stream(ctx, 4)
 		if _, err := s.Submit(ctx, item); err != nil {
 			t.Fatal(err)
 		}
@@ -185,7 +185,7 @@ func TestFullStackV2StreamToController(t *testing.T) {
 			defer close(done)
 			for r := range s.Results() {
 				if r.Err != nil {
-					t.Errorf("node %d stream: %v", i, r.Err)
+					t.Errorf("ap%d stream: %v", i+1, r.Err)
 					continue
 				}
 				reports = append(reports, netproto.Report{
@@ -208,13 +208,15 @@ func TestFullStackV2StreamToController(t *testing.T) {
 		t.Fatal("no fused decision")
 	}
 
-	// The alert path: a deferred-calibration node fails with a typed
+	// The alert path: a deferred-calibration AP fails with a typed
 	// PipelineError whose stage rides the v2 alert to the controller.
-	uncal, err := New(WithName("ap1"), WithPosition(AP1), WithDeferredCalibration())
+	cfg := DefaultConfig()
+	cfg.DeferCalibration = true
+	uncal, err := New(WithName("ap1"), WithPosition(AP1), WithConfig(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = uncal.ObserveTestbedFrame(ctx, client.ID, client.Pos)
+	_, err = uncal.ObserveContext(ctx, item.TX, item.Baseband)
 	var pe *PipelineError
 	if !errors.As(err, &pe) || !errors.Is(err, ErrNotCalibrated) {
 		t.Fatalf("expected ErrNotCalibrated PipelineError, got %v", err)

@@ -13,7 +13,7 @@ import (
 // records where it happened, so callers dispatch with errors.Is/As
 // instead of matching strings:
 //
-//	res := node.ObserveBatch(ctx, items)
+//	res := ap.ObserveBatchContext(ctx, items)
 //	for _, r := range res {
 //		switch {
 //		case errors.Is(r.Err, core.ErrNotDetected): // unhearable, skip

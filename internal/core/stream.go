@@ -29,7 +29,7 @@ type StreamResult struct {
 // pool runs the estimation pipeline concurrently, and Results delivers
 // reports in submission order.
 //
-//	s := node.Stream(ctx, 16)
+//	s := ap.Stream(ctx, 16)
 //	go func() {
 //		for r := range s.Results() { ... }
 //	}()

@@ -79,31 +79,16 @@ type apConn struct {
 	health *apHealth
 }
 
-// Quarantined returns an Alert view of every client the defense engine
-// currently holds in quarantine — the shape the seed's permanent
-// quarantine list had, kept for compatibility. Entries now expire
-// (TTL/decay) and can be released (Controller.Release), so the list
-// shrinks as well as grows. Threats returns the full scored state.
-func (c *Controller) Quarantined() []Alert {
+// Quarantined returns every client the defense engine currently holds
+// in quarantine, ordered by MAC. Entries expire (TTL/decay) and can be
+// released (Controller.Release), so the list shrinks as well as grows.
+// Threats returns every scored client, quarantined or not.
+func (c *Controller) Quarantined() []defense.ClientThreat {
 	s := c.partsLoaded()
 	if s == nil {
 		return nil
 	}
-	states := s.Quarantined()
-	out := make([]Alert, 0, len(states))
-	for _, st := range states {
-		out = append(out, Alert{
-			APName:     st.LastAP,
-			MAC:        st.MAC,
-			Distance:   st.LastDistance,
-			Threshold:  st.LastThreshold,
-			Stage:      st.Stage,
-			BearingDeg: st.BearingDeg,
-			HasBearing: st.HasBearing,
-			Trace:      st.Trace,
-		})
-	}
-	return out
+	return s.Quarantined()
 }
 
 // handleAlert ingests an agent's alert as a scored spoof verdict. The

@@ -41,7 +41,7 @@ func (mod *Modulator) BuildCodedPacket(payload []byte, m Modulation) (*Packet, e
 		}
 		txBits = append(txBits, symBits...)
 	}
-	return &Packet{Samples: mod.modulate(txBits, m), NSymbols: nsym, Mod: m, PayloadBits: txBits}, nil
+	return &Packet{Samples: mod.modulate(txBits, m, 0, 0), NSymbols: nsym, Mod: m, PayloadBits: txBits}, nil
 }
 
 // ErrCodedLength reports a coded payload whose length cannot be decoded.

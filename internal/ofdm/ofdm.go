@@ -388,27 +388,42 @@ type Packet struct {
 // BuildPacket maps payload bytes onto OFDM data symbols (zero-padding the
 // final symbol) and concatenates preamble + data symbols.
 func (mod *Modulator) BuildPacket(payload []byte, m Modulation) (*Packet, error) {
-	perSym := len(mod.lay.data) * m.BitsPerSymbol()
-	nsym := (8*len(payload) + perSym - 1) / perSym
-	// The padding bits are the zeros past the payload's.
-	bits := appendBits(make([]byte, 0, nsym*perSym), payload)[:nsym*perSym]
-	return &Packet{Samples: mod.modulate(bits, m), NSymbols: nsym, Mod: m, PayloadBits: bits}, nil
+	bits, nsym := mod.payloadBits(payload, m)
+	return &Packet{Samples: mod.modulate(bits, m, 0, 0), NSymbols: nsym, Mod: m, PayloadBits: bits}, nil
 }
 
-// modulate returns a packet's samples: the preamble, then one data
-// symbol per len(lay.data)*BitsPerSymbol bits of bits (a whole number
-// of symbols), each modulated in place in the packet's own slice.
-func (mod *Modulator) modulate(bits []byte, m Modulation) []complex128 {
+// BuildPadded returns BuildPacket's samples between lead and tail
+// zeros, modulated in place in that one slice: a channel simulation's
+// transmit buffer (see radio.FrontEnd.Receive).
+func (mod *Modulator) BuildPadded(payload []byte, m Modulation, lead, tail int) []complex128 {
+	bits, _ := mod.payloadBits(payload, m)
+	return mod.modulate(bits, m, lead, tail)
+}
+
+// payloadBits returns payload's bits zero-padded to a whole number of
+// data symbols, and that number.
+func (mod *Modulator) payloadBits(payload []byte, m Modulation) ([]byte, int) {
+	perSym := len(mod.lay.data) * m.BitsPerSymbol()
+	nsym := (8*len(payload) + perSym - 1) / perSym
+	return appendBits(make([]byte, 0, nsym*perSym), payload)[:nsym*perSym], nsym
+}
+
+// modulate returns a packet's samples between lead and tail zeros: the
+// preamble, then one data symbol per len(lay.data)*BitsPerSymbol bits
+// of bits (a whole number of symbols), each modulated in place in the
+// returned slice.
+func (mod *Modulator) modulate(bits []byte, m Modulation, lead, tail int) []complex128 {
 	lay := mod.lay
 	symLen := mod.P.SymbolLen()
 	perSym := len(lay.data) * m.BitsPerSymbol()
 	nsym := len(bits) / perSym
-	samples := make([]complex128, len(lay.preamble)+nsym*symLen)
-	copy(samples, lay.preamble)
+	samples := make([]complex128, lead+len(lay.preamble)+nsym*symLen+tail)
+	pkt := samples[lead:]
+	copy(pkt, lay.preamble)
 	pts := make([]complex128, len(lay.data))
 	for s := 0; s < nsym; s++ {
 		mapInto(pts, bits[s*perSym:(s+1)*perSym], m)
-		mod.dataSymbol(samples[len(lay.preamble)+s*symLen:][:symLen], pts)
+		mod.dataSymbol(pkt[len(lay.preamble)+s*symLen:][:symLen], pts)
 	}
 	return samples
 }

@@ -193,6 +193,32 @@ func TestBuildPacketShape(t *testing.T) {
 	}
 }
 
+// TestBuildPadded: the padded build is BuildPacket's samples, bit for
+// bit, between exactly lead and tail zeros.
+func TestBuildPadded(t *testing.T) {
+	mod := NewModulator(DefaultParams())
+	payload := bytes.Repeat([]byte{0x3C}, 37)
+	for _, m := range []Modulation{BPSK, QPSK, QAM16, QAM64} {
+		pkt, err := mod.BuildPacket(payload, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := mod.BuildPadded(payload, m, 3, 4)
+		if len(got) != 3+len(pkt.Samples)+4 {
+			t.Fatalf("%v: %d samples, want %d", m, len(got), 3+len(pkt.Samples)+4)
+		}
+		for i, v := range got {
+			want := complex128(0)
+			if i >= 3 && i < 3+len(pkt.Samples) {
+				want = pkt.Samples[i-3]
+			}
+			if v != want {
+				t.Fatalf("%v: sample %d = %v, want %v", m, i, v, want)
+			}
+		}
+	}
+}
+
 func TestModulateDemodulateCleanChannel(t *testing.T) {
 	mod := NewModulator(DefaultParams())
 	dem := NewDemodulator(DefaultParams())

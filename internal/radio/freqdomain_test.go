@@ -76,12 +76,11 @@ func TestReceiveMatchesTimeDomainReference(t *testing.T) {
 		WithSNR(300), // noise variance ~1e-30: draws still occur, adds nothing visible
 	)
 
-	baseband := make([]complex128, 700)
+	baseband := make([]complex128, 64+700+64) // 64 zeros either side
 	src := rng.New(4)
-	for i := range baseband {
-		baseband[i] = src.ComplexGaussian(1)
+	for i := range baseband[64 : 64+700] {
+		baseband[64+i] = src.ComplexGaussian(1)
 	}
-	baseband = PadPacket(baseband, 64, 64)
 
 	paths := e.Trace(txPos, fe.Pos)
 	if len(paths) < 2 {

@@ -190,7 +190,8 @@ func NewFrontEnd(arr *antenna.Array, pos geom.Point, src *rng.Source, opts ...Op
 // Receive propagates the transmitted baseband through the environment to
 // this AP and returns one sample stream per antenna, all impairments
 // applied. The transmit buffer should include lead-in/lead-out padding
-// (see PadPacket) so fractionally-delayed copies stay within the buffer.
+// (see ofdm.Modulator.BuildPadded) so fractionally-delayed copies stay
+// within the buffer.
 //
 // Receive is PrepareReceive followed by ReceivePreparedArena with a nil
 // arena, so the capture draws its noise from its own fork of the front
@@ -576,15 +577,6 @@ func (f *FrontEnd) ReceiveMulti(e *env.Environment, txs []Transmission) ([][]com
 func quantize(v, fullScale, step float64) float64 {
 	v = math.Max(-fullScale, math.Min(fullScale, v))
 	return math.Round(v/step) * step
-}
-
-// PadPacket surrounds packet samples with lead/tail zeros so that packet
-// detection sees a noise floor before the preamble and fractional path
-// delays do not wrap signal energy around the buffer.
-func PadPacket(samples []complex128, lead, tail int) []complex128 {
-	out := make([]complex128, lead+len(samples)+tail)
-	copy(out[lead:], samples)
-	return out
 }
 
 // --- Calibration (section 2.2) ---

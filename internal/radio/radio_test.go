@@ -23,11 +23,7 @@ func freeSpace() *env.Environment {
 func testPacket(t testing.TB) []complex128 {
 	t.Helper()
 	mod := ofdm.NewModulator(ofdm.DefaultParams())
-	pkt, err := mod.BuildPacket([]byte("secureangle-test-payload-0123456789"), ofdm.QPSK)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return PadPacket(pkt.Samples, 200, 200)
+	return mod.BuildPadded([]byte("secureangle-test-payload-0123456789"), ofdm.QPSK, 200, 200)
 }
 
 func TestNewFrontEndDefaults(t *testing.T) {
@@ -221,14 +217,6 @@ func TestMultipathStrongestPeakIsDirect(t *testing.T) {
 	}
 }
 
-func TestPadPacket(t *testing.T) {
-	x := []complex128{1, 2}
-	p := PadPacket(x, 3, 4)
-	if len(p) != 9 || p[0] != 0 || p[3] != 1 || p[4] != 2 || p[8] != 0 {
-		t.Errorf("PadPacket = %v", p)
-	}
-}
-
 func TestQuantizeLevels(t *testing.T) {
 	for _, v := range []float64{0.124, -0.52, 3.9, 0} {
 		q := quantize(v, 1.0, 0.5) // 2-bit: step = 0.5 over [-1, 1]
@@ -272,10 +260,10 @@ func BenchmarkReceive8Antennas(b *testing.B) {
 	e := freeSpace()
 	tx := geom.Point{X: 5, Y: 3}
 	mod := ofdm.NewModulator(ofdm.DefaultParams())
-	pkt, _ := mod.BuildPacket([]byte("bench-payload-0123456789abcdef"), ofdm.QPSK)
+	payload := []byte("bench-payload-0123456789abcdef")
 	b.Run("retransmit", func(b *testing.B) {
 		fe := NewFrontEnd(arr, geom.Point{}, rng.New(12))
-		bb := PadPacket(pkt.Samples, 200, 200)
+		bb := mod.BuildPadded(payload, ofdm.QPSK, 200, 200)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -286,7 +274,7 @@ func BenchmarkReceive8Antennas(b *testing.B) {
 	})
 	b.Run("unique", func(b *testing.B) {
 		fe := NewFrontEnd(arr, geom.Point{}, rng.New(12))
-		bb := PadPacket(pkt.Samples, 200, 200)
+		bb := mod.BuildPadded(payload, ofdm.QPSK, 200, 200)
 		ar := pool.NewArena(0, 0, 0)
 		receive := func(i int) {
 			ar.Reset()
@@ -310,8 +298,7 @@ func BenchmarkReceive8Antennas(b *testing.B) {
 	})
 	b.Run("prepared", func(b *testing.B) {
 		fe := NewFrontEnd(arr, geom.Point{}, rng.New(12), WithNoiseFloor(4e-9))
-		frame, _ := mod.BuildPacket(make([]byte, 92), ofdm.QPSK) // 64-byte payload + 28-byte MAC header and FCS
-		bb := PadPacket(frame.Samples, 300, 300)
+		bb := mod.BuildPadded(make([]byte, 92), ofdm.QPSK, 300, 300) // 64-byte payload + 28-byte MAC header and FCS
 		if len(bb) != 1480 {
 			b.Fatalf("frame is %d samples, want 1480", len(bb))
 		}

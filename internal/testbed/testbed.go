@@ -203,11 +203,10 @@ func UplinkFrame(clientID int, seq uint16, payload []byte) *wifi.Frame {
 const maxBasebandCacheEntries = 64
 
 // basebandEntry is one modulated frame, or the build of it in flight:
-// ready closes once bb and err are set.
+// ready closes once bb is set.
 type basebandEntry struct {
 	ready chan struct{}
 	bb    []complex128
-	err   error
 }
 
 var (
@@ -222,18 +221,20 @@ var (
 	}}
 
 	// modulator builds every testbed frame: its preamble and carrier
-	// lists are resolved once, and BuildPacket only reads them, so
+	// lists are resolved once, and BuildPadded only reads them, so
 	// concurrent builds share it.
 	modulator = ofdm.NewModulator(ofdm.DefaultParams())
 )
 
 // FrameBaseband turns a MAC frame into padded OFDM baseband samples ready
-// for the channel: the transmit side of the testbed. Modulation is a pure
-// function of the frame bytes, so results are cached by content — the
-// returned slice is shared across calls and must be treated as read-only
-// (every receive path only reads the transmit buffer). Concurrent callers
-// for a frame not yet cached (lockstep APs hearing one transmission)
-// share a single build and its result, error included.
+// for the channel: the transmit side of the testbed. The frame is
+// modulated once, straight into a buffer with 300 zero samples before
+// and after it. Modulation is a pure function of the frame bytes, so
+// results are cached by content — the returned slice is shared across
+// calls and must be treated as read-only (every receive path only reads
+// the transmit buffer). Concurrent callers for a frame not yet cached
+// (lockstep APs hearing one transmission) share a single build. The
+// error is always nil.
 func FrameBaseband(f *wifi.Frame, mod ofdm.Modulation) ([]complex128, error) {
 	kb := keyPool.Get().(*[]byte)
 	key := append(f.AppendMarshal((*kb)[:0]), byte(mod))
@@ -253,13 +254,9 @@ func FrameBaseband(f *wifi.Frame, mod ofdm.Modulation) ([]complex128, error) {
 	basebandMu.Unlock()
 	if ok {
 		<-e.ready
-		return e.bb, e.err
+		return e.bb, nil
 	}
-	if pkt, err := modulator.BuildPacket(key[:len(key)-1], mod); err != nil {
-		e.err = err
-	} else {
-		e.bb = radio.PadPacket(pkt.Samples, 300, 300)
-	}
+	e.bb = modulator.BuildPadded(key[:len(key)-1], mod, 300, 300)
 	close(e.ready)
-	return e.bb, e.err
+	return e.bb, nil
 }

@@ -1,6 +1,9 @@
 package testbed
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"strings"
 	"sync"
@@ -183,6 +186,53 @@ func TestFrameBaseband(t *testing.T) {
 	}
 	if len(bb) <= 600 {
 		t.Error("baseband too short")
+	}
+}
+
+// TestFrameBasebandDigest pins FrameBaseband's samples bit for bit: a
+// sha256 over every sample's IEEE-754 bits, for each modulation at
+// several payload sizes (an empty payload, one short of a symbol, and
+// multi-symbol frames). The digest was taken before the frame was
+// modulated straight into its padded buffer; never re-pin it.
+func TestFrameBasebandDigest(t *testing.T) {
+	h := sha256.New()
+	var buf [16]byte
+	for _, mod := range []ofdm.Modulation{ofdm.BPSK, ofdm.QPSK, ofdm.QAM16, ofdm.QAM64} {
+		for _, n := range []int{0, 5, 64, 1000} {
+			payload := make([]byte, n)
+			for i := range payload {
+				payload[i] = byte(31*i + n)
+			}
+			bb, err := FrameBaseband(UplinkFrame(3, uint16(n), payload), mod)
+			if err != nil {
+				t.Fatal(err)
+			}
+			binary.LittleEndian.PutUint64(buf[:8], uint64(len(bb)))
+			h.Write(buf[:8])
+			for _, v := range bb {
+				binary.LittleEndian.PutUint64(buf[:8], math.Float64bits(real(v)))
+				binary.LittleEndian.PutUint64(buf[8:], math.Float64bits(imag(v)))
+				h.Write(buf[:])
+			}
+		}
+	}
+	const want = "5922ed7d8fa27956ad3f3c6118e565a00221ce8d105b240c9f24161a60df7c85"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("FrameBaseband digest %s, want %s", got, want)
+	}
+}
+
+// BenchmarkFrameBaseband prices one uncached frame build: every
+// iteration sends a new sequence number, so each call modulates (the
+// cache only skips builds of a frame already seen).
+func BenchmarkFrameBaseband(b *testing.B) {
+	payload := make([]byte, 64)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		f := UplinkFrame(1+i%20, uint16(i), payload)
+		if _, err := FrameBaseband(f, ofdm.QPSK); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

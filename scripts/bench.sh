@@ -20,7 +20,8 @@ trap 'rm -f "$tmp"' EXIT
 # synthesis (an 8-antenna receive of a frame never seen before; and
 # the prepared batch receive, noise fork included, at the end-to-end
 # workload's 1480-sample frame), the 2048-point transform it runs nine
-# of and the AWGN of one such capture, one OFDM packet build, the AP
+# of and the AWGN of one such capture, one OFDM packet build and one
+# uncached testbed frame build (modulated into its padded buffer), the AP
 # registry's enroll of a shared signature, fusion ingest, defense
 # directive, journal append + group commit (each package's hot path),
 # the ops metrics update the first four carry, partitioned ingest at
@@ -37,6 +38,8 @@ go test -run '^$' -benchmem -benchtime "$benchtime" \
     -bench 'BenchmarkFFTInPlace2048$' ./internal/dsp | tee -a "$tmp"
 go test -run '^$' -benchmem -benchtime "$benchtime" \
     -bench 'BenchmarkBuildPacket$' ./internal/ofdm | tee -a "$tmp"
+go test -run '^$' -benchmem -benchtime "$benchtime" \
+    -bench 'BenchmarkFrameBaseband$' ./internal/testbed | tee -a "$tmp"
 go test -run '^$' -benchmem -benchtime "$benchtime" \
     -bench 'BenchmarkEnrollShared$' ./internal/core | tee -a "$tmp"
 go test -run '^$' -benchmem -benchtime "$benchtime" \

@@ -11,8 +11,9 @@
 # uncached 8-antenna receives (~300 and ~500 us/op, the channel-synthesis
 # rows) and a 16-frame Stream batch (~4 ms/op; only its alloc budget
 # gates, and 100 batches amortise its warm-up allocations); the AWGN of
-# one 8x1480 capture runs 500 (~150 us/op), as does one OFDM packet
-# build (~20 us/op; alloc budget only); the 2048-point FFT runs 2000
+# one 8x1480 capture runs 500 (~150 us/op), as do one OFDM packet
+# build and one uncached testbed frame build (~20 us/op each; alloc
+# budgets only); the 2048-point FFT runs 2000
 # (~25 us/op); 20000 shared-signature enrolls (~70 ns/op; alloc budget
 # only) cycle through the benchmark's 4096 MACs; the sub-microsecond hot
 # paths get enough iterations to measure >= 10 ms of real work, or
@@ -54,6 +55,8 @@ go test -run '^$' -benchmem -count "$count" -benchtime 500x \
     -bench 'BenchmarkAddAWGN8x1480$' ./internal/rng | tee -a "$tmp"
 go test -run '^$' -benchmem -count "$count" -benchtime 500x \
     -bench 'BenchmarkBuildPacket$' ./internal/ofdm | tee -a "$tmp"
+go test -run '^$' -benchmem -count "$count" -benchtime 500x \
+    -bench 'BenchmarkFrameBaseband$' ./internal/testbed | tee -a "$tmp"
 go test -run '^$' -benchmem -count "$count" -benchtime 20000x \
     -bench 'BenchmarkEnrollShared$' ./internal/core | tee -a "$tmp"
 go test -run '^$' -benchmem -count "$count" -benchtime 2000x \
@@ -113,6 +116,7 @@ BEGIN {
     budget["BenchmarkAddAWGN8x1480"] = 0  # hard zero: normals drawn into a stack buffer
     budget["BenchmarkFFTInPlace2048"] = 0  # hard zero: cached tables, in place
     budget["BenchmarkBuildPacket"] = 10  # 4 measured (bits, samples, points, packet); 142 when every symbol allocated
+    budget["BenchmarkFrameBaseband"] = 6  # 6 measured (cache entry, ready channel, map key, bits, samples, points); 8 when the frame was modulated and then copied into a padded slice
     budget["BenchmarkEnrollShared"] = 1  # 1 measured: the tracker; 4 when each enroll deep-copied the signature
     nrows = 0; na = 0
 }

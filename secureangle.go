@@ -35,18 +35,19 @@
 //	internal/testbed     the paper's Figure 4 office and its 20 clients
 //	internal/experiments drivers for Figures 5-7 and all in-text claims
 //
-// The quickest start (the v2 Node API — functional options, context
-// threading, typed errors):
+// The quickest start: New builds an AP from functional options, and
+// its methods thread a context and return typed errors:
 //
-//	node, _ := secureangle.New(secureangle.WithName("ap1"), secureangle.WithSeed(42))
+//	ap, _ := secureangle.New(secureangle.WithName("ap1"), secureangle.WithSeed(42))
 //	client, _ := secureangle.Client(5)
-//	rep, err := node.ObserveTestbedFrame(ctx, client.ID, client.Pos)
+//	item, _ := secureangle.TestbedBatchItem(client, 1)
+//	rep, err := ap.ObserveContext(ctx, item.TX, item.Baseband)
 //	// rep.BearingDeg, rep.Sig, rep.Spectrum ...
 //	// errors.Is(err, secureangle.ErrNotDetected) etc. for failures
 //
 // or, as an always-on service, via the streaming handle:
 //
-//	s := node.Stream(ctx, 16)
+//	s := ap.Stream(ctx, 16)
 //	go func() { for r := range s.Results() { ... } }()
 //	s.Submit(ctx, item)
 //
@@ -143,7 +144,7 @@ type (
 	Verdict = signature.Verdict
 	// Directive is one typed defense countermeasure order: the
 	// controller's defense engine emits them on threat transitions and
-	// APs apply them (see Node.ApplyDirective).
+	// APs apply them (see AP.ApplyDirective).
 	Directive = defense.Directive
 	// DirectiveAction selects a directive's countermeasure.
 	DirectiveAction = defense.Action

@@ -11,12 +11,16 @@ import (
 // shows it, so the documented entry points cannot rot.
 
 func TestFacadeQuickstart(t *testing.T) {
-	node := testNode(t, "ap1", 42)
+	ap := testAP(t, "ap1", 42)
 	client, err := Client(5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := node.ObserveTestbedFrame(context.Background(), client.ID, client.Pos)
+	item, err := TestbedBatchItem(client, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := ap.ObserveContext(context.Background(), item.TX, item.Baseband)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,26 +68,30 @@ func TestFacadeTriangulate(t *testing.T) {
 }
 
 func TestFacadeSpoofFlow(t *testing.T) {
-	node := testNode(t, "ap1", 7)
+	ap := testAP(t, "ap1", 7)
 	ctx := context.Background()
 	victim, _ := Client(5)
 	attacker, _ := Client(9)
+	item, err := TestbedBatchItem(victim, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	rep, err := node.ObserveTestbedFrame(ctx, victim.ID, victim.Pos)
+	rep, err := ap.ObserveContext(ctx, item.TX, item.Baseband)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var mac MAC = MAC{0x02, 0, 0, 0, 0, 0x05}
-	node.Enroll(mac, rep.Sig)
-	if !node.Known(mac) {
+	ap.Enroll(mac, rep.Sig)
+	if !ap.Known(mac) {
 		t.Fatal("enrollment failed")
 	}
-	// An observation from the attacker's position must not match.
-	atk, err := node.ObserveTestbedFrame(ctx, victim.ID, attacker.Pos)
+	// The victim's frame sent from the attacker's position must not match.
+	atk, err := ap.ObserveContext(ctx, attacker.Pos, item.Baseband)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stored, _ := node.StoredSignature(mac)
+	stored, _ := ap.StoredSignature(mac)
 	_ = stored
 	if atk.Sig == nil {
 		t.Fatal("attacker observation missing signature")
