@@ -122,3 +122,28 @@ func BenchmarkFusionIngest(b *testing.B) {
 		run(b, e.Ingest)
 	})
 }
+
+// BenchmarkFusionNewClient fuses one two-bearing transmission from a
+// MAC the engine has never seen, every iteration: the first-contact
+// path that creates a client (and, past MaxClients, evicts the
+// least-recently-active one). Its allocs/op is the per-client object
+// count; B/op is dominated by the client's own state.
+func BenchmarkFusionNewClient(b *testing.B) {
+	targets := benchTargets(4096)
+	ap1 := geom.Point{X: 4, Y: 2}
+	ap2 := geom.Point{X: 20, Y: 3}
+	e := MustNew(Config{
+		Fence:        testFence(),
+		APCount:      func() int { return 2 },
+		TickInterval: time.Hour,
+	})
+	defer e.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m := mac(i)
+		t := targets[i%len(targets)]
+		e.Ingest(Bearing{AP: "ap1", APPos: ap1, MAC: m, Seq: 1, Deg: t[0]})
+		e.Ingest(Bearing{AP: "ap2", APPos: ap2, MAC: m, Seq: 1, Deg: t[1]})
+	}
+}

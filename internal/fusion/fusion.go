@@ -19,6 +19,13 @@
 //   - A hard MaxClients cap evicts the least-recently-active client,
 //     and MaxPendingPerClient bounds each client's in-flight
 //     transmissions, so hostile MAC/seq churn cannot grow state.
+//   - A client's in-flight transmissions hang off it on an intrusive
+//     FIFO threaded through the pending entries themselves (looked up
+//     by a walk of at most MaxPendingPerClient entries), and its track
+//     filter is held inline, so each client is one allocation.
+//     Insertion order makes pending eviction deterministic: the
+//     earliest-inserted entry goes, even when a batch shares one clock
+//     reading, so a journal replay evicts what the live run did.
 //   - All deadlines (decision timeouts and TTLs) live in two per-shard
 //     FIFO queues — both durations are constants, so creation order is
 //     deadline order — swept periodically by a self-rescheduling timer
@@ -315,6 +322,8 @@ func New(cfg Config) (*Engine, error) {
 	for i := range e.shards {
 		e.shards[i] = &shard{
 			clients:    make(map[wifi.Addr]*client),
+			ttlList:    pendingList{which: ttlLinks},
+			decideList: pendingList{which: decideLinks},
 			maxClients: perShard,
 		}
 	}
@@ -539,16 +548,16 @@ func (e *Engine) ingestLocked(s *shard, b Bearing, now time.Time) (Decision, Tra
 		s.ctr.dupDropped++
 		return Decision{}, TrackState{}, false
 	}
-	p := cl.pending[b.Seq]
+	p := cl.pendingFor(b.Seq)
 	if p == nil {
-		if len(cl.pending) >= e.cfg.MaxPendingPerClient {
+		if int(cl.pending.n) >= e.cfg.MaxPendingPerClient {
 			s.evictOldestPending(e, cl)
 		}
 		p = e.pendingPool.Get().(*pendingTx)
 		p.cl, p.seq, p.created = cl, b.Seq, now
 		p.trace = 0
-		cl.pending[b.Seq] = p
-		s.ttlList.pushTail(p, ttlLinks)
+		cl.pending.pushTail(p)
+		s.ttlList.pushTail(p)
 	}
 	if p.trace == 0 {
 		p.trace = b.Trace
@@ -568,7 +577,7 @@ func (e *Engine) ingestLocked(s *shard, b Bearing, now time.Time) (Decision, Tra
 		if !p.armed {
 			p.armed = true
 			p.armedAt = now
-			s.decideList.pushTail(p, decideLinks)
+			s.decideList.pushTail(p)
 		}
 		return Decision{}, TrackState{}, false
 	}
@@ -774,14 +783,13 @@ func (e *Engine) ClientCount() int {
 	return n
 }
 
-// PendingCount reports in-flight pending transmissions across shards.
+// PendingCount reports in-flight pending transmissions across shards:
+// every one sits on its shard's TTL queue, whose length is kept.
 func (e *Engine) PendingCount() int {
 	n := 0
 	for _, s := range e.shards {
 		s.mu.Lock()
-		for _, cl := range s.clients {
-			n += len(cl.pending)
-		}
+		n += int(s.ttlList.n)
 		s.mu.Unlock()
 	}
 	return n
@@ -824,8 +832,9 @@ type apBearing struct {
 }
 
 // pendingTx is one in-flight transmission. It is linked into its
-// shard's TTL queue from creation and into the decision-deadline queue
-// once armed; both links unlink in O(1) when the entry resolves.
+// client's in-flight list and its shard's TTL queue from creation, and
+// into the decision-deadline queue once armed; every link unlinks in
+// O(1) when the entry resolves.
 type pendingTx struct {
 	bearings map[string]apBearing
 	created  time.Time
@@ -840,41 +849,49 @@ type pendingTx struct {
 
 	ttlPrev, ttlNext       *pendingTx
 	decidePrev, decideNext *pendingTx
+	clPrev, clNext         *pendingTx
 }
 
-// pendingLinks selects one of pendingTx's two intrusive link pairs.
-type pendingLinks int
+// pendingLinks selects one of pendingTx's three intrusive link pairs.
+type pendingLinks uint8
 
 const (
 	ttlLinks pendingLinks = iota
 	decideLinks
+	clientLinks
 )
 
 func (p *pendingTx) links(which pendingLinks) (prev, next **pendingTx) {
-	if which == ttlLinks {
+	switch which {
+	case ttlLinks:
 		return &p.ttlPrev, &p.ttlNext
+	case decideLinks:
+		return &p.decidePrev, &p.decideNext
 	}
-	return &p.decidePrev, &p.decideNext
+	return &p.clPrev, &p.clNext
 }
 
-// pendingList is an intrusive FIFO of pendingTx. Deadlines are
-// constant offsets from push time, so head order is deadline order.
+// pendingList is an intrusive FIFO of pendingTx over one link pair,
+// with its length. Deadlines are constant offsets from push time, so a
+// deadline queue's head order is deadline order; a client's list head
+// is its earliest-inserted transmission.
 type pendingList struct {
 	head, tail *pendingTx
+	n          int32
 	which      pendingLinks
 }
 
-func (l *pendingList) pushTail(p *pendingTx, which pendingLinks) {
-	l.which = which
-	prev, next := p.links(which)
+func (l *pendingList) pushTail(p *pendingTx) {
+	prev, next := p.links(l.which)
 	*prev, *next = l.tail, nil
 	if l.tail != nil {
-		_, tn := l.tail.links(which)
+		_, tn := l.tail.links(l.which)
 		*tn = p
 	} else {
 		l.head = p
 	}
 	l.tail = p
+	l.n++
 }
 
 func (l *pendingList) unlink(p *pendingTx) {
@@ -892,11 +909,14 @@ func (l *pendingList) unlink(p *pendingTx) {
 		l.tail = *prev
 	}
 	*prev, *next = nil, nil
+	l.n--
 }
 
 type shard struct {
-	mu         sync.Mutex
-	clients    map[wifi.Addr]*client
+	mu      sync.Mutex
+	clients map[wifi.Addr]*client
+	// ttlList holds every pending entry of the shard, so its length is
+	// the shard's pending count.
 	ttlList    pendingList
 	decideList pendingList
 	maxClients int
@@ -911,7 +931,7 @@ type shard struct {
 // dropPending unlinks p from its client and both deadline queues and
 // recycles it. Shard lock held.
 func (s *shard) dropPending(e *Engine, p *pendingTx) {
-	delete(p.cl.pending, p.seq)
+	p.cl.pending.unlink(p)
 	s.ttlList.unlink(p)
 	if p.armed {
 		s.decideList.unlink(p)
@@ -923,16 +943,18 @@ func (s *shard) dropPending(e *Engine, p *pendingTx) {
 }
 
 type client struct {
-	mac     wifi.Addr
-	pending map[uint64]*pendingTx
-
+	mac wifi.Addr
 	// Anti-replay dedup window: seqHi is the highest decided seq,
 	// seqMask bit i marks seqHi-i decided.
 	seqInit bool
 	seqHi   uint64
 	seqMask uint64
 
-	filter       *track.Filter
+	// pending is the client's in-flight transmissions in insertion
+	// order, at most MaxPendingPerClient long.
+	pending pendingList
+
+	filter       track.Filter
 	trackPos     geom.Point
 	lastFix      time.Time
 	fixes        uint64
@@ -940,6 +962,16 @@ type client struct {
 	lastDecision locate.Decision
 
 	lruPrev, lruNext *client
+}
+
+// pendingFor returns cl's in-flight entry for seq, or nil.
+func (cl *client) pendingFor(seq uint64) *pendingTx {
+	for p := cl.pending.head; p != nil; p = p.clNext {
+		if p.seq == seq {
+			return p
+		}
+	}
+	return nil
 }
 
 func (cl *client) state() TrackState {
@@ -1010,8 +1042,8 @@ func (s *shard) touch(e *Engine, mac wifi.Addr) *client {
 		}
 		cl = &client{
 			mac:     mac,
-			pending: make(map[uint64]*pendingTx, 1),
-			filter:  track.NewFilter(e.cfg.TrackAlpha, e.cfg.TrackBeta),
+			pending: pendingList{which: clientLinks},
+			filter:  *track.NewFilter(e.cfg.TrackAlpha, e.cfg.TrackBeta),
 		}
 		s.clients[mac] = cl
 	}
@@ -1059,22 +1091,17 @@ func (s *shard) evictLRU(e *Engine) {
 	}
 	s.lruUnlink(victim)
 	delete(s.clients, victim.mac)
-	for _, p := range victim.pending {
-		s.dropPending(e, p)
+	for victim.pending.head != nil {
+		s.dropPending(e, victim.pending.head)
 	}
 	s.ctr.clientsEvicted++
 	e.logf("fusion: evicted client %v (%d fixes) at MaxClients", victim.mac, victim.fixes)
 }
 
-// evictOldestPending drops cl's oldest in-flight transmission to make
-// room for a new one. Shard lock held.
+// evictOldestPending drops cl's earliest-inserted in-flight
+// transmission to make room for a new one. Shard lock held.
 func (s *shard) evictOldestPending(e *Engine, cl *client) {
-	var oldest *pendingTx
-	for _, p := range cl.pending {
-		if oldest == nil || p.created.Before(oldest.created) {
-			oldest = p
-		}
-	}
+	oldest := cl.pending.head
 	if oldest == nil {
 		return
 	}

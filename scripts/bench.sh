@@ -22,7 +22,8 @@ trap 'rm -f "$tmp"' EXIT
 # workload's 1480-sample frame), the 2048-point transform it runs nine
 # of and the AWGN of one such capture, one OFDM packet build and one
 # uncached testbed frame build (modulated into its padded buffer), the AP
-# registry's enroll of a shared signature, fusion ingest, defense
+# registry's enroll of a shared signature, fusion ingest (a known client
+# and a first-contact one), defense
 # directive, journal append + group commit (each package's hot path),
 # the ops metrics update the first four carry, partitioned ingest at
 # 1/4/16 partitions (per-report and batched), the replication cursor's
@@ -44,6 +45,8 @@ go test -run '^$' -benchmem -benchtime "$benchtime" \
     -bench 'BenchmarkEnrollShared$' ./internal/core | tee -a "$tmp"
 go test -run '^$' -benchmem -benchtime "$benchtime" \
     -bench 'BenchmarkFusionIngest$' ./internal/fusion | tee -a "$tmp"
+go test -run '^$' -benchmem -benchtime "$benchtime" \
+    -bench 'BenchmarkFusionNewClient$' ./internal/fusion | tee -a "$tmp"
 go test -run '^$' -benchmem -benchtime "$benchtime" \
     -bench 'BenchmarkDefenseDirective$' ./internal/defense | tee -a "$tmp"
 go test -run '^$' -benchmem -benchtime "$benchtime" \

@@ -15,7 +15,9 @@
 # build and one uncached testbed frame build (~20 us/op each; alloc
 # budgets only); the 2048-point FFT runs 2000
 # (~25 us/op); 20000 shared-signature enrolls (~70 ns/op; alloc budget
-# only) cycle through the benchmark's 4096 MACs; the sub-microsecond hot
+# only) cycle through the benchmark's 4096 MACs; 20000 first-contact
+# fusions (~1 us/op; alloc budget only) stay under the engine's
+# client cap; the sub-microsecond hot
 # paths get enough iterations to measure >= 10 ms of real work, or
 # warmup noise would dominate. Fixed counts are noisy, but a 2x bar is far above CI
 # jitter, so this catches real cliffs — an accidental O(n^2), a lost
@@ -63,6 +65,8 @@ go test -run '^$' -benchmem -count "$count" -benchtime 2000x \
     -bench 'BenchmarkFFTInPlace2048$' ./internal/dsp | tee -a "$tmp"
 go test -run '^$' -benchmem -count "$count" -benchtime 20000x \
     -bench 'BenchmarkFusionIngest$' ./internal/fusion | tee -a "$tmp"
+go test -run '^$' -benchmem -count "$count" -benchtime 20000x \
+    -bench 'BenchmarkFusionNewClient$' ./internal/fusion | tee -a "$tmp"
 go test -run '^$' -benchmem -count "$count" -benchtime 50000x \
     -bench 'BenchmarkDefenseDirective$' ./internal/defense | tee -a "$tmp"
 go test -run '^$' -benchmem -count "$count" -benchtime 50000x \
@@ -104,6 +108,7 @@ BEGIN {
     budget["BenchmarkJournalAppendBatch/interval"] = 4  # 0 measured (64-record batch)
     budget["BenchmarkJournalAppendBatch/always"] = 4    # 0 measured
     budget["BenchmarkFusionIngest/sharded"] = 1     # 1 measured: the Decision.APs slice
+    budget["BenchmarkFusionNewClient"] = 2  # 2 measured: the client and the Decision.APs slice; 5 when the pending map, its storage and the track filter were objects apart from the client
     budget["BenchmarkPartitionIngest/parts=1"] = 3  # 2 measured; an escaping batch-of-one slice adds 2
     budget["BenchmarkPartitionIngestBatch/parts=1"] = 16   # ~5 measured
     budget["BenchmarkPartitionIngestBatch/parts=4"] = 16
